@@ -6,8 +6,10 @@ import os
 import numpy as np
 import pytest
 
+from shockline.bayes import PriorSpec, TrajectoryForward, hellinger_between, synth_observations
 from shockline.cli import main
 from shockline.config import read_slice_csv, write_slice_csv
+from shockline.flux import LinearTrafficVelocity
 from shockline.front_tracking import StepFunction, l1_distance
 
 VELOCITY = {"kind": "linear-traffic", "w_max": 1.0, "rho_max": 1.0}
@@ -56,6 +58,12 @@ INVERT_CFG = {
         "sampler": {"chain_length": 150, "beta": 0.2},
     },
 }
+
+LADDER_CFG = dict(INVERT_CFG, inversion=dict(
+    INVERT_CFG["inversion"],
+    sampler={"chain_length": 20, "beta": 0.2},
+    ladder={"levels": [3, 4], "reference": 6, "n_samples": 20},
+))
 
 
 @pytest.fixture(autouse=True)
@@ -181,6 +189,30 @@ def test_invert_runs_a_chain(tmp_path):
     lines = (out / "chain.csv").read_text().splitlines()
     assert lines[0].startswith("step,potential,accepted,v0")
     assert len(lines) == 151
+
+
+def test_invert_ladder_rows_match_pairwise_estimates(tmp_path):
+    cfg = write_cfg(tmp_path, LADDER_CFG)
+    out = tmp_path / "out"
+    assert main(["invert", "--config", cfg, "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    inv = LADDER_CFG["inversion"]
+    prior = PriorSpec.from_spec(inv["prior"])
+    w = LinearTrafficVelocity(1.0, 1.0)
+    times = tuple(inv["forward"]["times"])
+
+    def forward(level):
+        return TrajectoryForward(w, level, -0.5, 0.01, times)
+
+    synth = inv["synthetic"]
+    truth = prior.transform(np.asarray(synth["truth_latent"]))
+    obs = synth_observations(forward(5), truth, synth["noise_std"], synth["seed"])
+    expected = [
+        {"level": n, **hellinger_between(prior, obs, forward(n), forward(6), 20,
+                                         seed=LADDER_CFG["seed"]).to_dict()}
+        for n in (3, 4)
+    ]
+    assert summary["hellinger_table"] == expected
 
 
 def test_viscous_snapshots_and_mass_accounting(tmp_path):
