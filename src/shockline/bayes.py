@@ -13,8 +13,8 @@ from __future__ import annotations
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property
-from math import inf, log, sqrt
-from typing import Optional, Sequence, Union
+from math import inf, isfinite, log, sqrt
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -75,6 +75,9 @@ class PriorSpec:
             raise ValueError(f"unknown prior kind {self.kind!r}")
         if self.n < 2:
             raise ValueError("need n >= 2 latent points")
+        floats = (self.length_scale, self.amplitude, *self.window, self.mean, self.w_max)
+        if not all(map(isfinite, floats)):
+            raise ValueError("prior parameters must be finite")
         if self.length_scale <= 0 or self.amplitude < 0:
             raise ValueError("length_scale must be positive and amplitude nonnegative")
         lo, hi = self.window
@@ -214,8 +217,65 @@ class ObservationSet:
 # forward maps
 
 
+class ForwardMap:
+    """Base of the forward maps: observation times and the horizon they set.
+
+    Subclasses are dataclasses with a ``times`` field and their own
+    ``__call__`` from a sample to the array of observed values.
+    """
+
+    kind = "trajectory"
+
+    def __post_init__(self):
+        self.times = tuple(float(t) for t in self.times)
+        if not self.times or not all(map(isfinite, self.times)):
+            raise ValueError("observation times must be a nonempty list of finite numbers")
+
+    @property
+    def horizon(self) -> float:
+        return max(self.times)
+
+
+class _TrackedForward(ForwardMap):
+    """Observes the path of one car released at (x0, t0)."""
+
+    def __post_init__(self):
+        super().__post_init__()
+        if not (isfinite(self.x0) and self.t0 > 0):
+            raise ValueError("the car needs a finite x0 and a positive t0")
+        if min(self.times) < self.t0:
+            raise ValueError("observation times must be >= t0")
+
+
+class _DyadicForward(ForwardMap):
+    """Front tracking of a sample field under the dyadic flux of a known velocity."""
+
+    def __post_init__(self):
+        super().__post_init__()
+        self.flux = traffic_flux_from_velocity(self.velocity, self.level)
+
+    def solve(self, sample: StepFunction) -> FrontTrackingSolution:
+        return evolve(quantize_step(sample, self.level), self.flux, self.horizon)
+
+
+class _FieldForward(_DyadicForward):
+    """Observes the solved field at the points (x_j, t_j)."""
+
+    def __post_init__(self):
+        super().__post_init__()
+        self.positions = tuple(float(x) for x in self.positions)
+        if len(self.times) != len(self.positions):
+            raise ValueError("positions and times must pair up")
+
+    def _slices(self, sample: StepFunction) -> list[tuple[float, StepFunction]]:
+        """(x_j, slice at t_j) for every point; one slice per distinct time."""
+        sol = self.solve(sample)
+        slices = {t: sol.slice(t) for t in dict.fromkeys(self.times)}
+        return [(x, slices[t]) for x, t in zip(self.positions, self.times)]
+
+
 @dataclass
-class TrajectoryForward:
+class TrajectoryForward(_TrackedForward, _DyadicForward):
     """Particle positions z(t_j) for an unknown initial density field."""
 
     velocity: VelocityFunction
@@ -223,21 +283,6 @@ class TrajectoryForward:
     x0: float
     t0: float
     times: tuple
-    kind: str = field(default="trajectory", init=False)
-    flux: object = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self.times = tuple(float(t) for t in self.times)
-        if min(self.times) < self.t0:
-            raise ValueError("observation times must be >= t0")
-        self.flux = traffic_flux_from_velocity(self.velocity, self.level)
-
-    @property
-    def horizon(self) -> float:
-        return max(self.times)
-
-    def solve(self, sample: StepFunction) -> FrontTrackingSolution:
-        return evolve(quantize_step(sample, self.level), self.flux, self.horizon)
 
     def __call__(self, sample: StepFunction) -> np.ndarray:
         traj = track(self.solve(sample), self.velocity, self.x0, self.t0, self.horizon)
@@ -245,83 +290,44 @@ class TrajectoryForward:
 
 
 @dataclass
-class PointwiseForward:
+class PointwiseForward(_FieldForward):
     """Field values at points (x_j, t_j); one-sided limits are averaged."""
+
+    kind = "pointwise"
 
     velocity: VelocityFunction
     level: int
     positions: tuple
     times: tuple
-    kind: str = field(default="pointwise", init=False)
-    flux: object = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self.times = tuple(float(t) for t in self.times)
-        self.positions = tuple(float(x) for x in self.positions)
-        if len(self.times) != len(self.positions):
-            raise ValueError("positions and times must pair up")
-        self.flux = traffic_flux_from_velocity(self.velocity, self.level)
-
-    @property
-    def horizon(self) -> float:
-        return max(self.times)
-
-    def solve(self, sample: StepFunction) -> FrontTrackingSolution:
-        return evolve(quantize_step(sample, self.level), self.flux, self.horizon)
 
     def __call__(self, sample: StepFunction) -> np.ndarray:
-        sol = self.solve(sample)
-        out = np.empty(len(self.times))
-        cache: dict[float, StepFunction] = {}
-        for j, (x, t) in enumerate(zip(self.positions, self.times)):
-            if t not in cache:
-                cache[t] = sol.slice(t)
-            lv, rv = cache[t].value_at(x)
-            out[j] = 0.5 * (lv + rv)
-        return out
+        return np.array([0.5 * sum(s.value_at(x)) for x, s in self._slices(sample)])
 
 
 @dataclass
-class BallAverageForward:
+class BallAverageForward(_FieldForward):
     """Integrals of the field over balls B_r(x_j) at times t_j."""
+
+    kind = "ball-average"
 
     velocity: VelocityFunction
     level: int
     positions: tuple
     times: tuple
     radius: float
-    kind: str = field(default="ball-average", init=False)
-    flux: object = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.times = tuple(float(t) for t in self.times)
-        self.positions = tuple(float(x) for x in self.positions)
-        if len(self.times) != len(self.positions):
-            raise ValueError("positions and times must pair up")
-        if self.radius <= 0:
+        super().__post_init__()
+        if not self.radius > 0:
             raise ValueError("radius must be positive")
-        self.flux = traffic_flux_from_velocity(self.velocity, self.level)
-
-    @property
-    def horizon(self) -> float:
-        return max(self.times)
-
-    def solve(self, sample: StepFunction) -> FrontTrackingSolution:
-        return evolve(quantize_step(sample, self.level), self.flux, self.horizon)
 
     def __call__(self, sample: StepFunction) -> np.ndarray:
-        sol = self.solve(sample)
-        out = np.empty(len(self.times))
-        cache: dict[float, StepFunction] = {}
-        for j, (x, t) in enumerate(zip(self.positions, self.times)):
-            if t not in cache:
-                cache[t] = sol.slice(t)
-            out[j] = cache[t].integral(x - self.radius, x + self.radius)
-        return out
+        r = self.radius
+        return np.array([s.integral(x - r, x + r) for x, s in self._slices(sample)])
 
 
 @dataclass
-class VelocityTrajectoryForward:
+class VelocityTrajectoryForward(_TrackedForward):
     """Particle positions z(t_j) for an unknown velocity function."""
 
     initial: StepFunction
@@ -329,15 +335,10 @@ class VelocityTrajectoryForward:
     x0: float
     t0: float
     times: tuple
-    kind: str = field(default="trajectory", init=False)
 
     def __post_init__(self):
-        self.times = tuple(float(t) for t in self.times)
+        super().__post_init__()
         self.initial = quantize_step(self.initial, self.level)
-
-    @property
-    def horizon(self) -> float:
-        return max(self.times)
 
     def solve(self, sample: VelocityFunction) -> FrontTrackingSolution:
         flux = traffic_flux_from_velocity(sample, self.level)
@@ -349,7 +350,7 @@ class VelocityTrajectoryForward:
 
 
 @dataclass
-class ViscousTrajectoryForward:
+class ViscousTrajectoryForward(_TrackedForward):
     """Particle positions through the viscous regularization."""
 
     velocity: VelocityFunction
@@ -360,14 +361,6 @@ class ViscousTrajectoryForward:
     times: tuple
     n_cells: int = 400
     store_every: int = 4
-    kind: str = field(default="trajectory", init=False)
-
-    def __post_init__(self):
-        self.times = tuple(float(t) for t in self.times)
-
-    @property
-    def horizon(self) -> float:
-        return max(self.times)
 
     def __call__(self, sample: StepFunction) -> np.ndarray:
         fld = solve_viscous(
@@ -376,15 +369,6 @@ class ViscousTrajectoryForward:
         )
         traj = track_smooth(fld, self.velocity, self.x0, self.t0, self.horizon)
         return traj.observe(self.times)
-
-
-ForwardMap = Union[
-    TrajectoryForward,
-    PointwiseForward,
-    BallAverageForward,
-    VelocityTrajectoryForward,
-    ViscousTrajectoryForward,
-]
 
 
 def potential(sample, obs: ObservationSet, forward: ForwardMap) -> float:
@@ -579,6 +563,18 @@ def _hellinger_from_potentials(
     return value, stderr, log_za, log_zb, batch_vals
 
 
+def _estimate(phi_a: np.ndarray, phi_b: np.ndarray, n_batches: int) -> HellingerEstimate:
+    value, stderr, log_za, log_zb, batches = _hellinger_from_potentials(phi_a, phi_b, n_batches)
+    return HellingerEstimate(value, stderr, phi_a.size, log_za, log_zb, batches)
+
+
+def _common_latents(prior: PriorSpec, n_samples: int, seed: int, n_batches: int) -> np.ndarray:
+    """The prior samples that every posterior in one comparison shares."""
+    if n_samples < max(2 * n_batches, 4):
+        raise ValueError("n_samples too small for batch-means error bars")
+    return prior.sample_latent(np.random.default_rng(seed), size=n_samples)
+
+
 def _forward_batch(args):
     forward, prior_spec, latents = args
     prior = PriorSpec.from_spec(prior_spec)
@@ -623,28 +619,29 @@ def hellinger_between(
     forward maps (and identical data) give exactly zero.  Raises
     FloatingPointError when an evidence estimate falls below 1e-300.
     """
-    if n_samples < max(2 * n_batches, 4):
-        raise ValueError("n_samples too small for batch-means error bars")
-    rng = np.random.default_rng(seed)
-    latents = prior.sample_latent(rng, size=n_samples)
+    latents = _common_latents(prior, n_samples, seed, n_batches)
     g_a = evaluate_forward_on_samples(prior, forward_a, latents, jobs)
     g_b = g_a if forward_b is forward_a else evaluate_forward_on_samples(
         prior, forward_b, latents, jobs
     )
     phi_a = _potentials(g_a, obs)
     phi_b = _potentials(g_b, obs if obs_b is None else obs_b)
-    value, stderr, log_za, log_zb, batches = _hellinger_from_potentials(
-        phi_a, phi_b, n_batches
-    )
-    return HellingerEstimate(value, stderr, n_samples, log_za, log_zb, batches)
+    return _estimate(phi_a, phi_b, n_batches)
 
 
 @dataclass
 class StudyRow:
     label: float
-    hellinger: float
-    stderr: float
+    estimate: HellingerEstimate
     forward_discrepancy: float
+
+    @property
+    def hellinger(self) -> float:
+        return self.estimate.value
+
+    @property
+    def stderr(self) -> float:
+        return self.estimate.stderr
 
     def to_dict(self) -> dict:
         return {
@@ -692,8 +689,7 @@ def posterior_convergence_study(
     max d / sqrt(discrepancy), the A = B control (always exactly 0), and
     whether the distances decrease along the ladder as given.
     """
-    rng = np.random.default_rng(seed)
-    latents = prior.sample_latent(rng, size=n_samples)
+    latents = _common_latents(prior, n_samples, seed, n_batches)
     g_ref = evaluate_forward_on_samples(prior, reference, latents, jobs)
     phi_ref = _potentials(g_ref, obs)
     control = _hellinger_from_potentials(phi_ref, phi_ref, n_batches)[0]
@@ -701,9 +697,8 @@ def posterior_convergence_study(
     for label, fwd in ladder:
         g_n = evaluate_forward_on_samples(prior, fwd, latents, jobs)
         phi_n = _potentials(g_n, obs)
-        value, stderr, _, _, _ = _hellinger_from_potentials(phi_n, phi_ref, n_batches)
         disc = float(np.mean(np.abs(g_n - g_ref)))
-        rows.append(StudyRow(float(label), value, stderr, disc))
+        rows.append(StudyRow(float(label), _estimate(phi_n, phi_ref, n_batches), disc))
     dists = np.asarray([r.hellinger for r in rows])
     discs = np.asarray([max(r.forward_discrepancy, 1e-300) for r in rows])
     fitted = float(np.max(dists / np.sqrt(discs))) if rows else 0.0

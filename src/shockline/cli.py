@@ -22,7 +22,7 @@ from .bayes import (
     TrajectoryForward,
     VelocityTrajectoryForward,
     ViscousTrajectoryForward,
-    hellinger_between,
+    posterior_convergence_study,
     run_pcn,
     synth_observations,
 )
@@ -298,30 +298,28 @@ def cmd_invert(cfg: ScenarioConfig, args, out: str) -> int:
     ladder_blk = blk.get("ladder")
     if ladder_blk:
         levels = [int(n) for n in ladder_blk.get("levels", ())]
-        ref_level = int(ladder_blk.get("reference", 12))
-        n_samples = int(ladder_blk.get("n_samples", 500))
-        rows = []
-        ref_fwd = _forward_from_block(
-            dict(blk.get("forward", {}), level=ref_level), cfg
+        if not levels:
+            raise ConfigError("ladder block needs a nonempty levels list")
+
+        def forward_at(level):
+            return _forward_from_block(dict(blk.get("forward", {}), level=level), cfg)
+
+        study = posterior_convergence_study(
+            prior, obs, [(n, forward_at(n)) for n in levels],
+            forward_at(int(ladder_blk.get("reference", 12))),
+            int(ladder_blk.get("n_samples", 500)), seed=seed, jobs=args.jobs,
         )
-        for n in levels:
-            fwd_n = _forward_from_block(dict(blk.get("forward", {}), level=n), cfg)
-            est = hellinger_between(
-                prior, obs, fwd_n, ref_fwd, n_samples,
-                seed=seed, jobs=args.jobs,
-            )
-            rows.append({"level": n, **est.to_dict()})
-        summary["hellinger_table"] = rows
+        summary["hellinger_table"] = [
+            {"level": n, **row.estimate.to_dict()} for n, row in zip(levels, study.rows)
+        ]
     cfgio.write_json(os.path.join(out, "summary.json"), summary)
     if args.check:
         if not 0.0 < run.acceptance_rate < 1.0:
             raise CheckFailure(
                 f"degenerate acceptance rate {run.acceptance_rate}"
             )
-        if ladder_blk:
-            dists = [r["value"] for r in summary["hellinger_table"]]
-            if any(b > a + 1e-14 for a, b in zip(dists, dists[1:])):
-                raise CheckFailure("Hellinger ladder is not nonincreasing")
+        if ladder_blk and not study.monotone_nonincreasing:
+            raise CheckFailure("Hellinger ladder is not nonincreasing")
     return 0
 
 

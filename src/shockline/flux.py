@@ -406,20 +406,9 @@ def velocity_from_spec(spec: dict) -> VelocityFunction:
     raise ValueError(f"unknown velocity kind: {kind!r}")
 
 
-def traffic_flux_from_velocity(
-    w: VelocityFunction, level: int, extra_breakpoints: Sequence[float] = ()
-) -> PiecewiseLinearFlux:
-    """Chord interpolant of rho * w(rho) on the dyadic grid of [0, rho_max].
-
-    ``extra_breakpoints`` are merged into the grid so that chosen states can
-    be made exact flux nodes (their Rankine-Hugoniot speeds then come out in
-    closed form).
-    """
+def traffic_flux_from_velocity(w: VelocityFunction, level: int) -> PiecewiseLinearFlux:
+    """Chord interpolant of rho * w(rho) on the dyadic grid of [0, rho_max]."""
     lo, hi = w.domain
     grid = dyadic_points(level, lo, hi)
-    if len(extra_breakpoints) > 0:
-        grid = np.unique(np.concatenate((grid, np.asarray(extra_breakpoints, dtype=float))))
-        if grid[0] < lo - 1e-12 or grid[-1] > hi + 1e-12:
-            raise ValueError("extra breakpoints outside the velocity domain")
     vals = grid * np.asarray(w(grid), dtype=float)
     return PiecewiseLinearFlux(grid, vals)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from heapq import heappush, heappop
-from math import inf, sqrt
+from math import inf, isfinite, sqrt
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -360,8 +360,8 @@ def evolve(
     """
     if not isinstance(flux, PiecewiseLinearFlux):
         raise TypeError("front tracking needs a piecewise-linear flux; linearize first")
-    if horizon <= 0:
-        raise ValueError("horizon must be positive")
+    if not (isfinite(horizon) and horizon > 0):
+        raise ValueError("horizon must be positive and finite")
     lo, hi = flux.domain
     if initial.min_value() < lo - 1e-12 or initial.max_value() > hi + 1e-12:
         raise ValueError("initial data leaves the flux domain")

@@ -1,6 +1,8 @@
 """Priors, forward maps, pCN sampling, and Hellinger estimates."""
 
+import math
 import pickle
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,6 +13,8 @@ from shockline.bayes import (
     PointwiseForward,
     PriorSpec,
     TrajectoryForward,
+    VelocityTrajectoryForward,
+    ViscousTrajectoryForward,
     _hellinger_from_potentials,
     evaluate_forward_on_samples,
     hellinger_between,
@@ -22,7 +26,12 @@ from shockline.bayes import (
     shock_containment_fraction,
     synth_observations,
 )
-from shockline.flux import LinearTrafficVelocity, TableVelocity, traffic_flux_from_velocity
+from shockline.flux import (
+    LinearTrafficVelocity,
+    TableVelocity,
+    TrafficQuadraticFlux,
+    traffic_flux_from_velocity,
+)
 from shockline.front_tracking import StepFunction, evolve, quantize_step
 
 W = LinearTrafficVelocity(1.0, 1.0)
@@ -41,6 +50,24 @@ class MeanForward:
 
 def small_prior(n=8, **kw):
     return PriorSpec(kind="initial-field", n=n, length_scale=0.5, window=(-1.0, 2.0), **kw)
+
+
+# one small instance of each forward map, with a prior whose samples it takes
+FORWARDS = {
+    "TrajectoryForward": lambda: (
+        small_prior(), TrajectoryForward(W, 4, -0.5, 0.1, (0.5, 1.0))),
+    "PointwiseForward": lambda: (
+        small_prior(), PointwiseForward(W, 4, (0.2, -0.3, 0.0), (0.5, 0.5, 1.0))),
+    "BallAverageForward": lambda: (
+        small_prior(), BallAverageForward(W, 4, (0.2, 0.0), (0.5, 1.0), 0.1)),
+    "VelocityTrajectoryForward": lambda: (
+        PriorSpec(kind="velocity", n=8, window=(0.0, 1.0)),
+        VelocityTrajectoryForward(StepFunction([0.0], [0.3, 0.7]), 4, -0.5, 0.1, (0.5, 1.0))),
+    "ViscousTrajectoryForward": lambda: (
+        small_prior(),
+        ViscousTrajectoryForward(W, TrafficQuadraticFlux(1.0, 1.0), 0.05, -0.5, 0.1,
+                                 (0.5, 1.0), n_cells=100)),
+}
 
 
 def test_link_maps_zero_to_half_and_stays_inside():
@@ -67,6 +94,14 @@ def test_prior_validation():
         PriorSpec(window=(2.0, -1.0))
     with pytest.raises(ValueError):
         PriorSpec(kind="velocity", window=(-1.0, 2.0))
+    for name in ("length_scale", "amplitude", "mean", "w_max"):
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError):
+                PriorSpec(**{name: bad})
+    with pytest.raises(ValueError):
+        PriorSpec(window=(-1.0, math.inf))
+    with pytest.raises(ValueError):
+        PriorSpec(window=(math.nan, 2.0))
 
 
 def test_zero_latent_gives_the_half_density_field():
@@ -182,6 +217,20 @@ def test_trajectory_forward_rejects_times_before_release():
         TrajectoryForward(velocity=W, level=5, x0=0.0, t0=0.5, times=(0.2,))
 
 
+@pytest.mark.parametrize(
+    "name", ["TrajectoryForward", "VelocityTrajectoryForward", "ViscousTrajectoryForward"]
+)
+def test_trajectory_forwards_validate_when_built(name):
+    _, fwd = FORWARDS[name]()
+    assert replace(fwd, t0=0.5).horizon == 1.0
+    for t0, times in [(0.1, ()), (0.0, (0.5,)), (-0.1, (0.5,)), (math.nan, (0.5,)),
+                      (0.5, (0.2, 1.0)), (0.5, (0.2,)), (0.1, (0.5, math.nan))]:
+        with pytest.raises(ValueError):
+            replace(fwd, t0=t0, times=times)
+    with pytest.raises(ValueError):
+        replace(fwd, x0=math.inf)
+
+
 def test_ball_average_forward_constant_field():
     fwd = BallAverageForward(velocity=W, level=5, positions=(0.0,), times=(0.5,), radius=0.1)
     out = fwd(StepFunction.constant(0.5))
@@ -267,11 +316,14 @@ def test_hellinger_needs_enough_samples():
     obs = ObservationSet(kind="pointwise", values=[0.6], noise_std=0.1, times=(0.5,))
     with pytest.raises(ValueError):
         hellinger_between(prior, obs, MeanForward(), MeanForward(), n_samples=5)
+    with pytest.raises(ValueError):
+        posterior_convergence_study(prior, obs, [(4.0, MeanForward())], MeanForward(),
+                                    n_samples=5)
 
 
-def test_parallel_forward_evaluation_matches_serial():
-    prior = small_prior()
-    fwd = TrajectoryForward(velocity=W, level=4, x0=-0.5, t0=0.1, times=(0.5, 1.0))
+@pytest.mark.parametrize("make", FORWARDS.values(), ids=FORWARDS.keys())
+def test_parallel_forward_evaluation_matches_serial(make):
+    prior, fwd = make()
     latents = prior.sample_latent(np.random.default_rng(5), size=8)
     serial = evaluate_forward_on_samples(prior, fwd, latents, jobs=1)
     parallel = evaluate_forward_on_samples(prior, fwd, latents, jobs=2)

@@ -215,6 +215,12 @@ def test_invert_ladder_rows_match_pairwise_estimates(tmp_path):
     assert summary["hellinger_table"] == expected
 
 
+def test_invert_empty_ladder_exits_2(tmp_path):
+    bad = dict(LADDER_CFG, inversion=dict(LADDER_CFG["inversion"], ladder={"levels": []}))
+    cfg = write_cfg(tmp_path, bad)
+    assert main(["invert", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+
+
 def test_viscous_snapshots_and_mass_accounting(tmp_path):
     cfg = write_cfg(tmp_path, VISCOUS_CFG)
     out = tmp_path / "out"

@@ -260,6 +260,12 @@ def test_event_cap_raises():
         evolve(s, TRAFFIC3, 2.0, event_cap=2)
 
 
+@pytest.mark.parametrize("horizon", [0.0, -1.0, float("nan"), float("inf")])
+def test_evolve_rejects_bad_horizon(horizon):
+    with pytest.raises(ValueError):
+        evolve(StepFunction([0.0], [0.25, 0.75]), TRAFFIC3, horizon)
+
+
 def test_evolution_is_deterministic():
     rng = np.random.default_rng(9)
     s = random_step(rng)
