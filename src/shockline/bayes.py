@@ -181,8 +181,12 @@ class ObservationSet:
     def __post_init__(self):
         self.values = np.atleast_1d(np.asarray(self.values, dtype=float))
         self.times = np.atleast_1d(np.asarray(self.times, dtype=float))
-        if self.noise_std <= 0:
-            raise ValueError("noise_std must be positive")
+        if not (isfinite(self.noise_std) and self.noise_std > 0):
+            raise ValueError("noise_std must be positive and finite")
+        if self.values.size != self.times.size:
+            raise ValueError("need one observation time per value")
+        if not (np.all(np.isfinite(self.values)) and np.all(np.isfinite(self.times))):
+            raise ValueError("observation values and times must be finite")
 
     def to_spec(self) -> dict:
         out = {

@@ -418,12 +418,8 @@ def traffic_speed_margin(sol: FrontTrackingSolution, velocity: VelocityFunction)
     Positive margin means no front can carry a particle (no sticking for
     traffic flow).
     """
-    margin = np.inf
-    for f in sol.fronts:
-        wl = float(velocity(f.left_value))
-        wr = float(velocity(f.right_value))
-        margin = min(margin, min(wl, wr) - f.speed)
-    return float(margin)
+    slowest = np.minimum(velocity(sol.left_values), velocity(sol.right_values))
+    return float(np.min(slowest - sol.speeds, initial=np.inf))
 
 
 def trajectory_convergence_study(

@@ -5,22 +5,23 @@ front it either crosses (the downstream flow carries it away) or sticks
 (the front speed lies between the one-sided flow speeds), in which case it
 travels with the front until the front dies in a collision.
 
-The tracker replays the solution's event log once, maintaining the two
-fronts bracketing the particle, so its cost is linear in the number of
-events plus crossings.
+The tracker reads the solution's front arrays and replays its event log
+once through the same live-front list that ``evolve`` keeps, maintaining
+the two fronts bracketing the particle, so its cost is linear in the
+number of events plus crossings.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from math import inf, log
+from math import inf, isfinite, log
 from typing import Callable, Optional
 
 import numpy as np
 
 from .flux import LinearTrafficVelocity, TableVelocity, VelocityFunction
-from .front_tracking import FrontTrackingSolution
+from .front_tracking import FrontTrackingSolution, _LiveFronts
 
 
 def _scalar_velocity(w: VelocityFunction) -> Callable[[float], float]:
@@ -82,8 +83,8 @@ class Trajectory:
     def position_at(self, t):
         """Evaluate the path; accepts scalars or arrays inside [t0, T]."""
         ts = np.asarray(t, dtype=float)
-        if np.any(ts < self.times[0] - 1e-12) or np.any(ts > self.times[-1] + 1e-12):
-            raise ValueError("query time outside the tracked interval")
+        if not np.all((ts >= self.times[0] - 1e-12) & (ts <= self.times[-1] + 1e-12)):
+            raise ValueError("query time is NaN or outside the tracked interval")
         if self.times.size == 1:
             out = np.full(ts.shape, self.positions[0])
         else:
@@ -124,6 +125,8 @@ def track(
     a discontinuity has no unique path, so t0 must be positive.
     """
     T = solution.horizon if horizon is None else float(horizon)
+    if not (isfinite(x0) and isfinite(t0)):
+        raise ValueError(f"x0 and t0 must be finite, got x0={x0}, t0={t0}")
     if t0 <= 0.0:
         raise ValueError("t0 must be positive: paths started at t0 = 0 need not be unique")
     if not t0 <= T <= solution.horizon + 1e-12:
@@ -131,64 +134,25 @@ def track(
     T = min(T, solution.horizon)
 
     w = _scalar_velocity(velocity)
-    fronts = solution.fronts
-    n = len(fronts)
-    bt = solution._birth_t.tolist()
-    bx = solution._birth_x.tolist()
-    spd = solution._speed.tolist()
-    lv = solution._lv.tolist()
-    rv = solution._rv.tolist()
+    bt = solution.birth_times.tolist()
+    bx = solution.birth_positions.tolist()
+    spd = solution.speeds.tolist()
+    lv = solution.left_values.tolist()
+    rv = solution.right_values.tolist()
 
-    nxt = [-1] * n
-    prv = [-1] * n
-    head = -1
-    tail = -1
-
-    def apply_event(e) -> None:
-        nonlocal head, tail
-        out = e.outgoing
-        for a, b in zip(out[:-1], out[1:]):
-            nxt[a] = b
-            prv[b] = a
-        if not e.incoming:
-            # t = 0 fan emission; emissions arrive left to right
-            if tail == -1:
-                head = out[0]
-            else:
-                nxt[tail] = out[0]
-                prv[out[0]] = tail
-            tail = out[-1]
-            return
-        lo = prv[e.incoming[0]]
-        hi = nxt[e.incoming[-1]]
-        if out:
-            prv[out[0]] = lo
-            nxt[out[-1]] = hi
-            if lo != -1:
-                nxt[lo] = out[0]
-            else:
-                head = out[0]
-            if hi != -1:
-                prv[hi] = out[-1]
-        else:
-            if lo != -1:
-                nxt[lo] = hi
-            else:
-                head = hi
-            if hi != -1:
-                prv[hi] = lo
-
+    live = _LiveFronts()
+    nxt, prv = live.nxt, live.prv
     events = solution.events
     ei = 0
     while ei < len(events) and events[ei].time <= t0:
-        apply_event(events[ei])
+        live.apply(events[ei])
         ei += 1
 
     def pos(k: int, t: float) -> float:
         return bx[k] + spd[k] * (t - bt[k])
 
     # locate the particle among the alive fronts at t0
-    left_id, right_id = -1, head
+    left_id, right_id = -1, live.head
     while right_id != -1 and pos(right_id, t0) < x0:
         left_id = right_id
         right_id = nxt[right_id]
@@ -281,7 +245,7 @@ def track(
         if not out:
             # annihilation: the two outer cells merged
             left_id = _locate_left(e.position, e.time)
-            right_id = nxt[left_id] if left_id != -1 else head
+            right_id = nxt[left_id] if left_id != -1 else live.head
             return
         m = len(out)
         for k in range(m):
@@ -298,7 +262,7 @@ def track(
 
     def _locate_left(x: float, t: float) -> int:
         """Rightmost alive front strictly left of x at time t."""
-        k = head
+        k = live.head
         best = -1
         while k != -1 and pos(k, t) < x - 1e-12:
             best = k
@@ -313,7 +277,7 @@ def track(
             break
         while ei < len(events) and events[ei].time == t_next:
             e = events[ei]
-            apply_event(e)
+            live.apply(e)
             ei += 1
             if stuck:
                 if stick_front in e.incoming:
@@ -328,7 +292,7 @@ def track(
             elif left_in:
                 left_id = prv[right_id] if right_id != -1 else _locate_left(nodes_z[-1], t_next)
             elif right_in:
-                right_id = nxt[left_id] if left_id != -1 else head
+                right_id = nxt[left_id] if left_id != -1 else live.head
         if t_next >= T:
             break
 

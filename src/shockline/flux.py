@@ -210,19 +210,17 @@ def piecewise_linearize(flux: FluxFunction, level: int) -> PiecewiseLinearFlux:
 
 
 def _restricted_nodes(flux: PiecewiseLinearFlux, a: float, b: float):
-    """Node set of ``flux`` on [a, b] with interpolated endpoint values."""
+    """Node set of ``flux`` on [a, b] with interpolated endpoint values, as lists."""
     lo, hi = flux.domain
     if not (lo - DOMAIN_TOL <= a < b <= hi + DOMAIN_TOL):
         raise ValueError(f"need domain lo <= a < b <= hi, got a={a}, b={b}")
     a = min(max(a, lo), hi)
     b = min(max(b, lo), hi)
-    bp = flux.breakpoints
+    bp, vals = flux.breakpoints, flux.values
     i = int(np.searchsorted(bp, a, side="right"))
     j = int(np.searchsorted(bp, b, side="left"))
-    xs = np.concatenate(([a], bp[i:j], [b]))
-    ys = np.concatenate(
-        ([flux(a)], flux.values[i:j], [flux(b)])
-    )
+    xs = [float(a), *bp[i:j].tolist(), float(b)]
+    ys = [float(np.interp(a, bp, vals)), *vals[i:j].tolist(), float(np.interp(b, bp, vals))]
     return xs, ys
 
 
@@ -243,17 +241,20 @@ def _merge_collinear(xs: list, ys: list) -> PiecewiseLinearFlux:
     return PiecewiseLinearFlux(np.asarray(out_x), np.asarray(out_y))
 
 
-def convex_envelope(flux: PiecewiseLinearFlux, a: float, b: float) -> PiecewiseLinearFlux:
-    """Largest convex minorant of ``flux`` on [a, b], as a flux on [a, b]."""
+def _hull(flux: PiecewiseLinearFlux, a: float, b: float, sign: float) -> PiecewiseLinearFlux:
+    """Monotone chain over the nodes on [a, b]: convex for sign 1, concave for -1.
+
+    Multiplying both sides of the turn test by -1 is exact, so the concave
+    hull is the convex hull's loop with the comparison reversed bit for bit.
+    """
     xs, ys = _restricted_nodes(flux, a, b)
-    hull_x = [float(xs[0])]
-    hull_y = [float(ys[0])]
+    hull_x = [xs[0]]
+    hull_y = [ys[0]]
     for x, y in zip(xs[1:], ys[1:]):
-        x, y = float(x), float(y)
-        # pop while the previous node sits on or above the new chord
+        # pop while the previous node sits on or above the new chord (below, for -1)
         while len(hull_x) >= 2:
             x0, y0 = hull_x[-2], hull_y[-2]
-            if (hull_y[-1] - y0) * (x - x0) >= (y - y0) * (hull_x[-1] - x0):
+            if sign * ((hull_y[-1] - y0) * (x - x0)) >= sign * ((y - y0) * (hull_x[-1] - x0)):
                 hull_x.pop()
                 hull_y.pop()
             else:
@@ -261,25 +262,16 @@ def convex_envelope(flux: PiecewiseLinearFlux, a: float, b: float) -> PiecewiseL
         hull_x.append(x)
         hull_y.append(y)
     return _merge_collinear(hull_x, hull_y)
+
+
+def convex_envelope(flux: PiecewiseLinearFlux, a: float, b: float) -> PiecewiseLinearFlux:
+    """Largest convex minorant of ``flux`` on [a, b], as a flux on [a, b]."""
+    return _hull(flux, a, b, 1.0)
 
 
 def concave_envelope(flux: PiecewiseLinearFlux, a: float, b: float) -> PiecewiseLinearFlux:
     """Smallest concave majorant of ``flux`` on [a, b], as a flux on [a, b]."""
-    xs, ys = _restricted_nodes(flux, a, b)
-    hull_x = [float(xs[0])]
-    hull_y = [float(ys[0])]
-    for x, y in zip(xs[1:], ys[1:]):
-        x, y = float(x), float(y)
-        while len(hull_x) >= 2:
-            x0, y0 = hull_x[-2], hull_y[-2]
-            if (hull_y[-1] - y0) * (x - x0) <= (y - y0) * (hull_x[-1] - x0):
-                hull_x.pop()
-                hull_y.pop()
-            else:
-                break
-        hull_x.append(x)
-        hull_y.append(y)
-    return _merge_collinear(hull_x, hull_y)
+    return _hull(flux, a, b, -1.0)
 
 
 def lipschitz_distance(f: FluxFunction, g: FluxFunction) -> float:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 from heapq import heappush, heappop
 from math import inf, isfinite, sqrt
 from typing import Iterable, Optional, Sequence
@@ -269,25 +270,42 @@ class ShockCatalog:
 
 
 class FrontTrackingSolution:
-    """Event-complete front-tracking solution on [0, horizon]."""
+    """Event-complete front-tracking solution on [0, horizon].
 
-    def __init__(self, initial, flux, horizon, fronts, events):
+    Fronts are stored once, one float array per quantity and indexed by
+    front number: ``birth_times``, ``birth_positions``, ``speeds``,
+    ``left_values``, ``right_values`` and ``death_times`` (inf while the
+    front lives to the horizon).  ``fronts`` gives the same data as
+    ``Front`` records.
+    """
+
+    def __init__(
+        self, initial, flux, horizon, events, *,
+        birth_times, birth_positions, speeds, left_values, right_values, death_times,
+    ):
         self.initial: StepFunction = initial
         self.flux: PiecewiseLinearFlux = flux
         self.horizon: float = horizon
-        self.fronts: list[Front] = fronts
         self.events: list[FrontEvent] = events
-        n = len(fronts)
-        self._birth_t = np.fromiter((f.birth_time for f in fronts), dtype=float, count=n)
-        self._birth_x = np.fromiter((f.birth_position for f in fronts), dtype=float, count=n)
-        self._speed = np.fromiter((f.speed for f in fronts), dtype=float, count=n)
-        self._death_t = np.fromiter((f.death_time for f in fronts), dtype=float, count=n)
-        self._lv = np.fromiter((f.left_value for f in fronts), dtype=float, count=n)
-        self._rv = np.fromiter((f.right_value for f in fronts), dtype=float, count=n)
+        self.birth_times = np.asarray(birth_times, dtype=float)
+        self.birth_positions = np.asarray(birth_positions, dtype=float)
+        self.speeds = np.asarray(speeds, dtype=float)
+        self.left_values = np.asarray(left_values, dtype=float)
+        self.right_values = np.asarray(right_values, dtype=float)
+        self.death_times = np.asarray(death_times, dtype=float)
+
+    @cached_property
+    def fronts(self) -> list[Front]:
+        """The stored fronts as ``Front`` records, built on first access."""
+        columns = (
+            self.birth_times, self.birth_positions, self.speeds,
+            self.left_values, self.right_values, self.death_times,
+        )
+        return [Front(k, *row) for k, row in enumerate(zip(*(c.tolist() for c in columns)))]
 
     @property
     def front_count(self) -> int:
-        return len(self.fronts)
+        return self.speeds.size
 
     @property
     def collision_count(self) -> int:
@@ -298,7 +316,7 @@ class FrontTrackingSolution:
             raise ValueError(f"time {t} outside [0, {self.horizon}]")
 
     def _alive(self, t: float) -> np.ndarray:
-        return np.flatnonzero((self._birth_t <= t) & (t < self._death_t))
+        return np.flatnonzero((self.birth_times <= t) & (t < self.death_times))
 
     def slice(self, t: float) -> StepFunction:
         """Field at time t as a StepFunction (outgoing states at event times)."""
@@ -307,18 +325,18 @@ class FrontTrackingSolution:
         idx = self._alive(t)
         if idx.size == 0:
             return StepFunction.constant(self.initial.far_left)
-        pos = self._birth_x[idx] + self._speed[idx] * (t - self._birth_t[idx])
+        pos = self.birth_positions[idx] + self.speeds[idx] * (t - self.birth_times[idx])
         order = np.argsort(pos, kind="stable")
         idx = idx[order]
         pos = pos[order]
         bps: list[float] = []
-        vals: list[float] = [float(self._lv[idx[0]])]
+        vals: list[float] = [float(self.left_values[idx[0]])]
         for k, p in zip(idx, pos):
             if bps and p - bps[-1] <= EVENT_SPACE_TOL:
-                vals[-1] = float(self._rv[k])
+                vals[-1] = float(self.right_values[k])
             else:
                 bps.append(float(p))
-                vals.append(float(self._rv[k]))
+                vals.append(float(self.right_values[k]))
         return StepFunction(np.asarray(bps), np.asarray(vals))
 
     def evaluate_field(self, x: float, t: float) -> tuple[float, float]:
@@ -327,21 +345,61 @@ class FrontTrackingSolution:
 
     def shock_catalog(self, threshold: float = 0.0) -> ShockCatalog:
         """Space-time segments of all fronts with strength > threshold."""
+        strength = np.abs(self.left_values - self.right_values)
         segs = []
-        for f in self.fronts:
-            if f.strength > threshold:
-                t1 = min(f.death_time, self.horizon)
-                segs.append(
-                    ShockSegment(
-                        f.index, f.birth_time, f.birth_position,
-                        t1, f.position_at(t1), f.strength, f.speed,
-                    )
-                )
+        for k in np.flatnonzero(strength > threshold).tolist():
+            t0, x0 = float(self.birth_times[k]), float(self.birth_positions[k])
+            s = float(self.speeds[k])
+            t1 = min(float(self.death_times[k]), self.horizon)
+            segs.append(ShockSegment(k, t0, x0, t1, x0 + s * (t1 - t0), float(strength[k]), s))
         return ShockCatalog(threshold, segs)
 
     def mass(self, t: float, window: tuple[float, float]) -> float:
         """Integral of the field at time t over a window."""
         return self.slice(t).integral(*window)
+
+
+class _LiveFronts:
+    """Doubly linked list of the live fronts, left to right.
+
+    ``nxt``/``prv`` hold each front's neighbours (-1 past either end) and
+    ``head``/``tail`` the ends; the links of a front that has left the list
+    are stale.  ``apply`` grows ``nxt``/``prv`` in place, so callers may
+    hold on to the two lists.  ``evolve`` keeps it while it builds a
+    solution; ``track`` rebuilds it by replaying the event log, since the
+    links change from event to event.
+    """
+
+    def __init__(self):
+        self.nxt: list[int] = []
+        self.prv: list[int] = []
+        self.head = -1
+        self.tail = -1
+
+    def apply(self, event: FrontEvent) -> None:
+        """Link the event's outgoing fronts in place of its incoming ones.
+
+        A t = 0 fan has no incoming fronts and goes after the tail, since
+        fans are emitted left to right.  Outgoing fronts are the newest,
+        numbered after every front seen so far.
+        """
+        out = event.outgoing
+        if event.incoming:
+            lo, hi = self.prv[event.incoming[0]], self.nxt[event.incoming[-1]]
+        else:
+            lo, hi = self.tail, -1
+        self.nxt.extend([-1] * len(out))
+        self.prv.extend([-1] * len(out))
+        chain = [lo, *out, hi]
+        for a, b in zip(chain[:-1], chain[1:]):
+            if a == -1:
+                self.head = b
+            else:
+                self.nxt[a] = b
+            if b == -1:
+                self.tail = a
+            else:
+                self.prv[b] = a
 
 
 def evolve(
@@ -372,8 +430,8 @@ def evolve(
     lv: list[float] = []
     rv: list[float] = []
     death: list[float] = []
-    nxt: list[int] = []
-    prv: list[int] = []
+    live = _LiveFronts()
+    nxt, prv = live.nxt, live.prv
     events: list[FrontEvent] = []
     heap: list = []
     counter = itertools.count()
@@ -386,8 +444,6 @@ def evolve(
         lv.append(a)
         rv.append(b)
         death.append(inf)
-        nxt.append(-1)
-        prv.append(-1)
         return k
 
     def pos_at(k: int, t: float) -> float:
@@ -407,21 +463,14 @@ def evolve(
         heappush(heap, (tc, ci + si * tc, next(counter), i, j))
 
     # emit the t = 0 fans, jump by jump, left to right
-    tail = -1
     for x0, a, b in initial.jumps():
-        ids = []
-        for s, vl0, vr0 in _riemann_parts(flux, a, b):
-            k = new_front(0.0, x0, s, vl0, vr0)
-            if ids:
-                nxt[ids[-1]] = k
-                prv[k] = ids[-1]
-            ids.append(k)
-        if tail != -1:
-            nxt[tail] = ids[0]
-            prv[ids[0]] = tail
-            push_pair(tail, ids[0], 0.0)
-        tail = ids[-1]
-        events.append(FrontEvent(0.0, x0, (), tuple(ids)))
+        parts = _riemann_parts(flux, a, b)
+        ids = tuple(new_front(0.0, x0, s, vl0, vr0) for s, vl0, vr0 in parts)
+        left_outer = live.tail
+        events.append(FrontEvent(0.0, x0, (), ids))
+        live.apply(events[-1])
+        if left_outer != -1:
+            push_pair(left_outer, ids[0], 0.0)
 
     while heap:
         t, x, _, i, j = heappop(heap)
@@ -440,44 +489,28 @@ def evolve(
         v_r = rv[group[-1]]
         for k in group:
             death[k] = t
-            nxt[k] = -1
-            prv[k] = -1
         ids: list[int] = []
         if abs(v_l - v_r) > ZERO_STRENGTH_TOL:
             for s, a, b in _riemann_parts(flux, v_l, v_r):
-                if abs(a - b) <= ZERO_STRENGTH_TOL:
-                    continue
-                k = new_front(t, x, s, a, b)
-                if ids:
-                    nxt[ids[-1]] = k
-                    prv[k] = ids[-1]
-                ids.append(k)
-        out_ids = tuple(ids)
+                if abs(a - b) > ZERO_STRENGTH_TOL:
+                    ids.append(new_front(t, x, s, a, b))
+        events.append(FrontEvent(t, x, tuple(group), tuple(ids)))
+        live.apply(events[-1])
         if ids:
-            nxt[ids[-1]] = right_outer
-            prv[ids[0]] = left_outer
             if left_outer != -1:
-                nxt[left_outer] = ids[0]
                 push_pair(left_outer, ids[0], t)
             if right_outer != -1:
-                prv[right_outer] = ids[-1]
                 push_pair(ids[-1], right_outer, t)
-        else:
-            if left_outer != -1:
-                nxt[left_outer] = right_outer
-            if right_outer != -1:
-                prv[right_outer] = left_outer
-            if left_outer != -1 and right_outer != -1:
-                push_pair(left_outer, right_outer, t)
-        events.append(FrontEvent(t, x, tuple(group), out_ids))
+        elif left_outer != -1 and right_outer != -1:
+            push_pair(left_outer, right_outer, t)
         if len(events) > event_cap:
             raise EventCapError(
                 f"more than {event_cap} events before t={t:.6g}; "
                 "raise event_cap or coarsen the flux level"
             )
 
-    fronts = [
-        Front(k, birth_t[k], birth_x[k], spd[k], lv[k], rv[k], death[k])
-        for k in range(len(birth_t))
-    ]
-    return FrontTrackingSolution(initial, flux, horizon, fronts, events)
+    return FrontTrackingSolution(
+        initial, flux, horizon, events,
+        birth_times=birth_t, birth_positions=birth_x, speeds=spd,
+        left_values=lv, right_values=rv, death_times=death,
+    )

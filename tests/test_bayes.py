@@ -165,8 +165,20 @@ def test_observation_set_round_trip_and_validation():
     again = ObservationSet.from_spec(obs.to_spec())
     assert np.array_equal(again.values, obs.values)
     assert np.array_equal(again.positions, obs.positions)
-    with pytest.raises(ValueError):
-        ObservationSet(kind="pointwise", values=[0.1], noise_std=0.0, times=[0.5])
+    for bad in (
+        dict(noise_std=0.0),
+        dict(noise_std=np.nan),
+        dict(noise_std=np.inf),
+        dict(values=[np.nan]),
+        dict(values=[np.inf]),
+        dict(times=[np.nan]),
+        dict(times=[np.inf]),
+        dict(values=[0.1, 0.2]),
+        dict(times=[0.5, 1.0]),
+    ):
+        with pytest.raises(ValueError):
+            ObservationSet(**{"kind": "pointwise", "values": [0.1], "noise_std": 0.1,
+                              "times": [0.5], **bad})
 
 
 def test_potential_frozen_values():

@@ -7,7 +7,12 @@ would otherwise only surface as a failing ``bench/run.py --trace 1``.
 
 import importlib.util
 import inspect
+import json
 import os
+import subprocess
+import sys
+
+import shockline
 
 TRACING = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "tracing.py")
 
@@ -25,3 +30,35 @@ def test_traced_boundaries_exist():
         assert inspect.isfunction(getattr(module, attr, None)), f"{module.__name__}.{attr}"
     for cls, attr, _, _ in methods:
         assert attr in cls.__dict__, f"{cls.__name__}.{attr} is not defined on the class"
+
+
+# Installs the wrappers in a fresh interpreter, since they replace module
+# attributes for the rest of the process, and prints the span count by name.
+TRACED_RUN = """
+import importlib.util, json, sys
+import numpy as np
+spec = importlib.util.spec_from_file_location("bench_tracing", sys.argv[1])
+tracing = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracing)
+tracer = tracing.Tracer()
+tracing.install(tracer)
+from shockline import filippov, flux, front_tracking
+f = flux.piecewise_linearize(flux.TrafficQuadraticFlux(), 4)
+sol = front_tracking.evolve(front_tracking.StepFunction([0.0, 0.5], [0.75, 0.25, 0.5]), f, 1.0)
+filippov.track(sol, flux.LinearTrafficVelocity(), -0.5, 0.1)
+calls = np.bincount(tracer.arrays()["name"], minlength=len(tracer.names))
+print(json.dumps(dict(zip(tracer.names, calls.tolist()))))
+"""
+
+
+def test_traced_boundaries_are_called():
+    src = os.path.dirname(os.path.dirname(shockline.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run(
+        [sys.executable, "-c", TRACED_RUN, TRACING],
+        capture_output=True, text=True, env=env, timeout=120, check=True,
+    )
+    calls = json.loads(run.stdout)
+    assert calls["flux.envelope"] > 0
+    assert calls["front_tracking.evolve"] == 1
+    assert calls["filippov.track"] == 1

@@ -51,6 +51,23 @@ def test_t0_at_or_below_zero_rejected():
         track(sol, W, -1.0, -0.5)
 
 
+@pytest.mark.parametrize(
+    "x0, t0", [(np.nan, 0.5), (np.inf, 0.5), (-np.inf, 0.5), (-1.0, np.nan), (-1.0, np.inf)]
+)
+def test_track_rejects_non_finite_start(x0, t0):
+    sol = evolve(StepFunction([0.0], [0.2, 0.8]), STILL_FLUX, 2.0)
+    with pytest.raises(ValueError):
+        track(sol, W, x0, t0)
+
+
+def test_position_at_rejects_nan():
+    traj = track(evolve(StepFunction.constant(0.5), STILL_FLUX, 3.0), W, -1.0, 0.5)
+    with pytest.raises(ValueError):
+        traj.position_at(np.nan)
+    with pytest.raises(ValueError):
+        traj.position_at(np.array([1.0, np.nan]))
+
+
 def test_stationary_shock_hitting_time_oracle():
     # tau = (a - z0)/(w(rho_l) - s) = 1/0.8 = 1.25; z(2) = 0.2 * 0.75 = 0.15
     sol = evolve(StepFunction([0.0], [0.2, 0.8]), STILL_FLUX, 2.0)

@@ -11,11 +11,14 @@ import pytest
 from shockline.flux import (
     BurgersQuadraticFlux,
     PiecewiseLinearFlux,
+    TableVelocity,
     TrafficQuadraticFlux,
     piecewise_linearize,
+    traffic_flux_from_velocity,
 )
 from shockline.front_tracking import (
     EventCapError,
+    _LiveFronts,
     StepFunction,
     evolve,
     l1_distance,
@@ -264,6 +267,62 @@ def test_event_cap_raises():
 def test_evolve_rejects_bad_horizon(horizon):
     with pytest.raises(ValueError):
         evolve(StepFunction([0.0], [0.25, 0.75]), TRAFFIC3, horizon)
+
+
+def test_front_views_match_stored_arrays():
+    sol = evolve(random_step(np.random.default_rng(4)), TRAFFIC3, 2.0)
+    assert len(sol.fronts) == sol.front_count > 0
+    for k, f in enumerate(sol.fronts):
+        assert f.index == k
+        assert (f.birth_time, f.birth_position, f.speed) == (
+            sol.birth_times[k], sol.birth_positions[k], sol.speeds[k]
+        )
+        assert (f.left_value, f.right_value, f.death_time) == (
+            sol.left_values[k], sol.right_values[k], sol.death_times[k]
+        )
+
+
+# non-concave rho * w(rho): envelopes with several vertices, fans and shocks mixed
+NONCONCAVE5 = traffic_flux_from_velocity(
+    TableVelocity(np.array([0.0, 0.25, 0.5, 0.75, 1.0]), np.array([1.0, 0.95, 0.4, 0.3, 0.0])),
+    5,
+)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_replayed_live_front_list_walks_the_alive_fronts(seed):
+    rng = np.random.default_rng(seed)
+    flux, lo = [
+        (piecewise_linearize(TrafficQuadraticFlux(1.0, 1.0), 6), 0.0),
+        (piecewise_linearize(BurgersQuadraticFlux(), 5), -1.0),
+        (NONCONCAVE5, 0.0),
+    ][seed % 3]
+    sol = evolve(random_step(rng, 12, 5, lo, 1.0), flux, 2.0)
+    for t in np.sort(rng.uniform(0.0, 2.0, 8)):
+        live = _LiveFronts()
+        for e in sol.events:
+            if e.time > t:
+                break
+            live.apply(e)
+        walk, prev = [], -1
+        k = live.head
+        while k != -1:
+            assert live.prv[k] == prev
+            walk.append(k)
+            prev, k = k, live.nxt[k]
+        assert live.tail == prev
+        alive = np.flatnonzero((sol.birth_times <= t) & (t < sol.death_times))
+        assert sorted(walk) == alive.tolist()
+        field = sol.slice(t)
+        if not walk:
+            assert field.values.tolist() == [sol.initial.far_left]
+            continue
+        pos = sol.birth_positions[walk] + sol.speeds[walk] * (t - sol.birth_times[walk])
+        assert np.all(np.diff(pos) >= 0.0)
+        # the field left of the walk, in each gap, and right of it
+        edges = np.concatenate(([pos[0] - 1.0], pos, [pos[-1] + 1.0]))
+        states = [sol.left_values[walk[0]]] + sol.right_values[walk].tolist()
+        assert field.sample(0.5 * (edges[:-1] + edges[1:])).tolist() == states
 
 
 def test_evolution_is_deterministic():
