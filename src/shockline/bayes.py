@@ -187,6 +187,16 @@ class ObservationSet:
             raise ValueError("need one observation time per value")
         if not (np.all(np.isfinite(self.values)) and np.all(np.isfinite(self.times))):
             raise ValueError("observation values and times must be finite")
+        if self.kind not in ("trajectory", "pointwise", "ball-average"):
+            raise ValueError(f"unknown observation kind {self.kind!r}")
+        if self.positions is not None:
+            self.positions = np.atleast_1d(np.asarray(self.positions, dtype=float))
+            if self.positions.size != self.times.size:
+                raise ValueError("need one observation position per time")
+            if not np.all(np.isfinite(self.positions)):
+                raise ValueError("observation positions must be finite")
+        if self.radius is not None and not (isfinite(self.radius) and self.radius > 0):
+            raise ValueError("radius must be positive and finite")
 
     def to_spec(self) -> dict:
         out = {

@@ -8,7 +8,9 @@ Lipschitz-distance computations against their exact derivatives.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from bisect import bisect_left, bisect_right
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence, Union
 
 import numpy as np
@@ -125,29 +127,50 @@ class PiecewiseLinearFlux(_FluxBase):
     """Continuous piecewise-linear flux given by node values.
 
     Breakpoints must be strictly increasing with at least two entries.
-    The Lipschitz norm is the largest absolute segment slope and is
-    recomputed from the nodes on every access, so it can never drift
-    from the stored geometry.
+    Both node arrays are read-only copies of the caller's, so the slopes,
+    the Lipschitz norm (the largest absolute slope) and the cached kink
+    sets the envelopes run over can never drift from the stored geometry.
     """
 
     breakpoints: np.ndarray
     values: np.ndarray
 
     def __post_init__(self):
-        bp = np.asarray(self.breakpoints, dtype=float)
-        vals = np.asarray(self.values, dtype=float)
+        bp = np.array(self.breakpoints, dtype=float)
+        vals = np.array(self.values, dtype=float)
         if bp.ndim != 1 or vals.shape != bp.shape:
             raise ValueError("breakpoints and values must be 1-D arrays of equal length")
         if bp.size < 2:
             raise ValueError("need at least two breakpoints")
         if not np.all(np.diff(bp) > 0):
             raise ValueError("breakpoints must be strictly increasing")
+        bp.setflags(write=False)
+        vals.setflags(write=False)
         object.__setattr__(self, "breakpoints", bp)
         object.__setattr__(self, "values", vals)
+
+    def __reduce__(self):
+        # copies and pickles are rebuilt through __post_init__: read-only, no cache
+        return (type(self), (self.breakpoints, self.values))
 
     @property
     def domain(self) -> tuple[float, float]:
         return (float(self.breakpoints[0]), float(self.breakpoints[-1]))
+
+    @cached_property
+    def _kinks(self) -> dict:
+        """Interior nodes as (x list, y list), by envelope sign.
+
+        Key 1.0 holds the convex kinks (the slope strictly increases),
+        key -1.0 the concave ones (it strictly decreases).  Computed on
+        first use: envelopes are fluxes too, and most are never hulled.
+        """
+        s = self.slopes
+        inner_x, inner_y = self.breakpoints[1:-1], self.values[1:-1]
+        return {
+            sign: (inner_x[turn].tolist(), inner_y[turn].tolist())
+            for sign, turn in ((1.0, s[1:] > s[:-1]), (-1.0, s[1:] < s[:-1]))
+        }
 
     @property
     def slopes(self) -> np.ndarray:
@@ -209,18 +232,24 @@ def piecewise_linearize(flux: FluxFunction, level: int) -> PiecewiseLinearFlux:
     return PiecewiseLinearFlux(grid, np.asarray(flux(grid), dtype=float))
 
 
-def _restricted_nodes(flux: PiecewiseLinearFlux, a: float, b: float):
-    """Node set of ``flux`` on [a, b] with interpolated endpoint values, as lists."""
+def _restricted_nodes(flux: PiecewiseLinearFlux, a: float, b: float, sign: float):
+    """[a] + the flux's kinks of ``sign`` strictly inside (a, b) + [b], as lists.
+
+    A vertex of the convex minorant (concave majorant) on [a, b] is an end
+    point or a node where the slope strictly increases (decreases), so the
+    other nodes can never reach the hull.  End values are interpolated.
+    """
     lo, hi = flux.domain
     if not (lo - DOMAIN_TOL <= a < b <= hi + DOMAIN_TOL):
         raise ValueError(f"need domain lo <= a < b <= hi, got a={a}, b={b}")
     a = min(max(a, lo), hi)
     b = min(max(b, lo), hi)
     bp, vals = flux.breakpoints, flux.values
-    i = int(np.searchsorted(bp, a, side="right"))
-    j = int(np.searchsorted(bp, b, side="left"))
-    xs = [float(a), *bp[i:j].tolist(), float(b)]
-    ys = [float(np.interp(a, bp, vals)), *vals[i:j].tolist(), float(np.interp(b, bp, vals))]
+    kx, ky = flux._kinks[sign]
+    i = bisect_right(kx, a)
+    j = bisect_left(kx, b)
+    xs = [float(a), *kx[i:j], float(b)]
+    ys = [float(np.interp(a, bp, vals)), *ky[i:j], float(np.interp(b, bp, vals))]
     return xs, ys
 
 
@@ -242,12 +271,12 @@ def _merge_collinear(xs: list, ys: list) -> PiecewiseLinearFlux:
 
 
 def _hull(flux: PiecewiseLinearFlux, a: float, b: float, sign: float) -> PiecewiseLinearFlux:
-    """Monotone chain over the nodes on [a, b]: convex for sign 1, concave for -1.
+    """Monotone chain over the kinks on [a, b]: convex for sign 1, concave for -1.
 
     Multiplying both sides of the turn test by -1 is exact, so the concave
     hull is the convex hull's loop with the comparison reversed bit for bit.
     """
-    xs, ys = _restricted_nodes(flux, a, b)
+    xs, ys = _restricted_nodes(flux, a, b, sign)
     hull_x = [xs[0]]
     hull_y = [ys[0]]
     for x, y in zip(xs[1:], ys[1:]):

@@ -315,20 +315,20 @@ class FrontTrackingSolution:
         if not 0.0 <= t <= self.horizon + 1e-12:
             raise ValueError(f"time {t} outside [0, {self.horizon}]")
 
-    def _alive(self, t: float) -> np.ndarray:
-        return np.flatnonzero((self.birth_times <= t) & (t < self.death_times))
+    def _alive_sorted(self, t: float) -> tuple[np.ndarray, np.ndarray]:
+        """Fronts alive at t and their positions, left to right."""
+        idx = np.flatnonzero((self.birth_times <= t) & (t < self.death_times))
+        pos = self.birth_positions[idx] + self.speeds[idx] * (t - self.birth_times[idx])
+        order = np.argsort(pos, kind="stable")
+        return idx[order], pos[order]
 
     def slice(self, t: float) -> StepFunction:
         """Field at time t as a StepFunction (outgoing states at event times)."""
         self._check_time(t)
         t = min(t, self.horizon)
-        idx = self._alive(t)
+        idx, pos = self._alive_sorted(t)
         if idx.size == 0:
             return StepFunction.constant(self.initial.far_left)
-        pos = self.birth_positions[idx] + self.speeds[idx] * (t - self.birth_times[idx])
-        order = np.argsort(pos, kind="stable")
-        idx = idx[order]
-        pos = pos[order]
         bps: list[float] = []
         vals: list[float] = [float(self.left_values[idx[0]])]
         for k, p in zip(idx, pos):
@@ -340,8 +340,35 @@ class FrontTrackingSolution:
         return StepFunction(np.asarray(bps), np.asarray(vals))
 
     def evaluate_field(self, x: float, t: float) -> tuple[float, float]:
-        """One-sided limits (left, right) of the field at (x, t)."""
-        return self.slice(t).value_at(x)
+        """One-sided limits (left, right) of the field at (x, t).
+
+        Equal to ``slice(t).value_at(x)`` without building the slice.  A gap
+        above EVENT_SPACE_TOL between sorted neighbours always starts a new
+        slice jump, so ``slice``'s grouping is replayed only from the start
+        of the run of close fronts at or before x, and only until the first
+        nonzero jump past x, which ends the run of equal values that
+        ``StepFunction`` keeps the last of.
+        """
+        self._check_time(t)
+        t = min(t, self.horizon)
+        idx, pos = self._alive_sorted(t)
+        if idx.size == 0:
+            return StepFunction.constant(self.initial.far_left).value_at(x)
+        c = max(int(np.searchsorted(pos, x, side="right")) - 1, 0)
+        while c > 0 and pos[c] - pos[c - 1] <= EVENT_SPACE_TOL:
+            c -= 1
+        bps: list[float] = []
+        vals = [float(self.right_values[idx[c - 1]] if c else self.left_values[idx[0]])]
+        for k in range(c, idx.size):
+            p = float(pos[k])
+            if bps and p - bps[-1] <= EVENT_SPACE_TOL:
+                vals[-1] = float(self.right_values[idx[k]])
+            elif bps and bps[-1] > x and vals[-1] != vals[-2]:
+                break
+            else:
+                bps.append(p)
+                vals.append(float(self.right_values[idx[k]]))
+        return StepFunction(np.asarray(bps), np.asarray(vals)).value_at(x)
 
     def shock_catalog(self, threshold: float = 0.0) -> ShockCatalog:
         """Space-time segments of all fronts with strength > threshold."""

@@ -165,6 +165,11 @@ def test_observation_set_round_trip_and_validation():
     again = ObservationSet.from_spec(obs.to_spec())
     assert np.array_equal(again.values, obs.values)
     assert np.array_equal(again.positions, obs.positions)
+    ball = ObservationSet(
+        kind="ball-average", values=[0.1], noise_std=0.05, times=[0.5], positions=[0.2],
+        radius=0.1,
+    )
+    assert ObservationSet.from_spec(ball.to_spec()).radius == 0.1
     for bad in (
         dict(noise_std=0.0),
         dict(noise_std=np.nan),
@@ -175,6 +180,15 @@ def test_observation_set_round_trip_and_validation():
         dict(times=[np.inf]),
         dict(values=[0.1, 0.2]),
         dict(times=[0.5, 1.0]),
+        dict(kind="nonsense"),
+        dict(positions=[np.nan]),
+        dict(positions=[np.inf]),
+        dict(positions=[0.1, 0.2]),
+        dict(positions=[]),
+        dict(radius=np.nan),
+        dict(radius=np.inf),
+        dict(radius=0.0),
+        dict(radius=-0.1),
     ):
         with pytest.raises(ValueError):
             ObservationSet(**{"kind": "pointwise", "values": [0.1], "noise_std": 0.1,

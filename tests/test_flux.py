@@ -1,12 +1,18 @@
 """Flux evaluation, linearization, envelopes, Lipschitz distances.
 
-Envelopes are checked against a brute-force best-chord construction, and
-Lipschitz distances against a max over all node-pair difference quotients;
-hand-evaluated values are frozen inline.
+Envelopes are checked against a brute-force best-chord construction and,
+bit for bit, against a monotone chain over every node; Lipschitz distances
+against a max over all node-pair difference quotients; hand-evaluated
+values are frozen inline.
 """
+
+import copy
+import pickle
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from shockline.flux import (
     BurgersQuadraticFlux,
@@ -22,6 +28,7 @@ from shockline.flux import (
     piecewise_linearize,
     traffic_flux_from_velocity,
     velocity_from_spec,
+    _merge_collinear,
 )
 
 
@@ -43,6 +50,30 @@ def hull_value_oracle(xs, ys, x, lower=True):
                 else:
                     best = min(best, val) if lower else max(best, val)
     return best
+
+
+def all_node_envelope(f, a, b, sign):
+    """Monotone chain over every node of ``f`` strictly inside (a, b).
+
+    The envelope walk as it was before kink filtering; the library must
+    give the same floats, since nodes that are not kinks never reach the hull.
+    """
+    bp, vals = f.breakpoints, f.values
+    inside = (bp > a) & (bp < b)
+    xs = [float(a), *bp[inside].tolist(), float(b)]
+    ys = [float(np.interp(a, bp, vals)), *vals[inside].tolist(), float(np.interp(b, bp, vals))]
+    hull_x, hull_y = [xs[0]], [ys[0]]
+    for x, y in zip(xs[1:], ys[1:]):
+        while len(hull_x) >= 2:
+            x0, y0 = hull_x[-2], hull_y[-2]
+            if sign * ((hull_y[-1] - y0) * (x - x0)) >= sign * ((y - y0) * (hull_x[-1] - x0)):
+                hull_x.pop()
+                hull_y.pop()
+            else:
+                break
+        hull_x.append(x)
+        hull_y.append(y)
+    return _merge_collinear(hull_x, hull_y)
 
 
 def lip_distance_oracle(f, g):
@@ -182,6 +213,71 @@ def test_envelopes_match_brute_force_on_random_fluxes():
             assert hi_env(q) == pytest.approx(
                 hull_value_oracle(nx, ny, q, lower=False), abs=1e-12
             )
+
+
+@st.composite
+def flux_and_interval(draw):
+    """A flux of one of four families and an interval [a, b] in its domain.
+
+    Families: arbitrary node values; values from a short list, so flat runs
+    and repeated levels; a concave or convex quadratic, curvature 1e-6 to 2,
+    with 1e-13 noise on the nodes; the dyadic rho * w(rho) of a random
+    decreasing velocity table, which is what velocity priors feed the
+    solver.  Ends are nodes, domain ends or any point.
+    """
+    family = draw(st.sampled_from(["arbitrary", "flat", "quadratic", "rho-w"]))
+    if family == "rho-w":
+        w = sorted(draw(st.lists(st.floats(0.0, 1.0), min_size=2, max_size=6)), reverse=True)
+        table = TableVelocity(np.linspace(0.0, 1.0, len(w) + 1), np.array([1.0, *w[:-1], 0.0]))
+        f = traffic_flux_from_velocity(table, draw(st.integers(1, 8)))
+    else:
+        start = draw(st.floats(-2.0, 2.0))
+        steps = draw(st.lists(st.floats(1e-3, 1.0), min_size=1, max_size=30))
+        xs = start + np.cumsum([0.0, *steps])
+        assume(np.all(np.diff(xs) > 0))
+        if family == "arbitrary":
+            ys = draw(st.lists(st.floats(-4.0, 4.0), min_size=xs.size, max_size=xs.size))
+        elif family == "flat":
+            levels = st.sampled_from([-0.5, 0.0, 0.25, 1.0])
+            ys = draw(st.lists(levels, min_size=xs.size, max_size=xs.size))
+        else:
+            c = draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** draw(st.floats(-6.0, 0.3))
+            m = draw(st.floats(-2.0, 2.0))
+            noise = draw(st.lists(st.integers(-3, 3), min_size=xs.size, max_size=xs.size))
+            ys = c * (xs - m) ** 2 + 1e-13 * np.asarray(noise)
+        f = PiecewiseLinearFlux(xs, np.asarray(ys, dtype=float))
+    lo, hi = f.domain
+    end = st.one_of(
+        st.sampled_from(f.breakpoints.tolist()), st.sampled_from([lo, hi]), st.floats(lo, hi)
+    )
+    a, b = sorted((draw(end), draw(end)))
+    assume(a < b)
+    return f, a, b
+
+
+@given(flux_and_interval())
+def test_envelopes_match_all_node_walk_bit_for_bit(case):
+    f, a, b = case
+    for envelope, sign in ((convex_envelope, 1.0), (concave_envelope, -1.0)):
+        got = envelope(f, a, b)
+        want = all_node_envelope(f, a, b, sign)
+        assert got.breakpoints.tolist() == want.breakpoints.tolist()
+        assert got.values.tolist() == want.values.tolist()
+
+
+def test_flux_nodes_are_read_only_copies():
+    xs = np.array([0.0, 0.5, 1.0])
+    ys = np.array([0.0, 0.25, 0.0])
+    f = PiecewiseLinearFlux(xs, ys)
+    concave_envelope(f, 0.0, 1.0)  # fills the kink cache
+    for g in (f, pickle.loads(pickle.dumps(f)), copy.deepcopy(f)):
+        for arr in (g.breakpoints, g.values):
+            with pytest.raises(ValueError):
+                arr[1] = 0.75
+    xs[1] = 0.25  # the caller's arrays stay theirs, and writable
+    ys[1] = 1.0
+    assert f.breakpoints.tolist() == [0.0, 0.5, 1.0]
+    assert f.values.tolist() == [0.0, 0.25, 0.0]
 
 
 def test_envelope_idempotent_and_sandwich():

@@ -18,6 +18,7 @@ from shockline.flux import (
 )
 from shockline.front_tracking import (
     EventCapError,
+    FrontTrackingSolution,
     _LiveFronts,
     StepFunction,
     evolve,
@@ -323,6 +324,63 @@ def test_replayed_live_front_list_walks_the_alive_fronts(seed):
         edges = np.concatenate(([pos[0] - 1.0], pos, [pos[-1] + 1.0]))
         states = [sol.left_values[walk[0]]] + sol.right_values[walk].tolist()
         assert field.sample(0.5 * (edges[:-1] + edges[1:])).tolist() == states
+
+
+def assert_point_queries_match_slices(sol, times, extra_points=()):
+    """evaluate_field equals slice(t).value_at(x), signs of zeros included."""
+    for t in times:
+        field = sol.slice(t)
+        xs = [*field.breakpoints.tolist(), *extra_points]
+        xs += [x + d for x in field.breakpoints.tolist() for d in (-1e-12, 5e-13, 2e-12)]
+        for x in xs:
+            want = field.value_at(x)
+            got = sol.evaluate_field(x, t)
+            assert got == want and np.signbit(got).tolist() == np.signbit(want).tolist()
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_point_query_matches_slice(seed):
+    rng = np.random.default_rng(100 + seed)
+    flux, lo = [
+        (piecewise_linearize(TrafficQuadraticFlux(1.0, 1.0), 6), 0.0),
+        (piecewise_linearize(BurgersQuadraticFlux(), 5), -1.0),
+        (NONCONCAVE5, 0.0),
+    ][seed % 3]
+    sol = evolve(random_step(rng, 12, 5, lo, 1.0), flux, 2.0)
+    collisions = [e for e in sol.events if e.incoming]
+    times = [0.0, 2.0, *rng.uniform(0.0, 2.0, 4), *(e.time for e in collisions)]
+    points = [*rng.uniform(-3.0, 4.0, 8), *(e.position for e in collisions), -np.inf, np.inf]
+    assert_point_queries_match_slices(sol, times, points)
+
+
+def test_point_query_at_a_three_front_collision():
+    # Burgers shocks of speeds 0.75, 0.25 and -0.25 all meet at (0, 1)
+    burgers = piecewise_linearize(BurgersQuadraticFlux(), 3)
+    sol = evolve(StepFunction([-0.75, -0.25, 0.25], [1.0, 0.5, 0.0, -0.5]), burgers, 2.0)
+    (event,) = [e for e in sol.events if e.incoming]
+    assert (event.time, event.position, len(event.incoming)) == (1.0, 0.0, 3)
+    assert sol.evaluate_field(0.0, 1.0) == (1.0, -0.5)
+    assert_point_queries_match_slices(sol, [0.5, 1.0, 1.5], [0.0, -0.25, 0.25])
+
+
+def test_point_query_replays_slice_grouping():
+    # fronts chained within EVENT_SPACE_TOL, zero net jumps and signed zeros:
+    # every way slice merges or drops jumps
+    rng = np.random.default_rng(3)
+    for _ in range(40):
+        n = int(rng.integers(1, 16))
+        pos = np.sort(rng.uniform(-1.0, 1.0, n))
+        for k in range(1, n):
+            if rng.random() < 0.5:
+                pos[k] = pos[k - 1] + rng.choice([0.0, 6e-13, 1e-12, 1.2e-12])
+        states = rng.choice([0.0, -0.0, 0.25, 0.5], n + 1)
+        sol = FrontTrackingSolution(
+            StepFunction.constant(0.0), None, 1.0, [],
+            birth_times=np.zeros(n), birth_positions=rng.permutation(pos),
+            speeds=np.zeros(n), left_values=states[:-1], right_values=states[1:],
+            death_times=np.full(n, np.inf),
+        )
+        assert_point_queries_match_slices(sol, [0.5], [*pos, *rng.uniform(-1.5, 1.5, 4)])
 
 
 def test_evolution_is_deterministic():
