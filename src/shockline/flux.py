@@ -19,6 +19,9 @@ import numpy as np
 COLLINEAR_TOL = 1e-12
 # Slack when checking that an evaluation point lies in the flux domain.
 DOMAIN_TOL = 1e-9
+# Most waves the Riemann table of one piecewise-linear flux holds; once a
+# solution no longer fits, it is still solved but not stored.
+RIEMANN_TABLE_WAVES = 4096
 
 ArrayLike = Union[float, Sequence[float], np.ndarray]
 
@@ -48,6 +51,25 @@ def _check_domain(v: np.ndarray, lo: float, hi: float) -> None:
             f"flux argument outside domain [{lo}, {hi}]: "
             f"range of input is [{bad_lo}, {bad_hi}]"
         )
+
+
+class _RiemannTable(dict):
+    """Riemann wave tuples of one flux by state-pair key, RIEMANN_TABLE_WAVES at most.
+
+    ``front_tracking`` picks the keys and computes the waves; the table only
+    keeps count, so a long-lived flux cannot grow without bound.
+    """
+
+    __slots__ = ("waves",)
+
+    def __init__(self):
+        super().__init__()
+        self.waves = 0
+
+    def store(self, key: tuple, waves: tuple) -> None:
+        if self.waves + len(waves) <= RIEMANN_TABLE_WAVES:
+            self[key] = waves
+            self.waves += len(waves)
 
 
 class _FluxBase:
@@ -127,9 +149,11 @@ class PiecewiseLinearFlux(_FluxBase):
     """Continuous piecewise-linear flux given by node values.
 
     Breakpoints must be strictly increasing with at least two entries.
-    Both node arrays are read-only copies of the caller's, so the slopes,
-    the Lipschitz norm (the largest absolute slope) and the cached kink
-    sets the envelopes run over can never drift from the stored geometry.
+    Both node arrays are read-only copies of the caller's, so nothing
+    derived from them can drift from the stored geometry: the slopes, the
+    Lipschitz norm (the largest absolute slope), the cached kink sets and
+    node lists the envelopes read, and the table of Riemann solutions
+    that front tracking keeps.
     """
 
     breakpoints: np.ndarray
@@ -150,7 +174,8 @@ class PiecewiseLinearFlux(_FluxBase):
         object.__setattr__(self, "values", vals)
 
     def __reduce__(self):
-        # copies and pickles are rebuilt through __post_init__: read-only, no cache
+        # copies and pickles are rebuilt through __post_init__: read-only, no
+        # caches and an empty Riemann table
         return (type(self), (self.breakpoints, self.values))
 
     @property
@@ -171,6 +196,16 @@ class PiecewiseLinearFlux(_FluxBase):
             sign: (inner_x[turn].tolist(), inner_y[turn].tolist())
             for sign, turn in ((1.0, s[1:] > s[:-1]), (-1.0, s[1:] < s[:-1]))
         }
+
+    @cached_property
+    def _nodes(self) -> tuple[list, list]:
+        """Breakpoints and values as float lists, for exact end values at nodes."""
+        return self.breakpoints.tolist(), self.values.tolist()
+
+    @cached_property
+    def _riemann_table(self) -> _RiemannTable:
+        """Riemann wave tuples that front tracking stores for this flux."""
+        return _RiemannTable()
 
     @property
     def slopes(self) -> np.ndarray:
@@ -237,20 +272,30 @@ def _restricted_nodes(flux: PiecewiseLinearFlux, a: float, b: float, sign: float
 
     A vertex of the convex minorant (concave majorant) on [a, b] is an end
     point or a node where the slope strictly increases (decreases), so the
-    other nodes can never reach the hull.  End values are interpolated.
+    other nodes can never reach the hull.  An end at a node takes the node's
+    value, which is what ``np.interp`` returns there; other ends are
+    interpolated.
     """
     lo, hi = flux.domain
     if not (lo - DOMAIN_TOL <= a < b <= hi + DOMAIN_TOL):
         raise ValueError(f"need domain lo <= a < b <= hi, got a={a}, b={b}")
     a = min(max(a, lo), hi)
     b = min(max(b, lo), hi)
-    bp, vals = flux.breakpoints, flux.values
     kx, ky = flux._kinks[sign]
     i = bisect_right(kx, a)
     j = bisect_left(kx, b)
     xs = [float(a), *kx[i:j], float(b)]
-    ys = [float(np.interp(a, bp, vals)), *ky[i:j], float(np.interp(b, bp, vals))]
+    ys = [_end_value(flux, xs[0]), *ky[i:j], _end_value(flux, xs[-1])]
     return xs, ys
+
+
+def _end_value(flux: PiecewiseLinearFlux, x: float) -> float:
+    """flux(x) for x in the domain: the node value at a node, else interpolated."""
+    bx, by = flux._nodes
+    k = bisect_left(bx, x)
+    if bx[k] == x:
+        return by[k]
+    return float(np.interp(x, flux.breakpoints, flux.values))
 
 
 def _merge_collinear(xs: list, ys: list) -> PiecewiseLinearFlux:

@@ -12,7 +12,7 @@ import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 from heapq import heappush, heappop
-from math import inf, isfinite, sqrt
+from math import copysign, inf, isfinite, sqrt
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -23,9 +23,9 @@ from .flux import (
     convex_envelope,
 )
 
-# Two collision candidates are one multi-front collision when both their
-# times and their positions agree within these tolerances.
-EVENT_TIME_TOL = 1e-12
+# Fronts within this distance of a collision point at the collision time
+# join it as one multi-front collision; slices merge fronts this close into
+# one jump.
 EVENT_SPACE_TOL = 1e-12
 # Outgoing fronts with a smaller jump than this are dropped.
 ZERO_STRENGTH_TOL = 1e-14
@@ -185,27 +185,46 @@ class FrontEvent:
     outgoing: tuple[int, ...]
 
 
-def _riemann_parts(flux: PiecewiseLinearFlux, v_l: float, v_r: float):
+def _riemann_parts(flux: PiecewiseLinearFlux, v_l: float, v_r: float) -> tuple:
     """Waves of the Riemann solution, left to right: (speed, left, right).
 
+    The solution depends only on the flux and the two states, so it is kept
+    in the flux's capped Riemann table and the stored tuple itself is
+    returned.  A zero state is keyed with its sign too: ``0.0 == -0.0``, but
+    the sign reaches the wave states.
+    """
+    if v_l and v_r:
+        key = (v_l, v_r)
+    else:
+        key = (v_l, v_r, copysign(1.0, v_l), copysign(1.0, v_r))
+    table = flux._riemann_table
+    waves = table.get(key)
+    if waves is None:
+        waves = _riemann_waves(flux, v_l, v_r)
+        table.store(key, waves)
+    return waves
+
+
+def _riemann_waves(flux: PiecewiseLinearFlux, v_l: float, v_r: float) -> tuple:
+    """Solve the Riemann problem afresh, through the public envelopes.
+
     Increasing data ride the convex envelope, decreasing data the concave
-    one; either way the returned speeds are strictly increasing.
+    one; either way the speeds strictly increase.  Slopes come from the
+    envelope's node lists: the same subtraction and division as ``env.slopes``.
     """
     if v_l < v_r:
         env = convex_envelope(flux, v_l, v_r)
-        states = env.breakpoints
-        slopes = env.slopes
-        return [
-            (float(slopes[k]), float(states[k]), float(states[k + 1]))
-            for k in range(slopes.size)
-        ]
+        xs, ys = env.breakpoints.tolist(), env.values.tolist()
+        return tuple(
+            ((ys[k + 1] - ys[k]) / (xs[k + 1] - xs[k]), xs[k], xs[k + 1])
+            for k in range(len(xs) - 1)
+        )
     env = concave_envelope(flux, v_r, v_l)
-    states = env.breakpoints
-    slopes = env.slopes
-    return [
-        (float(slopes[k]), float(states[k + 1]), float(states[k]))
-        for k in range(slopes.size - 1, -1, -1)
-    ]
+    xs, ys = env.breakpoints.tolist(), env.values.tolist()
+    return tuple(
+        ((ys[k + 1] - ys[k]) / (xs[k + 1] - xs[k]), xs[k + 1], xs[k])
+        for k in range(len(xs) - 2, -1, -1)
+    )
 
 
 def solve_riemann(
@@ -218,6 +237,8 @@ def solve_riemann(
     """Fronts emitted by a single jump, ordered left to right."""
     if not isinstance(flux, PiecewiseLinearFlux):
         raise TypeError("front tracking needs a piecewise-linear flux; linearize first")
+    if not (isfinite(v_left) and isfinite(v_right)):
+        raise ValueError(f"Riemann states must be finite, got {v_left} and {v_right}")
     if v_left == v_right:
         raise ValueError("degenerate Riemann datum: left and right states are equal")
     parts = _riemann_parts(flux, v_left, v_right)
@@ -439,14 +460,16 @@ def evolve(
 
     The event loop pops collision candidates from a heap keyed by
     (time, position), so simultaneous collisions at distinct positions are
-    handled left to right.  Candidates within EVENT_TIME/SPACE_TOL of each
-    other are merged into a single multi-front collision.  Outgoing waves
-    with strength below ZERO_STRENGTH_TOL are dropped.
+    handled left to right.  At a popped collision, neighbouring fronts within
+    EVENT_SPACE_TOL of its position join it as one multi-front collision.
+    Outgoing waves with strength below ZERO_STRENGTH_TOL are dropped.
     """
     if not isinstance(flux, PiecewiseLinearFlux):
         raise TypeError("front tracking needs a piecewise-linear flux; linearize first")
     if not (isfinite(horizon) and horizon > 0):
         raise ValueError("horizon must be positive and finite")
+    if not (np.all(np.isfinite(initial.values)) and np.all(np.isfinite(initial.breakpoints))):
+        raise ValueError("initial data must be finite: got a NaN or infinite value or breakpoint")
     lo, hi = flux.domain
     if initial.min_value() < lo - 1e-12 or initial.max_value() > hi + 1e-12:
         raise ValueError("initial data leaves the flux domain")

@@ -5,14 +5,22 @@ hand-solved two-shock merge, and conservation/TVD/contraction properties
 on seeded random step data.
 """
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from shockline.flux import (
+    RIEMANN_TABLE_WAVES,
     BurgersQuadraticFlux,
+    LinearTrafficVelocity,
     PiecewiseLinearFlux,
     TableVelocity,
     TrafficQuadraticFlux,
+    dyadic_points,
     piecewise_linearize,
     traffic_flux_from_velocity,
 )
@@ -170,6 +178,96 @@ def test_riemann_fronts_satisfy_rh_and_ordering():
             )
 
 
+def test_riemann_states_must_be_finite():
+    for v_left, v_right in ((float("nan"), 0.25), (0.25, float("nan")), (float("inf"), 0.25)):
+        with pytest.raises(ValueError, match="finite"):
+            solve_riemann(TRAFFIC3, v_left, v_right)
+
+
+# ---------------------------------------------------------------------------
+# the per-flux Riemann table
+
+
+def fresh_copy(flux):
+    return PiecewiseLinearFlux(flux.breakpoints, flux.values)
+
+
+def as_hex(sol):
+    """Every front array and event of a solution, floats as hex strings."""
+    arrays = (sol.birth_times, sol.birth_positions, sol.speeds,
+              sol.left_values, sol.right_values, sol.death_times)
+    events = [(e.time.hex(), e.position.hex(), e.incoming, e.outgoing) for e in sol.events]
+    return [[x.hex() for x in a.tolist()] for a in arrays], events
+
+
+def test_solve_riemann_returns_fresh_fronts_and_keeps_the_stored_waves():
+    flux = fresh_copy(TRAFFIC3)
+    first = solve_riemann(flux, 0.875, 0.125)
+    stored = flux._riemann_table[(0.875, 0.125)]
+    snapshot = list(stored)
+    for front in first:
+        front.speed, front.left_value, front.right_value = 9.0, 9.0, 9.0
+    again = solve_riemann(flux, 0.875, 0.125, position=1.0)
+    assert flux._riemann_table[(0.875, 0.125)] is stored
+    assert list(stored) == snapshot
+    assert [(f.speed, f.left_value, f.right_value) for f in again] == snapshot
+    assert all(f.birth_position == 1.0 for f in again)
+
+
+def test_riemann_table_stays_under_its_cap_and_exact_past_it():
+    flux = traffic_flux_from_velocity(LinearTrafficVelocity(), 12)
+    # t = 0 fans of 3072, 2048 and 1024 waves, with shocks between them
+    fans = StepFunction([-0.5, 0.0, 0.5, 1.0, 1.5], [0.875, 0.125, 0.75, 0.25, 0.625, 0.375])
+    evolve(fans, flux, 2.0)
+    table = flux._riemann_table
+    assert table.waves == sum(len(waves) for waves in table.values())
+    assert 0 < table.waves <= RIEMANN_TABLE_WAVES
+    assert (0.875, 0.125) in table and (0.75, 0.25) not in table  # the second fan did not fit
+    rng = np.random.default_rng(12)
+    for data in [fans] + [random_step(rng, max_jumps=8, level=12) for _ in range(4)]:
+        assert as_hex(evolve(data, flux, 2.0)) == as_hex(evolve(data, fresh_copy(flux), 2.0))
+    assert table.waves <= RIEMANN_TABLE_WAVES
+
+
+def test_copies_and_pickles_start_with_an_empty_riemann_table():
+    flux = fresh_copy(TRAFFIC3)
+    evolve(StepFunction([0.0, 0.5], [0.875, 0.125, 0.5]), flux, 2.0)
+    assert len(flux._riemann_table) > 0
+    for other in (pickle.loads(pickle.dumps(flux)), copy.copy(flux), copy.deepcopy(flux)):
+        assert len(other._riemann_table) == 0 and other._riemann_table.waves == 0
+        assert other._riemann_table is not flux._riemann_table
+
+
+@st.composite
+def flux_and_zero_rich_data(draw):
+    """Traffic, Burgers or non-concave rho*w(rho) flux, and data full of 0.0 and -0.0."""
+    kind = draw(st.sampled_from(["traffic", "burgers", "nonconcave"]))
+    level = draw(st.integers(3, 5))
+    if kind == "traffic":
+        flux = traffic_flux_from_velocity(LinearTrafficVelocity(), level)
+    elif kind == "burgers":
+        flux = piecewise_linearize(BurgersQuadraticFlux(), level)
+    else:
+        w = draw(st.lists(st.floats(0.05, 2.0), min_size=2, max_size=5, unique=True))
+        w = sorted(w, reverse=True) + [0.0]
+        flux = traffic_flux_from_velocity(TableVelocity(np.linspace(0.0, 1.0, len(w)), w), level)
+    grid = dyadic_points(level, *flux.domain).tolist()
+    state = st.one_of(st.sampled_from([0.0, -0.0]), st.sampled_from(grid))
+    n = draw(st.integers(1, 6))
+    cells = draw(st.lists(st.integers(-32, 32), min_size=n, max_size=n, unique=True))
+    values = draw(st.lists(state, min_size=n + 1, max_size=n + 1))
+    return flux, StepFunction(np.sort(cells) / 16.0, values)
+
+
+@given(flux_and_zero_rich_data())
+def test_riemann_table_keeps_the_sign_of_zero_states(case):
+    flux, data = case
+    flipped = StepFunction(data.breakpoints, [-v if v == 0.0 else v for v in data.values])
+    warm = fresh_copy(flux)
+    evolve(flipped, warm, 1.0)
+    assert as_hex(evolve(data, warm, 1.0)) == as_hex(evolve(data, fresh_copy(flux), 1.0))
+
+
 # ---------------------------------------------------------------------------
 # evolution
 
@@ -268,6 +366,15 @@ def test_event_cap_raises():
 def test_evolve_rejects_bad_horizon(horizon):
     with pytest.raises(ValueError):
         evolve(StepFunction([0.0], [0.25, 0.75]), TRAFFIC3, horizon)
+
+
+@pytest.mark.parametrize(
+    "breakpoints, values",
+    [([0.0], [0.25, np.nan]), ([0.0, 0.5], [0.25, np.nan, 0.5]), ([np.inf], [0.25, 0.75])],
+)
+def test_evolve_rejects_non_finite_data(breakpoints, values):
+    with pytest.raises(ValueError, match="finite"):
+        evolve(StepFunction(breakpoints, values), TRAFFIC3, 1.0)
 
 
 def test_front_views_match_stored_arrays():
