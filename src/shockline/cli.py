@@ -67,8 +67,7 @@ def _solution(cfg: ScenarioConfig):
     return rho0, evolve(rho0, _tracking_flux(cfg), cfg.horizon)
 
 
-def _conservation_window(cfg: ScenarioConfig) -> tuple[float, float]:
-    flux = _tracking_flux(cfg)
+def _conservation_window(cfg: ScenarioConfig, flux: PiecewiseLinearFlux) -> tuple[float, float]:
     reach = flux.lipschitz_norm * cfg.horizon + 1.0
     bp = cfg.initial.breakpoints
     lo = (bp[0] if bp.size else 0.0) - reach
@@ -85,7 +84,7 @@ def cmd_solve(cfg: ScenarioConfig, args, out: str) -> int:
         cfgio.write_slice_csv(os.path.join(out, name), sol.slice(t))
         names.append(name)
     cfgio.write_events_json(os.path.join(out, "events.json"), sol)
-    window = _conservation_window(cfg)
+    window = _conservation_window(cfg, sol.flux)
     summary = {
         "times": times,
         "slices": names,
@@ -99,10 +98,9 @@ def cmd_solve(cfg: ScenarioConfig, args, out: str) -> int:
     if args.check:
         tv0 = rho0.total_variation()
         m0 = rho0.integral(*window)
-        flux = _tracking_flux(cfg)
         # mass in a window all waves stay inside changes at exactly the
         # far-field flux imbalance
-        rate = flux(rho0.far_left) - flux(rho0.far_right)
+        rate = sol.flux(rho0.far_left) - sol.flux(rho0.far_right)
         lo, hi = rho0.min_value(), rho0.max_value()
         for t in times:
             s = sol.slice(t)
@@ -250,7 +248,7 @@ def cmd_synth(cfg: ScenarioConfig, args, out: str) -> int:
     return 0
 
 
-def _observations(blk: dict, cfg: ScenarioConfig, forward, args):
+def _observations(blk: dict, cfg: ScenarioConfig, forward):
     if "observations_file" in blk:
         return cfgio.read_observations_json(blk["observations_file"])
     if "observations" in blk:
@@ -274,7 +272,7 @@ def cmd_invert(cfg: ScenarioConfig, args, out: str) -> int:
     blk = cfg.block("inversion")
     prior = cfgio.prior_from_block(blk.get("prior", {}))
     forward = _forward_from_block(blk.get("forward", {}), cfg)
-    obs = _observations(blk, cfg, forward, args)
+    obs = _observations(blk, cfg, forward)
     sampler = blk.get("sampler", {})
     chain_length = int(sampler.get("chain_length", 1000))
     beta = float(sampler.get("beta", 0.1))

@@ -113,10 +113,10 @@ class LadderReport:
         }
 
 
-def _snap(value: float, level: int, minimum_units: int = 1) -> float:
-    """Round to the dyadic grid, at least ``minimum_units`` grid cells."""
+def _snap(value: float, level: int) -> float:
+    """Round to the dyadic grid, at least one grid cell."""
     scale = 2.0 ** level
-    return max(round(value * scale), minimum_units) / scale
+    return max(round(value * scale), 1) / scale
 
 
 def stability_window(velocity: VelocityFunction, horizon: float) -> tuple[float, float]:

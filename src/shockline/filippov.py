@@ -13,39 +13,14 @@ number of events plus crossings.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from math import inf, isfinite, log
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
-from .flux import LinearTrafficVelocity, TableVelocity, VelocityFunction
+from .flux import VelocityFunction
 from .front_tracking import FrontTrackingSolution, _LiveFronts
-
-
-def _scalar_velocity(w: VelocityFunction) -> Callable[[float], float]:
-    """Fast scalar evaluation path for the hot tracking loop."""
-    if isinstance(w, LinearTrafficVelocity):
-        c0, c1 = w.w_max, w.w_max / w.rho_max
-        return lambda v: c0 - c1 * v
-    if isinstance(w, TableVelocity):
-        bp = w.breakpoints.tolist()
-        vals = w.values.tolist()
-        n = len(bp)
-
-        def interp(v: float) -> float:
-            i = bisect_right(bp, v)
-            if i <= 0:
-                return vals[0]
-            if i >= n:
-                return vals[-1]
-            x0, x1 = bp[i - 1], bp[i]
-            y0, y1 = vals[i - 1], vals[i]
-            return y0 + (v - x0) * (y1 - y0) / (x1 - x0)
-
-        return interp
-    return lambda v: float(w(v))
 
 
 @dataclass
@@ -133,7 +108,7 @@ def track(
         raise ValueError(f"need t0 <= horizon <= {solution.horizon}, got t0={t0}, horizon={T}")
     T = min(T, solution.horizon)
 
-    w = _scalar_velocity(velocity)
+    w = velocity.at
     bt = solution.birth_times.tolist()
     bx = solution.birth_positions.tolist()
     spd = solution.speeds.tolist()

@@ -11,6 +11,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
+from math import isfinite
 from typing import Sequence, Union
 
 import numpy as np
@@ -145,19 +146,20 @@ class BurgersQuadraticFlux(_FluxBase):
 
 
 @dataclass(frozen=True)
-class PiecewiseLinearFlux(_FluxBase):
-    """Continuous piecewise-linear flux given by node values.
+class _NodeTable(_FluxBase):
+    """Continuous piecewise-linear function given by node values.
 
-    Breakpoints must be strictly increasing with at least two entries.
-    Both node arrays are read-only copies of the caller's, so nothing
-    derived from them can drift from the stored geometry: the slopes, the
-    Lipschitz norm (the largest absolute slope), the cached kink sets and
-    node lists the envelopes read, and the table of Riemann solutions
-    that front tracking keeps.
+    Breakpoints must be finite and strictly increasing with at least two
+    entries, and values finite.  Both node arrays are read-only copies of
+    the caller's, so nothing derived from them can drift from the stored
+    geometry: the slopes, the Lipschitz norm (the largest absolute slope)
+    and the cached node lists.  ``kind`` names the table in ``to_spec``.
     """
 
     breakpoints: np.ndarray
     values: np.ndarray
+
+    kind = ""
 
     def __post_init__(self):
         bp = np.array(self.breakpoints, dtype=float)
@@ -166,21 +168,75 @@ class PiecewiseLinearFlux(_FluxBase):
             raise ValueError("breakpoints and values must be 1-D arrays of equal length")
         if bp.size < 2:
             raise ValueError("need at least two breakpoints")
-        if not np.all(np.diff(bp) > 0):
-            raise ValueError("breakpoints must be strictly increasing")
+        # increasing between finite ends means finite throughout
+        if not (isfinite(bp[0]) and isfinite(bp[-1]) and (bp[1:] > bp[:-1]).all()):
+            raise ValueError("breakpoints must be finite and strictly increasing")
+        if not np.isfinite(vals).all():
+            raise ValueError("values must be finite")
         bp.setflags(write=False)
         vals.setflags(write=False)
         object.__setattr__(self, "breakpoints", bp)
         object.__setattr__(self, "values", vals)
 
     def __reduce__(self):
-        # copies and pickles are rebuilt through __post_init__: read-only, no
-        # caches and an empty Riemann table
+        # copies and pickles are rebuilt through __post_init__: read-only and
+        # without caches
         return (type(self), (self.breakpoints, self.values))
 
     @property
     def domain(self) -> tuple[float, float]:
         return (float(self.breakpoints[0]), float(self.breakpoints[-1]))
+
+    @cached_property
+    def _nodes(self) -> tuple[list, list]:
+        """Breakpoints and values as float lists, for scalar evaluation."""
+        return self.breakpoints.tolist(), self.values.tolist()
+
+    @property
+    def slopes(self) -> np.ndarray:
+        return np.diff(self.values) / np.diff(self.breakpoints)
+
+    @property
+    def lipschitz_norm(self) -> float:
+        return float(np.max(np.abs(self.slopes)))
+
+    def _values(self, v: np.ndarray) -> np.ndarray:
+        return np.interp(v, self.breakpoints, self.values)
+
+    def at(self, x: float) -> float:
+        """``float(np.interp(x, breakpoints, values))`` for a finite float x.
+
+        The node value at a node, the end value past either end, and
+        elsewhere np.interp's own arithmetic on the bracketing segment, so
+        it agrees with a call bit for bit inside the domain.
+        """
+        bx, by = self._nodes
+        k = bisect_left(bx, x)
+        if k == len(bx):
+            return by[-1]
+        if bx[k] == x or k == 0:
+            return by[k]
+        x0, x1, y0, y1 = bx[k - 1], bx[k], by[k - 1], by[k]
+        return (y1 - y0) / (x1 - x0) * (x - x0) + y0
+
+    def to_spec(self) -> dict:
+        return {
+            "kind": self.kind,
+            "breakpoints": [float(x) for x in self.breakpoints],
+            "values": [float(y) for y in self.values],
+        }
+
+
+@dataclass(frozen=True)
+class PiecewiseLinearFlux(_NodeTable):
+    """Continuous piecewise-linear flux given by node values.
+
+    Besides the node table it caches the kink sets the envelopes read and
+    the table of Riemann solutions that front tracking keeps; every copy or
+    pickle starts without them.
+    """
+
+    kind = "piecewise-linear"
 
     @cached_property
     def _kinks(self) -> dict:
@@ -198,25 +254,9 @@ class PiecewiseLinearFlux(_FluxBase):
         }
 
     @cached_property
-    def _nodes(self) -> tuple[list, list]:
-        """Breakpoints and values as float lists, for exact end values at nodes."""
-        return self.breakpoints.tolist(), self.values.tolist()
-
-    @cached_property
     def _riemann_table(self) -> _RiemannTable:
         """Riemann wave tuples that front tracking stores for this flux."""
         return _RiemannTable()
-
-    @property
-    def slopes(self) -> np.ndarray:
-        return np.diff(self.values) / np.diff(self.breakpoints)
-
-    @property
-    def lipschitz_norm(self) -> float:
-        return float(np.max(np.abs(self.slopes)))
-
-    def _values(self, v: np.ndarray) -> np.ndarray:
-        return np.interp(v, self.breakpoints, self.values)
 
     def deriv_right(self, x: float) -> float:
         i = int(np.searchsorted(self.breakpoints, x, side="right")) - 1
@@ -227,13 +267,6 @@ class PiecewiseLinearFlux(_FluxBase):
         i = int(np.searchsorted(self.breakpoints, x, side="left")) - 1
         i = min(max(i, 0), self.breakpoints.size - 2)
         return float(self.slopes[i])
-
-    def to_spec(self) -> dict:
-        return {
-            "kind": "piecewise-linear",
-            "breakpoints": [float(x) for x in self.breakpoints],
-            "values": [float(y) for y in self.values],
-        }
 
 
 FluxFunction = Union[TrafficQuadraticFlux, BurgersQuadraticFlux, PiecewiseLinearFlux]
@@ -285,17 +318,8 @@ def _restricted_nodes(flux: PiecewiseLinearFlux, a: float, b: float, sign: float
     i = bisect_right(kx, a)
     j = bisect_left(kx, b)
     xs = [float(a), *kx[i:j], float(b)]
-    ys = [_end_value(flux, xs[0]), *ky[i:j], _end_value(flux, xs[-1])]
+    ys = [flux.at(xs[0]), *ky[i:j], flux.at(xs[-1])]
     return xs, ys
-
-
-def _end_value(flux: PiecewiseLinearFlux, x: float) -> float:
-    """flux(x) for x in the domain: the node value at a node, else interpolated."""
-    bx, by = flux._nodes
-    k = bisect_left(bx, x)
-    if bx[k] == x:
-        return by[k]
-    return float(np.interp(x, flux.breakpoints, flux.values))
 
 
 def _merge_collinear(xs: list, ys: list) -> PiecewiseLinearFlux:
@@ -312,7 +336,7 @@ def _merge_collinear(xs: list, ys: list) -> PiecewiseLinearFlux:
             out_x.append(xs[k])
             out_y.append(ys[k])
             last_slope = slope
-    return PiecewiseLinearFlux(np.asarray(out_x), np.asarray(out_y))
+    return PiecewiseLinearFlux(out_x, out_y)
 
 
 def _hull(flux: PiecewiseLinearFlux, a: float, b: float, sign: float) -> PiecewiseLinearFlux:
@@ -402,6 +426,10 @@ class LinearTrafficVelocity:
             return float(out)
         return out
 
+    def at(self, rho: float) -> float:
+        """Scalar twin of a call, with the same arithmetic."""
+        return self.w_max * (1.0 - rho / self.rho_max)
+
     def is_admissible(self) -> bool:
         """Strictly decreasing, vanishing at rho_max, finite Lipschitz norm."""
         return True
@@ -411,48 +439,14 @@ class LinearTrafficVelocity:
 
 
 @dataclass(frozen=True)
-class TableVelocity:
+class TableVelocity(_NodeTable):
     """Piecewise-linear velocity given by node values on [0, rho_max]."""
 
-    breakpoints: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        bp = np.asarray(self.breakpoints, dtype=float)
-        vals = np.asarray(self.values, dtype=float)
-        if bp.ndim != 1 or vals.shape != bp.shape or bp.size < 2:
-            raise ValueError("breakpoints and values must be 1-D arrays, length >= 2")
-        if not np.all(np.diff(bp) > 0):
-            raise ValueError("breakpoints must be strictly increasing")
-        object.__setattr__(self, "breakpoints", bp)
-        object.__setattr__(self, "values", vals)
-
-    @property
-    def domain(self) -> tuple[float, float]:
-        return (float(self.breakpoints[0]), float(self.breakpoints[-1]))
-
-    @property
-    def lipschitz_norm(self) -> float:
-        return float(np.max(np.abs(np.diff(self.values) / np.diff(self.breakpoints))))
-
-    def __call__(self, rho: ArrayLike) -> ArrayLike:
-        arr = np.asarray(rho, dtype=float)
-        _check_domain(arr, *self.domain)
-        out = np.interp(np.clip(arr, *self.domain), self.breakpoints, self.values)
-        if np.isscalar(rho) or (isinstance(rho, np.ndarray) and rho.ndim == 0):
-            return float(out)
-        return out
+    kind = "table"
 
     def is_admissible(self) -> bool:
         """Strictly decreasing with w(rho_max) = 0 (within 1e-14)."""
         return bool(np.all(np.diff(self.values) < 0)) and abs(self.values[-1]) <= 1e-14
-
-    def to_spec(self) -> dict:
-        return {
-            "kind": "table",
-            "breakpoints": [float(x) for x in self.breakpoints],
-            "values": [float(y) for y in self.values],
-        }
 
 
 VelocityFunction = Union[LinearTrafficVelocity, TableVelocity]

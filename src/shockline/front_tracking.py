@@ -345,51 +345,47 @@ class FrontTrackingSolution:
 
     def slice(self, t: float) -> StepFunction:
         """Field at time t as a StepFunction (outgoing states at event times)."""
-        self._check_time(t)
-        t = min(t, self.horizon)
-        idx, pos = self._alive_sorted(t)
-        if idx.size == 0:
-            return StepFunction.constant(self.initial.far_left)
-        bps: list[float] = []
-        vals: list[float] = [float(self.left_values[idx[0]])]
-        for k, p in zip(idx, pos):
-            if bps and p - bps[-1] <= EVENT_SPACE_TOL:
-                vals[-1] = float(self.right_values[k])
-            else:
-                bps.append(float(p))
-                vals.append(float(self.right_values[k]))
-        return StepFunction(np.asarray(bps), np.asarray(vals))
+        return self._jumps(t)
 
     def evaluate_field(self, x: float, t: float) -> tuple[float, float]:
         """One-sided limits (left, right) of the field at (x, t).
 
-        Equal to ``slice(t).value_at(x)`` without building the slice.  A gap
-        above EVENT_SPACE_TOL between sorted neighbours always starts a new
-        slice jump, so ``slice``'s grouping is replayed only from the start
-        of the run of close fronts at or before x, and only until the first
-        nonzero jump past x, which ends the run of equal values that
-        ``StepFunction`` keeps the last of.
+        Equal to ``slice(t).value_at(x)`` without building the whole slice.
+        """
+        return self._jumps(t, x).value_at(x)
+
+    def _jumps(self, t: float, x: Optional[float] = None) -> StepFunction:
+        """``slice(t)``, or with x only the part of it that decides its value at x.
+
+        Sorted fronts within EVENT_SPACE_TOL of the last jump merge into it.
+        A gap above that always starts a new jump, so for x the grouping is
+        replayed only from the start of the run of close fronts at or before
+        x, and only until the first nonzero jump past x, which ends the run
+        of equal values that ``StepFunction`` keeps the last of.
         """
         self._check_time(t)
         t = min(t, self.horizon)
         idx, pos = self._alive_sorted(t)
         if idx.size == 0:
-            return StepFunction.constant(self.initial.far_left).value_at(x)
-        c = max(int(np.searchsorted(pos, x, side="right")) - 1, 0)
-        while c > 0 and pos[c] - pos[c - 1] <= EVENT_SPACE_TOL:
-            c -= 1
+            return StepFunction.constant(self.initial.far_left)
+        start, stop = 0, inf
+        if x is not None:
+            start = max(int(np.searchsorted(pos, x, side="right")) - 1, 0)
+            while start > 0 and pos[start] - pos[start - 1] <= EVENT_SPACE_TOL:
+                start -= 1
+            stop = x
+        rv = self.right_values
         bps: list[float] = []
-        vals = [float(self.right_values[idx[c - 1]] if c else self.left_values[idx[0]])]
-        for k in range(c, idx.size):
-            p = float(pos[k])
+        vals = [float(rv[idx[start - 1]] if start else self.left_values[idx[0]])]
+        for k, p in zip(idx[start:], pos[start:]):
             if bps and p - bps[-1] <= EVENT_SPACE_TOL:
-                vals[-1] = float(self.right_values[idx[k]])
-            elif bps and bps[-1] > x and vals[-1] != vals[-2]:
+                vals[-1] = float(rv[k])
+            elif bps and bps[-1] > stop and vals[-1] != vals[-2]:
                 break
             else:
-                bps.append(p)
-                vals.append(float(self.right_values[idx[k]]))
-        return StepFunction(np.asarray(bps), np.asarray(vals)).value_at(x)
+                bps.append(float(p))
+                vals.append(float(rv[k]))
+        return StepFunction(np.asarray(bps), np.asarray(vals))
 
     def shock_catalog(self, threshold: float = 0.0) -> ShockCatalog:
         """Space-time segments of all fronts with strength > threshold."""

@@ -13,7 +13,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .filippov import Trajectory, _scalar_velocity
+from .filippov import Trajectory
 from .flux import (
     BurgersQuadraticFlux,
     FluxFunction,
@@ -90,7 +90,7 @@ class GridField:
         k = min(max(k, 0), self.times.size - 2)
         span = self.times[k + 1] - self.times[k]
         frac = 0.0 if span == 0 else (t - self.times[k]) / span
-        return k, float(np.clip(frac, 0.0, 1.0))
+        return k, min(max(float(frac), 0.0), 1.0)
 
     def snapshot(self, t: float) -> np.ndarray:
         """Field on cell centers at time t (linear in t between levels)."""
@@ -217,24 +217,16 @@ def track_smooth(
 ) -> Trajectory:
     """RK4 particle path through a grid field, one step per stored level.
 
-    Field values between levels come from bilinear interpolation, matching
-    how the field itself is queried.
+    The velocity is read at the field's own bilinear query ``value_at``.
     """
     T = field.horizon if horizon is None else float(horizon)
     if t0 < 0 or T < t0 or T > field.horizon + 1e-12:
         raise ValueError("need 0 <= t0 <= horizon <= field horizon")
-    w = _scalar_velocity(velocity)
-    xs = field.x
+    w = velocity.at
     times = field.times
-    vals = field.values
 
     def speed(x: float, t: float) -> float:
-        k = int(np.searchsorted(times, t, side="right")) - 1
-        k = min(max(k, 0), times.size - 2)
-        span = times[k + 1] - times[k]
-        frac = 0.0 if span == 0 else min(max((t - times[k]) / span, 0.0), 1.0)
-        row_v = (1.0 - frac) * vals[k] + frac * vals[k + 1]
-        return w(float(np.interp(x, xs, row_v)))
+        return w(field.value_at(x, t))
 
     grid = np.unique(np.concatenate(([t0], times[(times > t0) & (times < T)], [T])))
     z = float(x0)

@@ -127,6 +127,21 @@ def test_zero_release_time_exits_2(tmp_path):
     assert main(["track", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
 
+@pytest.mark.parametrize("block", [
+    {"velocity": {"kind": "table", "breakpoints": [0.0, 0.5, 1.0], "values": [1.0, np.nan, 0.0]}},
+    {"flux": {"kind": "piecewise-linear", "breakpoints": [0.0, 0.5, 1.0],
+              "values": [0.0, np.inf, 0.0]}},
+    {"flux": {"kind": "piecewise-linear", "breakpoints": [0.0, 0.5, np.inf],
+              "values": [0.0, 0.25, 0.0]}},
+], ids=["nan-velocity-value", "inf-flux-value", "inf-flux-breakpoint"])
+def test_non_finite_nodes_exit_2(tmp_path, block):
+    data = {k: v for k, v in SOLVE_CFG.items() if k != "velocity"}
+    cfg = write_cfg(tmp_path, dict(data, **block))
+    text = (tmp_path / "cfg.json").read_text()
+    assert "NaN" in text or "Infinity" in text  # json writes them and parses them back
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+
+
 def test_unknown_command_exits_nonzero(tmp_path, capsys):
     cfg = write_cfg(tmp_path, SOLVE_CFG)
     assert main(["explode", "--config", cfg]) != 0

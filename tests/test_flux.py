@@ -265,11 +265,14 @@ def test_envelopes_match_all_node_walk_bit_for_bit(case):
         assert got.values.tolist() == want.values.tolist()
 
 
-def test_flux_nodes_are_read_only_copies():
+@pytest.mark.parametrize("cls", [PiecewiseLinearFlux, TableVelocity], ids=lambda c: c.__name__)
+def test_flux_nodes_are_read_only_copies(cls):
     xs = np.array([0.0, 0.5, 1.0])
     ys = np.array([0.0, 0.25, 0.0])
-    f = PiecewiseLinearFlux(xs, ys)
-    concave_envelope(f, 0.0, 1.0)  # fills the kink cache
+    f = cls(xs, ys)
+    f.at(0.25)  # fills the node cache
+    if cls is PiecewiseLinearFlux:
+        concave_envelope(f, 0.0, 1.0)  # fills the kink cache
     for g in (f, pickle.loads(pickle.dumps(f)), copy.deepcopy(f)):
         for arr in (g.breakpoints, g.values):
             with pytest.raises(ValueError):
@@ -278,6 +281,68 @@ def test_flux_nodes_are_read_only_copies():
     ys[1] = 1.0
     assert f.breakpoints.tolist() == [0.0, 0.5, 1.0]
     assert f.values.tolist() == [0.0, 0.25, 0.0]
+    assert f.at(0.5) == 0.25
+
+
+@pytest.mark.parametrize("from_spec, kind", [
+    (flux_from_spec, "piecewise-linear"), (velocity_from_spec, "table"),
+], ids=["flux", "velocity"])
+@pytest.mark.parametrize("breakpoints, values", [
+    ([0.0, 1.0], [1.0]),
+    ([[0.0, 1.0]], [[1.0, 0.0]]),
+    ([0.0], [1.0]),
+    ([0.0, 1.0, 1.0], [1.0, 0.5, 0.0]),
+    ([0.0, 0.5, 1.0], [1.0, np.nan, 0.0]),
+    ([0.0, 0.5, 1.0], [1.0, np.inf, 0.0]),
+    ([0.0, 0.5, np.inf], [1.0, 0.5, 0.0]),
+    ([np.nan, 0.5, 1.0], [1.0, 0.5, 0.0]),
+    ([-np.inf, 0.5, 1.0], [1.0, 0.5, 0.0]),
+], ids=["short-values", "2-d", "one-node", "repeated-node", "nan-value", "inf-value",
+        "inf-breakpoint", "nan-breakpoint", "minus-inf-breakpoint"])
+def test_node_tables_reject_bad_nodes(from_spec, kind, breakpoints, values):
+    spec = {"kind": kind, "breakpoints": breakpoints, "values": values}
+    with pytest.raises(ValueError):
+        from_spec(spec)
+
+
+@st.composite
+def scalar_case(draw):
+    """A flux table, velocity table or linear velocity, and points to evaluate.
+
+    Points inside the domain are nodes, domain ends or any point; points
+    past the ends lie up to 10 beyond either end.
+    """
+    kind = draw(st.sampled_from(["flux", "table", "linear"]))
+    if kind == "linear":
+        f = LinearTrafficVelocity(draw(st.floats(0.1, 4.0)), draw(st.floats(0.1, 4.0)))
+        nodes = list(f.domain)
+    else:
+        start = draw(st.floats(-2.0, 2.0))
+        steps = draw(st.lists(st.floats(1e-3, 1.0), min_size=1, max_size=30))
+        xs = start + np.cumsum([0.0, *steps])
+        assume(np.all(np.diff(xs) > 0))
+        ys = draw(st.lists(st.floats(-4.0, 4.0), min_size=xs.size, max_size=xs.size))
+        f = (PiecewiseLinearFlux if kind == "flux" else TableVelocity)(xs, np.asarray(ys))
+        nodes = f.breakpoints.tolist()
+    lo, hi = f.domain
+    inside = st.one_of(st.sampled_from(nodes), st.sampled_from([lo, hi]), st.floats(lo, hi))
+    past = st.one_of(
+        st.floats(lo - 10.0, lo, exclude_max=True), st.floats(hi, hi + 10.0, exclude_min=True)
+    )
+    return f, draw(st.lists(inside, min_size=1, max_size=8)), draw(st.lists(past, max_size=4))
+
+
+@given(scalar_case())
+def test_scalar_evaluation_matches_a_call_bit_for_bit(case):
+    f, inside, past = case
+    for x in inside:
+        assert f.at(x).hex() == float(f(x)).hex()
+    for x in past:
+        if isinstance(f, LinearTrafficVelocity):
+            want = float(f(x))
+        else:
+            want = float(np.interp(x, f.breakpoints, f.values))
+        assert f.at(x).hex() == want.hex()
 
 
 def test_envelope_idempotent_and_sandwich():
