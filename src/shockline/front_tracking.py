@@ -9,16 +9,17 @@ states, so the evolution is exact up to floating-point rounding.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from heapq import heappush, heappop
 from math import copysign, inf, isfinite, sqrt
-from typing import Iterable, Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from .flux import (
     PiecewiseLinearFlux,
+    _restricted_nodes,
     concave_envelope,
     convex_envelope,
 )
@@ -206,25 +207,30 @@ def _riemann_parts(flux: PiecewiseLinearFlux, v_l: float, v_r: float) -> tuple:
 
 
 def _riemann_waves(flux: PiecewiseLinearFlux, v_l: float, v_r: float) -> tuple:
-    """Solve the Riemann problem afresh, through the public envelopes.
+    """Solve the Riemann problem afresh.
 
     Increasing data ride the convex envelope, decreasing data the concave
-    one; either way the speeds strictly increase.  Slopes come from the
-    envelope's node lists: the same subtraction and division as ``env.slopes``.
+    one; either way the speeds strictly increase.  When no kink of the
+    envelope's sign lies between the two states, the envelope is the chord
+    between them and the solution one shock; its slope is taken from the
+    same clamped end values the envelope would hold.  Otherwise the public
+    envelope is built, and slopes come from its node lists: the same
+    subtraction and division as ``env.slopes``.  Clamped ends that meet
+    take the envelope path too and fail there as before.
     """
     if v_l < v_r:
-        env = convex_envelope(flux, v_l, v_r)
-        xs, ys = env.breakpoints.tolist(), env.values.tolist()
-        return tuple(
-            ((ys[k + 1] - ys[k]) / (xs[k + 1] - xs[k]), xs[k], xs[k + 1])
-            for k in range(len(xs) - 1)
-        )
-    env = concave_envelope(flux, v_r, v_l)
-    xs, ys = env.breakpoints.tolist(), env.values.tolist()
-    return tuple(
-        ((ys[k + 1] - ys[k]) / (xs[k + 1] - xs[k]), xs[k + 1], xs[k])
-        for k in range(len(xs) - 2, -1, -1)
-    )
+        sign, a, b, envelope = 1.0, v_l, v_r, convex_envelope
+    else:
+        sign, a, b, envelope = -1.0, v_r, v_l, concave_envelope
+    xs, ys = _restricted_nodes(flux, a, b, sign)
+    if len(xs) > 2 or xs[0] == xs[1]:
+        xs, ys = envelope(flux, a, b)._nodes
+    waves = [
+        ((ys[k + 1] - ys[k]) / (xs[k + 1] - xs[k]), xs[k], xs[k + 1]) for k in range(len(xs) - 1)
+    ]
+    if sign < 0:
+        waves = [(s, right, left) for s, left, right in reversed(waves)]
+    return tuple(waves)
 
 
 def solve_riemann(
@@ -288,6 +294,19 @@ class ShockCatalog:
     def covers(self, x: float, t: float, delta: float) -> bool:
         """True when (x, t) lies within delta of some cataloged shock."""
         return self.min_distance(x, t) <= delta
+
+
+def _float_pairs(values: np.ndarray, idx: np.ndarray, pos: np.ndarray, start: int, step: int):
+    """``(values[idx[k]], pos[k])`` as Python floats for k = start, start + 1, ...
+
+    Converted ``step`` entries at a time, the step doubling after each
+    block, so a loop that stops early converts little more than it reads.
+    """
+    n = idx.size
+    while start < n:
+        stop = min(start + step, n)
+        yield from zip(values[idx[start:stop]].tolist(), pos[start:stop].tolist())
+        start, step = stop, 2 * step
 
 
 class FrontTrackingSolution:
@@ -375,16 +394,20 @@ class FrontTrackingSolution:
                 start -= 1
             stop = x
         rv = self.right_values
+        if x is None and not (np.diff(pos) <= EVENT_SPACE_TOL).any():
+            # every front is a jump of its own, as the loop below would find
+            return StepFunction(pos, np.concatenate(([self.left_values[idx[0]]], rv[idx])))
         bps: list[float] = []
         vals = [float(rv[idx[start - 1]] if start else self.left_values[idx[0]])]
-        for k, p in zip(idx[start:], pos[start:]):
+        step = idx.size if x is None else 4
+        for r, p in _float_pairs(rv, idx, pos, start, step):
             if bps and p - bps[-1] <= EVENT_SPACE_TOL:
-                vals[-1] = float(rv[k])
+                vals[-1] = r
             elif bps and bps[-1] > stop and vals[-1] != vals[-2]:
                 break
             else:
-                bps.append(float(p))
-                vals.append(float(rv[k]))
+                bps.append(p)
+                vals.append(r)
         return StepFunction(np.asarray(bps), np.asarray(vals))
 
     def shock_catalog(self, threshold: float = 0.0) -> ShockCatalog:
@@ -425,25 +448,31 @@ class _LiveFronts:
 
         A t = 0 fan has no incoming fronts and goes after the tail, since
         fans are emitted left to right.  Outgoing fronts are the newest,
-        numbered after every front seen so far.
+        numbered consecutively after every front seen so far, so their
+        links are two runs of consecutive ids with the ends fixed up.
         """
-        out = event.outgoing
+        nxt, prv = self.nxt, self.prv
         if event.incoming:
-            lo, hi = self.prv[event.incoming[0]], self.nxt[event.incoming[-1]]
+            lo, hi = prv[event.incoming[0]], nxt[event.incoming[-1]]
         else:
             lo, hi = self.tail, -1
-        self.nxt.extend([-1] * len(out))
-        self.prv.extend([-1] * len(out))
-        chain = [lo, *out, hi]
-        for a, b in zip(chain[:-1], chain[1:]):
-            if a == -1:
-                self.head = b
-            else:
-                self.nxt[a] = b
-            if b == -1:
-                self.tail = a
-            else:
-                self.prv[b] = a
+        first = len(nxt)
+        last = first + len(event.outgoing) - 1
+        if event.outgoing:
+            nxt.extend(range(first + 1, last + 2))
+            prv.extend(range(first - 1, last))
+            prv[first] = lo
+            nxt[last] = hi
+        else:  # nothing comes out: the outer neighbours meet
+            first, last = hi, lo
+        if lo == -1:
+            self.head = first
+        else:
+            nxt[lo] = first
+        if hi == -1:
+            self.tail = last
+        else:
+            prv[hi] = last
 
 
 def evolve(
@@ -508,10 +537,17 @@ def evolve(
             return
         heappush(heap, (tc, ci + si * tc, next(counter), i, j))
 
-    # emit the t = 0 fans, jump by jump, left to right
+    # emit the t = 0 fans, jump by jump, left to right, one column at a time
     for x0, a, b in initial.jumps():
-        parts = _riemann_parts(flux, a, b)
-        ids = tuple(new_front(0.0, x0, s, vl0, vr0) for s, vl0, vr0 in parts)
+        speeds, lefts, rights = zip(*_riemann_parts(flux, a, b))
+        k, n = len(spd), len(speeds)
+        birth_t.extend([0.0] * n)
+        birth_x.extend([x0] * n)
+        spd.extend(speeds)
+        lv.extend(lefts)
+        rv.extend(rights)
+        death.extend([inf] * n)
+        ids = tuple(range(k, k + n))
         left_outer = live.tail
         events.append(FrontEvent(0.0, x0, (), ids))
         live.apply(events[-1])

@@ -92,17 +92,27 @@ class GridField:
         frac = 0.0 if span == 0 else (t - self.times[k]) / span
         return k, min(max(float(frac), 0.0), 1.0)
 
+    def _blend(self, t: float, cells: slice) -> np.ndarray:
+        """Stored cells ``cells`` at time t (linear in t between levels)."""
+        if self.times.size == 1:
+            return self.values[0, cells].copy()
+        k, frac = self._time_bracket(t)
+        return (1.0 - frac) * self.values[k, cells] + frac * self.values[k + 1, cells]
+
     def snapshot(self, t: float) -> np.ndarray:
         """Field on cell centers at time t (linear in t between levels)."""
-        if self.times.size == 1:
-            return self.values[0].copy()
-        k, frac = self._time_bracket(t)
-        return (1.0 - frac) * self.values[k] + frac * self.values[k + 1]
+        return self._blend(t, slice(None))
 
     def value_at(self, x: float, t: float) -> float:
-        """Bilinear interpolation in (x, t); x clamps to the window."""
-        row = self.snapshot(t)
-        return float(np.interp(x, self.x, row))
+        """Bilinear interpolation in (x, t); x clamps to the window.
+
+        Only the two cells that bracket x are blended in time; np.interp on
+        them returns what it would on the whole snapshot row.
+        """
+        j = int(np.searchsorted(self.x, x, side="right")) - 1
+        j = min(max(j, 0), self.x.size - 2)
+        cells = slice(j, j + 2)
+        return float(np.interp(x, self.x[cells], self._blend(t, cells)))
 
     def mass(self, t: float) -> float:
         """dx-weighted sum over interior cells at a stored-time interpolant."""

@@ -7,6 +7,7 @@ on seeded random step data.
 
 import copy
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -14,20 +15,26 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from shockline.flux import (
+    DOMAIN_TOL,
     RIEMANN_TABLE_WAVES,
     BurgersQuadraticFlux,
     LinearTrafficVelocity,
     PiecewiseLinearFlux,
     TableVelocity,
     TrafficQuadraticFlux,
+    concave_envelope,
+    convex_envelope,
     dyadic_points,
     piecewise_linearize,
     traffic_flux_from_velocity,
 )
 from shockline.front_tracking import (
+    EVENT_SPACE_TOL,
     EventCapError,
+    FrontEvent,
     FrontTrackingSolution,
     _LiveFronts,
+    _riemann_waves,
     StepFunction,
     evolve,
     l1_distance,
@@ -184,6 +191,85 @@ def test_riemann_states_must_be_finite():
             solve_riemann(TRAFFIC3, v_left, v_right)
 
 
+@st.composite
+def piecewise_fluxes(draw, min_level, max_level):
+    """Traffic, Burgers or non-concave rho*w(rho) chord flux, and its level."""
+    kind = draw(st.sampled_from(["traffic", "burgers", "nonconcave"]))
+    level = draw(st.integers(min_level, max_level))
+    if kind == "traffic":
+        return traffic_flux_from_velocity(LinearTrafficVelocity(), level), level
+    if kind == "burgers":
+        return piecewise_linearize(BurgersQuadraticFlux(), level), level
+    w = draw(st.lists(st.floats(0.05, 2.0), min_size=2, max_size=5, unique=True))
+    w = sorted(w, reverse=True) + [0.0]
+    return traffic_flux_from_velocity(TableVelocity(np.linspace(0.0, 1.0, len(w)), w), level), level
+
+
+def envelope_waves(flux, v_l, v_r):
+    """Riemann waves read off the public envelope, whatever its shape."""
+    if v_l < v_r:
+        env = convex_envelope(flux, v_l, v_r)
+        xs, ys = env.breakpoints.tolist(), env.values.tolist()
+        return [((ys[k + 1] - ys[k]) / (xs[k + 1] - xs[k]), xs[k], xs[k + 1])
+                for k in range(len(xs) - 1)]
+    env = concave_envelope(flux, v_r, v_l)
+    xs, ys = env.breakpoints.tolist(), env.values.tolist()
+    return [((ys[k + 1] - ys[k]) / (xs[k + 1] - xs[k]), xs[k + 1], xs[k])
+            for k in range(len(xs) - 2, -1, -1)]
+
+
+def waves_hex(waves):
+    return [tuple(v.hex() for v in wave) for wave in waves]
+
+
+@st.composite
+def flux_and_state_pair(draw):
+    """A flux and two states: at nodes, off nodes, or up to DOMAIN_TOL outside."""
+    flux, _ = draw(piecewise_fluxes(2, 6))
+    lo, hi = flux.domain
+    nodes = flux.breakpoints.tolist()
+    outside = st.tuples(st.sampled_from([(lo, -1.0), (hi, 1.0)]), st.floats(0.0, 1.0)).map(
+        lambda c: c[0][0] + c[0][1] * c[1] * DOMAIN_TOL
+    )
+    if draw(st.booleans()):
+        # a few nodes apart, so the pair often straddles exactly one kink
+        k = draw(st.integers(0, len(nodes) - 1))
+        a, b = nodes[k], nodes[min(k + draw(st.integers(1, 3)), len(nodes) - 1)]
+        if draw(st.booleans()):
+            b = min(b + draw(st.floats(-1.0, 1.0)) * 2.0 ** -8, hi)
+        return flux, a, b
+    state = st.one_of(st.sampled_from(nodes), st.floats(lo, hi), outside)
+    return flux, draw(state), draw(state)
+
+
+@given(flux_and_state_pair())
+def test_riemann_waves_match_the_envelope_waves(case):
+    """The chord shortcut and the envelope path give the same waves, bit for bit."""
+    flux, a, b = case
+    for v_l, v_r in ((a, b), (b, a)):
+        try:
+            want = envelope_waves(flux, v_l, v_r)
+        except (ValueError, ZeroDivisionError) as exc:
+            with pytest.raises(type(exc), match=re.escape(str(exc))):
+                _riemann_waves(flux, v_l, v_r)
+            continue
+        assert waves_hex(_riemann_waves(flux, v_l, v_r)) == waves_hex(want)
+
+
+@pytest.mark.parametrize("end", ["lo", "hi"])
+def test_riemann_states_clamped_to_one_end_fail_as_the_envelope_does(end):
+    # both states lie within DOMAIN_TOL outside the same end and clamp onto
+    # it; the envelope's collinear merge then divides by a zero width
+    lo, hi = TRAFFIC3.domain
+    a, b = (lo - 0.75 * DOMAIN_TOL, lo - 0.25 * DOMAIN_TOL) if end == "lo" else (
+        hi + 0.25 * DOMAIN_TOL, hi + 0.75 * DOMAIN_TOL)
+    for v_l, v_r in ((a, b), (b, a)):
+        with pytest.raises(ZeroDivisionError):
+            envelope_waves(TRAFFIC3, v_l, v_r)
+        with pytest.raises(ZeroDivisionError):
+            _riemann_waves(TRAFFIC3, v_l, v_r)
+
+
 # ---------------------------------------------------------------------------
 # the per-flux Riemann table
 
@@ -241,16 +327,7 @@ def test_copies_and_pickles_start_with_an_empty_riemann_table():
 @st.composite
 def flux_and_zero_rich_data(draw):
     """Traffic, Burgers or non-concave rho*w(rho) flux, and data full of 0.0 and -0.0."""
-    kind = draw(st.sampled_from(["traffic", "burgers", "nonconcave"]))
-    level = draw(st.integers(3, 5))
-    if kind == "traffic":
-        flux = traffic_flux_from_velocity(LinearTrafficVelocity(), level)
-    elif kind == "burgers":
-        flux = piecewise_linearize(BurgersQuadraticFlux(), level)
-    else:
-        w = draw(st.lists(st.floats(0.05, 2.0), min_size=2, max_size=5, unique=True))
-        w = sorted(w, reverse=True) + [0.0]
-        flux = traffic_flux_from_velocity(TableVelocity(np.linspace(0.0, 1.0, len(w)), w), level)
+    flux, level = draw(piecewise_fluxes(3, 5))
     grid = dyadic_points(level, *flux.domain).tolist()
     state = st.one_of(st.sampled_from([0.0, -0.0]), st.sampled_from(grid))
     n = draw(st.integers(1, 6))
@@ -397,6 +474,86 @@ NONCONCAVE5 = traffic_flux_from_velocity(
 )
 
 
+class SpliceReference:
+    """The live-front list as a plain Python list, spliced event by event.
+
+    ``nxt``/``prv`` are rewritten from the list after each event; a front
+    that has left it keeps the links it had last.
+    """
+
+    def __init__(self):
+        self.order, self.nxt, self.prv = [], [], []
+
+    def event(self, where, n_in, n_out):
+        """Next event: a fan (n_in = 0) after the tail, or a collision of n_in fronts."""
+        i = {"head": 0, "middle": (len(self.order) - n_in) // 2,
+             "tail": len(self.order) - n_in}[where]
+        first = len(self.nxt)
+        incoming = tuple(self.order[i:i + n_in])
+        return FrontEvent(float(n_in > 0), 0.0, incoming, tuple(range(first, first + n_out)))
+
+    def apply(self, event):
+        self.nxt += [-1] * len(event.outgoing)
+        self.prv += [-1] * len(event.outgoing)
+        if event.incoming:
+            i = self.order.index(event.incoming[0])
+            assert self.order[i:i + len(event.incoming)] == list(event.incoming)
+            self.order[i:i + len(event.incoming)] = event.outgoing
+        else:
+            self.order += event.outgoing
+        for a, b in zip([-1, *self.order], [*self.order, -1]):
+            if a != -1:
+                self.nxt[a] = b
+            if b != -1:
+                self.prv[b] = a
+
+
+def replay_against_splice_reference(steps):
+    """Apply (where, n_in, n_out) steps to both lists; "drain" annihilates
+    the head pair until fewer than two fronts are left."""
+    live, ref = _LiveFronts(), SpliceReference()
+    for step in steps:
+        if step == "drain":
+            replay = [("head", 2, 0)] * (len(ref.order) // 2)
+        else:
+            replay = [step]
+        for where, n_in, n_out in replay:
+            event = ref.event(where, n_in, n_out)
+            live.apply(event)
+            ref.apply(event)
+            assert (live.head, live.tail) == (
+                (ref.order[0], ref.order[-1]) if ref.order else (-1, -1)
+            ), event
+            assert (live.nxt, live.prv) == (ref.nxt, ref.prv), event
+    return ref
+
+
+@pytest.mark.parametrize("n_out", [0, 1, 3])
+@pytest.mark.parametrize("where", ["head", "middle", "tail"])
+def test_live_fronts_link_like_a_spliced_list(where, n_out):
+    # fans into an empty list, then after the tail; collisions; the list
+    # emptied; a fan into it again
+    fans = [("tail", 0, 3), ("tail", 0, 1), ("tail", 0, 2)]
+    collisions = [(where, 2, n_out), (where, 2, 1), (where, 3, n_out)]
+    ref = replay_against_splice_reference(
+        fans + collisions + ["drain", ("tail", 0, 3), (where, 2, n_out)]
+    )
+    assert len(ref.order) == 1 + n_out
+
+
+def test_live_fronts_link_like_a_spliced_list_over_random_events():
+    rng = np.random.default_rng(8)
+    steps, size = [], 0
+    for _ in range(400):
+        if size < 2 or rng.random() < 0.15:
+            n_in, n_out = 0, int(rng.integers(1, 5))
+        else:
+            n_in, n_out = int(rng.integers(2, min(size, 4) + 1)), int(rng.integers(0, 5))
+        steps.append((str(rng.choice(["head", "middle", "tail"])), n_in, n_out))
+        size += n_out - n_in
+    replay_against_splice_reference(steps)
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_replayed_live_front_list_walks_the_alive_fronts(seed):
     rng = np.random.default_rng(seed)
@@ -433,10 +590,32 @@ def test_replayed_live_front_list_walks_the_alive_fronts(seed):
         assert field.sample(0.5 * (edges[:-1] + edges[1:])).tolist() == states
 
 
+def reference_slice(sol, t):
+    """slice(t) by its rule, one front at a time: fronts sorted by position,
+    each within EVENT_SPACE_TOL of the last jump merging into it."""
+    t = min(t, sol.horizon)
+    alive = [k for k in range(sol.front_count) if sol.birth_times[k] <= t < sol.death_times[k]]
+    at = {k: sol.birth_positions[k] + sol.speeds[k] * (t - sol.birth_times[k]) for k in alive}
+    alive.sort(key=at.get)
+    bps, vals = [], [sol.left_values[alive[0]] if alive else sol.initial.far_left]
+    for k in alive:
+        if bps and at[k] - bps[-1] <= EVENT_SPACE_TOL:
+            vals[-1] = sol.right_values[k]
+        else:
+            bps.append(at[k])
+            vals.append(sol.right_values[k])
+    return StepFunction(bps, vals)
+
+
 def assert_point_queries_match_slices(sol, times, extra_points=()):
-    """evaluate_field equals slice(t).value_at(x), signs of zeros included."""
+    """slice(t) follows its rule, and evaluate_field equals slice(t).value_at(x),
+    signs of zeros included."""
     for t in times:
         field = sol.slice(t)
+        want = reference_slice(sol, t)
+        for got_array, want_array in ((field.breakpoints, want.breakpoints),
+                                      (field.values, want.values)):
+            assert [v.hex() for v in got_array.tolist()] == [v.hex() for v in want_array.tolist()]
         xs = [*field.breakpoints.tolist(), *extra_points]
         xs += [x + d for x in field.breakpoints.tolist() for d in (-1e-12, 5e-13, 2e-12)]
         for x in xs:
@@ -470,6 +649,16 @@ def test_point_query_at_a_three_front_collision():
     assert_point_queries_match_slices(sol, [0.5, 1.0, 1.5], [0.0, -0.25, 0.25])
 
 
+def stationary_fronts(pos, states):
+    n = len(pos)
+    return FrontTrackingSolution(
+        StepFunction.constant(0.0), None, 1.0, [],
+        birth_times=np.zeros(n), birth_positions=pos,
+        speeds=np.zeros(n), left_values=states[:-1], right_values=states[1:],
+        death_times=np.full(n, np.inf),
+    )
+
+
 def test_point_query_replays_slice_grouping():
     # fronts chained within EVENT_SPACE_TOL, zero net jumps and signed zeros:
     # every way slice merges or drops jumps
@@ -481,13 +670,14 @@ def test_point_query_replays_slice_grouping():
             if rng.random() < 0.5:
                 pos[k] = pos[k - 1] + rng.choice([0.0, 6e-13, 1e-12, 1.2e-12])
         states = rng.choice([0.0, -0.0, 0.25, 0.5], n + 1)
-        sol = FrontTrackingSolution(
-            StepFunction.constant(0.0), None, 1.0, [],
-            birth_times=np.zeros(n), birth_positions=rng.permutation(pos),
-            speeds=np.zeros(n), left_values=states[:-1], right_values=states[1:],
-            death_times=np.full(n, np.inf),
-        )
+        sol = stationary_fronts(rng.permutation(pos), states)
         assert_point_queries_match_slices(sol, [0.5], [*pos, *rng.uniform(-1.5, 1.5, 4)])
+    # gaps of exactly EVENT_SPACE_TOL: a front that far past a jump merges
+    # into it, one twice as far starts the next jump
+    pos = [-0.5, 0.0, EVENT_SPACE_TOL, 2 * EVENT_SPACE_TOL, 0.5]
+    sol = stationary_fronts(np.array(pos), np.array([0.0, 0.25, 0.5, -0.0, 0.25, 0.5]))
+    assert sol.slice(0.5).breakpoints.tolist() == [-0.5, 0.0, 2 * EVENT_SPACE_TOL, 0.5]
+    assert_point_queries_match_slices(sol, [0.5], pos)
 
 
 def test_evolution_is_deterministic():

@@ -1,5 +1,6 @@
 """Viscous solver: stability, conservation accounting, and the small-eps limit."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -119,6 +120,19 @@ def test_value_at_clamps_to_window():
     field = solve_viscous(s, TRAFFIC, 0.05, 0.5, n_cells=200)
     assert field.value_at(field.x[-1] + 5.0, 0.5) == field.values[-1, -1]
     assert field.value_at(field.x[0] - 5.0, 0.5) == field.values[-1, 0]
+
+
+def test_value_at_reads_the_snapshot_row_bit_for_bit():
+    s = StepFunction([-0.5, 0.5], [0.1, 0.8, 0.3])
+    field = solve_viscous(s, TRAFFIC, 0.05, 0.5, n_cells=200, store_every=3)
+    one_level = dataclasses.replace(field, times=field.times[:1], values=field.values[:1])
+    rng = np.random.default_rng(8)
+    xs = [*rng.uniform(field.x[0] - 1.0, field.x[-1] + 1.0, 400), *field.x[:2], *field.x[-2:]]
+    ts = [*rng.uniform(0.0, 0.5, 400), *field.times[:2], *field.times[-2:]]
+    for fld in (field, one_level):
+        for x, t in zip(xs, ts):
+            want = float(np.interp(x, fld.x, fld.snapshot(t)))
+            assert fld.value_at(x, t).hex() == want.hex()
 
 
 def test_store_every_thins_levels_but_keeps_endpoint():
