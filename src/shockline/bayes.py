@@ -545,7 +545,7 @@ def _logsumexp(x: np.ndarray) -> float:
 
 def _hellinger_from_potentials(
     phi_a: np.ndarray, phi_b: np.ndarray, n_batches: int
-) -> tuple[float, float, float, float, np.ndarray]:
+) -> HellingerEstimate:
     m = phi_a.size
 
     def estimate(pa: np.ndarray, pb: np.ndarray) -> tuple[float, float, float]:
@@ -574,12 +574,7 @@ def _hellinger_from_potentials(
         if batch_vals.size >= 2
         else inf
     )
-    return value, stderr, log_za, log_zb, batch_vals
-
-
-def _estimate(phi_a: np.ndarray, phi_b: np.ndarray, n_batches: int) -> HellingerEstimate:
-    value, stderr, log_za, log_zb, batches = _hellinger_from_potentials(phi_a, phi_b, n_batches)
-    return HellingerEstimate(value, stderr, phi_a.size, log_za, log_zb, batches)
+    return HellingerEstimate(value, stderr, m, log_za, log_zb, batch_vals)
 
 
 def _common_latents(prior: PriorSpec, n_samples: int, seed: int, n_batches: int) -> np.ndarray:
@@ -640,7 +635,7 @@ def hellinger_between(
     )
     phi_a = _potentials(g_a, obs)
     phi_b = _potentials(g_b, obs if obs_b is None else obs_b)
-    return _estimate(phi_a, phi_b, n_batches)
+    return _hellinger_from_potentials(phi_a, phi_b, n_batches)
 
 
 @dataclass
@@ -706,13 +701,14 @@ def posterior_convergence_study(
     latents = _common_latents(prior, n_samples, seed, n_batches)
     g_ref = evaluate_forward_on_samples(prior, reference, latents, jobs)
     phi_ref = _potentials(g_ref, obs)
-    control = _hellinger_from_potentials(phi_ref, phi_ref, n_batches)[0]
+    control = _hellinger_from_potentials(phi_ref, phi_ref, n_batches).value
     rows = []
     for label, fwd in ladder:
         g_n = evaluate_forward_on_samples(prior, fwd, latents, jobs)
         phi_n = _potentials(g_n, obs)
         disc = float(np.mean(np.abs(g_n - g_ref)))
-        rows.append(StudyRow(float(label), _estimate(phi_n, phi_ref, n_batches), disc))
+        estimate = _hellinger_from_potentials(phi_n, phi_ref, n_batches)
+        rows.append(StudyRow(float(label), estimate, disc))
     dists = np.asarray([r.hellinger for r in rows])
     discs = np.asarray([max(r.forward_discrepancy, 1e-300) for r in rows])
     fitted = float(np.max(dists / np.sqrt(discs))) if rows else 0.0

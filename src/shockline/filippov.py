@@ -303,7 +303,7 @@ def check_speed_inclusion(
         tm = 0.5 * (traj.times[k] + traj.times[k + 1])
         zm = traj.positions[k] + traj.speeds[k] * (tm - traj.times[k])
         vl, vr = solution.evaluate_field(zm, tm)
-        wl, wr = float(velocity(vl)), float(velocity(vr))
+        wl, wr = velocity.at(vl), velocity.at(vr)
         lo, hi = min(wl, wr), max(wl, wr)
         worst = max(worst, lo - traj.speeds[k], traj.speeds[k] - hi)
     return max(worst, 0.0)

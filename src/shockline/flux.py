@@ -307,11 +307,14 @@ def _restricted_nodes(flux: PiecewiseLinearFlux, a: float, b: float, sign: float
     point or a node where the slope strictly increases (decreases), so the
     other nodes can never reach the hull.  An end at a node takes the node's
     value, which is what ``np.interp`` returns there; other ends are
-    interpolated.
+    interpolated.  Ends within DOMAIN_TOL outside the domain are clamped
+    onto it; two that clamp onto the same end leave no interval.
     """
     lo, hi = flux.domain
     if not (lo - DOMAIN_TOL <= a < b <= hi + DOMAIN_TOL):
         raise ValueError(f"need domain lo <= a < b <= hi, got a={a}, b={b}")
+    if b <= lo or a >= hi:
+        raise ValueError(f"a={a} and b={b} clamp onto the same end of the domain [{lo}, {hi}]")
     a = min(max(a, lo), hi)
     b = min(max(b, lo), hi)
     kx, ky = flux._kinks[sign]

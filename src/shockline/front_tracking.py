@@ -215,15 +215,14 @@ def _riemann_waves(flux: PiecewiseLinearFlux, v_l: float, v_r: float) -> tuple:
     between them and the solution one shock; its slope is taken from the
     same clamped end values the envelope would hold.  Otherwise the public
     envelope is built, and slopes come from its node lists: the same
-    subtraction and division as ``env.slopes``.  Clamped ends that meet
-    take the envelope path too and fail there as before.
+    subtraction and division as ``env.slopes``.
     """
     if v_l < v_r:
         sign, a, b, envelope = 1.0, v_l, v_r, convex_envelope
     else:
         sign, a, b, envelope = -1.0, v_r, v_l, concave_envelope
     xs, ys = _restricted_nodes(flux, a, b, sign)
-    if len(xs) > 2 or xs[0] == xs[1]:
+    if len(xs) > 2:
         xs, ys = envelope(flux, a, b)._nodes
     waves = [
         ((ys[k + 1] - ys[k]) / (xs[k + 1] - xs[k]), xs[k], xs[k + 1]) for k in range(len(xs) - 1)
@@ -296,19 +295,6 @@ class ShockCatalog:
         return self.min_distance(x, t) <= delta
 
 
-def _float_pairs(values: np.ndarray, idx: np.ndarray, pos: np.ndarray, start: int, step: int):
-    """``(values[idx[k]], pos[k])`` as Python floats for k = start, start + 1, ...
-
-    Converted ``step`` entries at a time, the step doubling after each
-    block, so a loop that stops early converts little more than it reads.
-    """
-    n = idx.size
-    while start < n:
-        stop = min(start + step, n)
-        yield from zip(values[idx[start:stop]].tolist(), pos[start:stop].tolist())
-        start, step = stop, 2 * step
-
-
 class FrontTrackingSolution:
     """Event-complete front-tracking solution on [0, horizon].
 
@@ -367,44 +353,25 @@ class FrontTrackingSolution:
         return self._jumps(t)
 
     def evaluate_field(self, x: float, t: float) -> tuple[float, float]:
-        """One-sided limits (left, right) of the field at (x, t).
+        """One-sided limits (left, right) of the field at (x, t): ``slice(t).value_at(x)``."""
+        return self._jumps(t).value_at(x)
 
-        Equal to ``slice(t).value_at(x)`` without building the whole slice.
-        """
-        return self._jumps(t, x).value_at(x)
-
-    def _jumps(self, t: float, x: Optional[float] = None) -> StepFunction:
-        """``slice(t)``, or with x only the part of it that decides its value at x.
-
-        Sorted fronts within EVENT_SPACE_TOL of the last jump merge into it.
-        A gap above that always starts a new jump, so for x the grouping is
-        replayed only from the start of the run of close fronts at or before
-        x, and only until the first nonzero jump past x, which ends the run
-        of equal values that ``StepFunction`` keeps the last of.
-        """
+    def _jumps(self, t: float) -> StepFunction:
+        """``slice(t)``: sorted fronts within EVENT_SPACE_TOL of the last jump merge into it."""
         self._check_time(t)
         t = min(t, self.horizon)
         idx, pos = self._alive_sorted(t)
         if idx.size == 0:
             return StepFunction.constant(self.initial.far_left)
-        start, stop = 0, inf
-        if x is not None:
-            start = max(int(np.searchsorted(pos, x, side="right")) - 1, 0)
-            while start > 0 and pos[start] - pos[start - 1] <= EVENT_SPACE_TOL:
-                start -= 1
-            stop = x
         rv = self.right_values
-        if x is None and not (np.diff(pos) <= EVENT_SPACE_TOL).any():
+        if not (np.diff(pos) <= EVENT_SPACE_TOL).any():
             # every front is a jump of its own, as the loop below would find
             return StepFunction(pos, np.concatenate(([self.left_values[idx[0]]], rv[idx])))
         bps: list[float] = []
-        vals = [float(rv[idx[start - 1]] if start else self.left_values[idx[0]])]
-        step = idx.size if x is None else 4
-        for r, p in _float_pairs(rv, idx, pos, start, step):
+        vals = [float(self.left_values[idx[0]])]
+        for r, p in zip(rv[idx].tolist(), pos.tolist()):
             if bps and p - bps[-1] <= EVENT_SPACE_TOL:
                 vals[-1] = r
-            elif bps and bps[-1] > stop and vals[-1] != vals[-2]:
-                break
             else:
                 bps.append(p)
                 vals.append(r)

@@ -322,13 +322,13 @@ def test_hellinger_identical_posteriors_is_exactly_zero():
 def test_hellinger_shift_invariance_and_bounds():
     rng = np.random.default_rng(0)
     phi = rng.uniform(0.0, 5.0, 400)
-    value, stderr, log_za, log_zb, _ = _hellinger_from_potentials(phi, phi + 3.0, 10)
-    assert value < 1e-12
-    assert log_zb == pytest.approx(log_za - 3.0, abs=1e-12)
+    est = _hellinger_from_potentials(phi, phi + 3.0, 10)
+    assert est.value < 1e-12
+    assert est.log_evidence_b == pytest.approx(est.log_evidence_a - 3.0, abs=1e-12)
     other = rng.uniform(0.0, 5.0, 400)
-    value, stderr, _, _, _ = _hellinger_from_potentials(phi, other, 10)
-    assert 0.0 <= value <= 1.0 + 1e-12
-    assert stderr >= 0.0
+    est = _hellinger_from_potentials(phi, other, 10)
+    assert 0.0 <= est.value <= 1.0 + 1e-12
+    assert est.stderr >= 0.0
 
 
 def test_hellinger_underflow_raises():

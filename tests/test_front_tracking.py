@@ -249,7 +249,7 @@ def test_riemann_waves_match_the_envelope_waves(case):
     for v_l, v_r in ((a, b), (b, a)):
         try:
             want = envelope_waves(flux, v_l, v_r)
-        except (ValueError, ZeroDivisionError) as exc:
+        except ValueError as exc:
             with pytest.raises(type(exc), match=re.escape(str(exc))):
                 _riemann_waves(flux, v_l, v_r)
             continue
@@ -259,15 +259,26 @@ def test_riemann_waves_match_the_envelope_waves(case):
 @pytest.mark.parametrize("end", ["lo", "hi"])
 def test_riemann_states_clamped_to_one_end_fail_as_the_envelope_does(end):
     # both states lie within DOMAIN_TOL outside the same end and clamp onto
-    # it; the envelope's collinear merge then divides by a zero width
+    # it, which leaves no interval to build an envelope on
     lo, hi = TRAFFIC3.domain
-    a, b = (lo - 0.75 * DOMAIN_TOL, lo - 0.25 * DOMAIN_TOL) if end == "lo" else (
-        hi + 0.25 * DOMAIN_TOL, hi + 0.75 * DOMAIN_TOL)
+
+    def outside(tol):
+        return (lo - 0.75 * tol, lo - 0.25 * tol) if end == "lo" else (
+            hi + 0.25 * tol, hi + 0.75 * tol)
+
+    a, b = outside(DOMAIN_TOL)
     for v_l, v_r in ((a, b), (b, a)):
-        with pytest.raises(ZeroDivisionError):
+        with pytest.raises(ValueError, match="same end"):
             envelope_waves(TRAFFIC3, v_l, v_r)
-        with pytest.raises(ZeroDivisionError):
+        with pytest.raises(ValueError, match="same end"):
             _riemann_waves(TRAFFIC3, v_l, v_r)
+        with pytest.raises(ValueError, match="same end"):
+            solve_riemann(TRAFFIC3, v_l, v_r)
+    # evolve admits initial values up to 1e-12 outside the domain
+    a, b = outside(1e-12)
+    for v_l, v_r in ((a, b), (b, a)):
+        with pytest.raises(ValueError, match="same end"):
+            evolve(StepFunction([0.0], [v_l, v_r]), TRAFFIC3, 1.0)
 
 
 # ---------------------------------------------------------------------------
