@@ -114,26 +114,25 @@ class PriorSpec:
 
     def transform(self, latent: np.ndarray):
         """Push one latent vector to its field or velocity sample."""
+        return self.field_from_values(self.transformed_values(latent))
+
+    def transformed_values(self, latent: np.ndarray) -> np.ndarray:
+        """Values of the push-forward at the ``n`` grid points (for averaging).
+
+        Field cells or velocity nodes, one per latent point: equal
+        neighbours are kept, so chains of samples average entrywise.
+        """
         latent = np.asarray(latent, dtype=float)
         if latent.shape != (self.n,):
             raise ValueError(f"latent must have shape ({self.n},)")
         if self.kind == "initial-field":
-            u = latent_to_unit_interval(latent)
-            x = self.grid
-            edges = 0.5 * (x[:-1] + x[1:])
-            return StepFunction(edges, u)
+            return latent_to_unit_interval(latent)
         g = latent - np.max(latent)
         integrand = np.exp(g)
-        x = self.grid
         # right-to-left trapezoid accumulation: exact zero at the right end
-        seg = 0.5 * (integrand[:-1] + integrand[1:]) * np.diff(x)
+        seg = 0.5 * (integrand[:-1] + integrand[1:]) * np.diff(self.grid)
         tail = np.concatenate((np.cumsum(seg[::-1])[::-1], [0.0]))
-        return TableVelocity(x, self.w_max * tail / tail[0])
-
-    def transformed_values(self, latent: np.ndarray) -> np.ndarray:
-        """Values of the push-forward on the latent grid (for averaging)."""
-        s = self.transform(latent)
-        return s.values if isinstance(s, StepFunction) else np.asarray(s.values)
+        return self.w_max * tail / tail[0]
 
     def field_from_values(self, values: np.ndarray):
         """Rebuild a sample object from grid values (e.g. a posterior mean)."""
@@ -483,6 +482,7 @@ def run_pcn(
 
     v = prior.sample_latent(rng)
     phi = potential(prior.transform(v), obs, forward)
+    values = prior.transformed_values(v)  # of the current state
     chain = np.empty((chain_length, prior.n))
     phis = np.empty(chain_length)
     accepted = np.zeros(chain_length, dtype=bool)
@@ -495,11 +495,12 @@ def run_pcn(
         if log(rng.uniform()) < phi - phi_prop:
             v = v_prop
             phi = phi_prop
+            values = prior.transformed_values(v)
             accepted[m] = True
         chain[m] = v
         phis[m] = phi
         if m >= burn_in:
-            mean_acc += prior.transformed_values(v)
+            mean_acc += values
             kept += 1
     return PosteriorRun(
         prior=prior,

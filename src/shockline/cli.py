@@ -26,7 +26,7 @@ from .bayes import (
     run_pcn,
     synth_observations,
 )
-from .config import ConfigError, ScenarioConfig
+from .config import ConfigError, ScenarioConfig, float_tuple, read_field
 from .experiments import flux_stability, initial_field_stability
 from .filippov import check_speed_inclusion, track
 from .flux import (
@@ -140,13 +140,14 @@ def cmd_track(cfg: ScenarioConfig, args, out: str) -> int:
 
 def cmd_stability(cfg: ScenarioConfig, args, out: str) -> int:
     blk = cfg.block("stability")
+    where = "stability block"
     if cfg.velocity is None:
         raise ConfigError("stability needs a velocity spec")
     if cfg.particle is None:
         raise ConfigError("stability needs a particle block")
     target = blk.get("target", "initial")
     family = blk.get("family", "shift")
-    epsilons = [float(e) for e in blk.get("epsilons", ())]
+    epsilons = read_field(blk, "epsilons", float_tuple, (), where)
     if not epsilons:
         raise ConfigError("stability block needs a nonempty epsilons ladder")
     x0, t0 = cfg.particle
@@ -157,7 +158,7 @@ def cmd_stability(cfg: ScenarioConfig, args, out: str) -> int:
     )
     if target == "initial":
         if "window" in blk:
-            kwargs["window"] = tuple(blk["window"])
+            kwargs["window"] = read_field(blk, "window", tuple, where=where)
         report = initial_field_stability(cfg.initial, cfg.velocity, **kwargs)
     elif target == "velocity":
         kwargs.pop("seed")
@@ -178,14 +179,16 @@ def cmd_stability(cfg: ScenarioConfig, args, out: str) -> int:
 
 
 def _forward_from_block(blk: dict, cfg: ScenarioConfig):
-    kind = blk.get("kind", "trajectory")
-    level = int(blk.get("level", cfg.level))
-    times = blk.get("times") or list(cfg.times)
+    where = "forward block"
+    kind = read_field(blk, "kind", str, "trajectory", where)
+    level = read_field(blk, "level", int, cfg.level, where)
+    times = read_field(blk, "times", lambda ts: float_tuple(ts or cfg.times), None, where)
     if not times:
         raise ConfigError("forward block needs observation times")
     if kind in ("trajectory", "viscous-trajectory", "velocity-trajectory"):
         if "x0" in blk and "t0" in blk:
-            x0, t0 = float(blk["x0"]), float(blk["t0"])
+            x0 = read_field(blk, "x0", float, where=where)
+            t0 = read_field(blk, "t0", float, where=where)
         elif cfg.particle is not None:
             x0, t0 = cfg.particle
         else:
@@ -195,24 +198,24 @@ def _forward_from_block(blk: dict, cfg: ScenarioConfig):
     if kind == "trajectory":
         if cfg.velocity is None:
             raise ConfigError("trajectory forward needs a velocity spec")
-        return TrajectoryForward(cfg.velocity, level, x0, t0, tuple(times))
+        return TrajectoryForward(cfg.velocity, level, x0, t0, times)
     if kind == "velocity-trajectory":
-        return VelocityTrajectoryForward(cfg.initial, level, x0, t0, tuple(times))
+        return VelocityTrajectoryForward(cfg.initial, level, x0, t0, times)
     if kind == "viscous-trajectory":
         return ViscousTrajectoryForward(
-            cfg.velocity, _smooth_flux(cfg), float(blk["epsilon"]),
-            x0, t0, tuple(times),
-            n_cells=int(blk.get("n_cells", 400)),
-            store_every=int(blk.get("store_every", 4)),
+            cfg.velocity, _smooth_flux(cfg), read_field(blk, "epsilon", float, where=where),
+            x0, t0, times,
+            n_cells=read_field(blk, "n_cells", int, 400, where),
+            store_every=read_field(blk, "store_every", int, 4, where),
         )
     if kind == "pointwise":
         return PointwiseForward(
-            cfg.velocity, level, tuple(blk["positions"]), tuple(times)
+            cfg.velocity, level, read_field(blk, "positions", float_tuple, where=where), times
         )
     if kind == "ball-average":
         return BallAverageForward(
-            cfg.velocity, level, tuple(blk["positions"]), tuple(times),
-            float(blk["radius"]),
+            cfg.velocity, level, read_field(blk, "positions", float_tuple, where=where), times,
+            read_field(blk, "radius", float, where=where),
         )
     raise ConfigError(f"unknown forward kind {kind!r}")
 
@@ -274,14 +277,13 @@ def cmd_invert(cfg: ScenarioConfig, args, out: str) -> int:
     forward = _forward_from_block(blk.get("forward", {}), cfg)
     obs = _observations(blk, cfg, forward)
     sampler = blk.get("sampler", {})
-    chain_length = int(sampler.get("chain_length", 1000))
-    beta = float(sampler.get("beta", 0.1))
-    burn_in = int(sampler.get("burn_in", 0))
+    chain_length = read_field(sampler, "chain_length", int, 1000, "sampler block")
+    beta = read_field(sampler, "beta", float, 0.1, "sampler block")
+    burn_in = read_field(sampler, "burn_in", int, 0, "sampler block")
+    thin = read_field(sampler, "thin", int, 1, "sampler block")
     seed = cfg.seed if args.seed is None else args.seed
     run = run_pcn(prior, obs, forward, chain_length, beta, seed, burn_in=burn_in)
-    cfgio.write_chain_csv(
-        os.path.join(out, "chain.csv"), run, thin=int(sampler.get("thin", 1))
-    )
+    cfgio.write_chain_csv(os.path.join(out, "chain.csv"), run, thin=thin)
     band_lo, band_hi = run.credible_band()
     summary = {
         "acceptance_rate": run.acceptance_rate,
@@ -295,7 +297,8 @@ def cmd_invert(cfg: ScenarioConfig, args, out: str) -> int:
     }
     ladder_blk = blk.get("ladder")
     if ladder_blk:
-        levels = [int(n) for n in ladder_blk.get("levels", ())]
+        where = "ladder block"
+        levels = read_field(ladder_blk, "levels", lambda ns: [int(n) for n in ns], (), where)
         if not levels:
             raise ConfigError("ladder block needs a nonempty levels list")
 
@@ -304,8 +307,8 @@ def cmd_invert(cfg: ScenarioConfig, args, out: str) -> int:
 
         study = posterior_convergence_study(
             prior, obs, [(n, forward_at(n)) for n in levels],
-            forward_at(int(ladder_blk.get("reference", 12))),
-            int(ladder_blk.get("n_samples", 500)), seed=seed, jobs=args.jobs,
+            forward_at(read_field(ladder_blk, "reference", int, 12, where)),
+            read_field(ladder_blk, "n_samples", int, 500, where), seed=seed, jobs=args.jobs,
         )
         summary["hellinger_table"] = [
             {"level": n, **row.estimate.to_dict()} for n, row in zip(levels, study.rows)
@@ -323,18 +326,19 @@ def cmd_invert(cfg: ScenarioConfig, args, out: str) -> int:
 
 def cmd_viscous(cfg: ScenarioConfig, args, out: str) -> int:
     blk = cfg.block("viscous")
-    epsilon = float(blk.get("epsilon", 0.05))
+    where = "viscous block"
+    epsilon = read_field(blk, "epsilon", float, 0.05, where)
     fld = solve_viscous(
         cfg.initial,
         _smooth_flux(cfg),
         epsilon,
         cfg.horizon,
-        window=tuple(blk["window"]) if "window" in blk else None,
-        n_cells=int(blk.get("n_cells", 2000)),
-        cfl_safety=float(blk.get("cfl_safety", 0.9)),
-        store_every=int(blk.get("store_every", 1)),
+        window=read_field(blk, "window", tuple, where=where) if "window" in blk else None,
+        n_cells=read_field(blk, "n_cells", int, 2000, where),
+        cfl_safety=read_field(blk, "cfl_safety", float, 0.9, where),
+        store_every=read_field(blk, "store_every", int, 1, where),
     )
-    times = [float(t) for t in blk.get("snapshot_times", ())] or list(cfg.times) or [
+    times = read_field(blk, "snapshot_times", float_tuple, (), where) or list(cfg.times) or [
         cfg.horizon
     ]
     names = []

@@ -11,6 +11,7 @@ import json
 import os
 import tempfile
 from dataclasses import dataclass, field
+from math import isfinite
 from typing import Optional, Sequence
 
 import numpy as np
@@ -53,10 +54,27 @@ class ScenarioConfig:
         return blk
 
 
-def _require(data: dict, key: str, where: str = "scenario"):
-    if key not in data:
+def float_tuple(values) -> tuple:
+    return tuple(float(v) for v in values)
+
+
+_REQUIRED = object()
+
+
+def read_field(data: dict, key: str, convert, default=_REQUIRED, where: str = "scenario"):
+    """``convert(data[key])``, or ``convert(default)`` when the key is absent.
+
+    A block that is not an object, a missing key without a default, or a
+    value ``convert`` rejects is a ConfigError that names the field.
+    """
+    if not isinstance(data, dict):
+        raise ConfigError(f"{where} must be an object")
+    if key not in data and default is _REQUIRED:
         raise ConfigError(f"{where} is missing required key {key!r}")
-    return data[key]
+    try:
+        return convert(data.get(key, default))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"{where} has a bad {key!r}: {exc}") from exc
 
 
 def load_config(path: str) -> dict:
@@ -90,30 +108,25 @@ def parse_scenario(data: dict) -> ScenarioConfig:
     if flux is None and velocity is None:
         raise ConfigError("scenario needs a flux spec or a velocity spec")
 
-    init_spec = _require(data, "initial")
-    try:
-        initial = StepFunction.from_spec(init_spec)
-    except (ValueError, KeyError, TypeError) as exc:
-        raise ConfigError(f"bad initial field: {exc}") from exc
-
-    horizon = float(_require(data, "horizon"))
-    if horizon <= 0:
-        raise ConfigError("horizon must be positive")
-    level = int(data.get("level", 8))
+    initial = read_field(data, "initial", StepFunction.from_spec)
+    horizon = read_field(data, "horizon", float)
+    if not (isfinite(horizon) and horizon > 0):
+        raise ConfigError("horizon must be positive and finite")
+    level = read_field(data, "level", int, 8)
     if level < 0:
         raise ConfigError("level must be nonnegative")
 
     particle = None
     if "particle" in data:
         blk = data["particle"]
-        x0 = float(_require(blk, "x0", "particle block"))
-        t0 = float(_require(blk, "t0", "particle block"))
+        x0 = read_field(blk, "x0", float, where="particle block")
+        t0 = read_field(blk, "t0", float, where="particle block")
         if t0 <= 0:
             raise ConfigError("particle t0 must be positive (paths from t0 = 0 "
                               "through a discontinuity need not be unique)")
         particle = (x0, t0)
 
-    times = tuple(float(t) for t in data.get("times", ()))
+    times = read_field(data, "times", float_tuple, ())
     if any(t < 0 or t > horizon for t in times):
         raise ConfigError("output times must lie in [0, horizon]")
 
@@ -132,7 +145,7 @@ def parse_scenario(data: dict) -> ScenarioConfig:
         initial=initial,
         horizon=horizon,
         level=level,
-        seed=int(data.get("seed", 0)),
+        seed=read_field(data, "seed", int, 0),
         particle=particle,
         times=times,
         raw=data,
@@ -161,24 +174,15 @@ def write_text_atomic(path: str, text: str) -> None:
         raise
 
 
-def _jsonable(obj):
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    return obj
+def _numpy_json(obj):
+    """``json.dumps`` hook: numpy scalars and arrays as Python numbers and lists."""
+    if isinstance(obj, (np.generic, np.ndarray)):
+        return obj.tolist()
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def write_json(path: str, obj) -> None:
-    write_text_atomic(path, json.dumps(_jsonable(obj), indent=2, sort_keys=True) + "\n")
+    write_text_atomic(path, json.dumps(obj, indent=2, sort_keys=True, default=_numpy_json) + "\n")
 
 
 def write_csv(path: str, header: Sequence[str], rows) -> None:

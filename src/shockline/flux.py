@@ -11,7 +11,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from math import isfinite
+from math import copysign, isfinite
 from typing import Sequence, Union
 
 import numpy as np
@@ -57,7 +57,7 @@ def _check_domain(v: np.ndarray, lo: float, hi: float) -> None:
 class _RiemannTable(dict):
     """Riemann wave tuples of one flux by state-pair key, RIEMANN_TABLE_WAVES at most.
 
-    ``front_tracking`` picks the keys and computes the waves; the table only
+    ``_riemann_waves`` picks the keys and computes the waves; the table only
     keeps count, so a long-lived flux cannot grow without bound.
     """
 
@@ -232,8 +232,8 @@ class PiecewiseLinearFlux(_NodeTable):
     """Continuous piecewise-linear flux given by node values.
 
     Besides the node table it caches the kink sets the envelopes read and
-    the table of Riemann solutions that front tracking keeps; every copy or
-    pickle starts without them.
+    the table of its Riemann solutions; every copy or pickle starts without
+    them.
     """
 
     kind = "piecewise-linear"
@@ -255,7 +255,7 @@ class PiecewiseLinearFlux(_NodeTable):
 
     @cached_property
     def _riemann_table(self) -> _RiemannTable:
-        """Riemann wave tuples that front tracking stores for this flux."""
+        """Riemann wave tuples that ``_riemann_waves`` stores for this flux."""
         return _RiemannTable()
 
     def deriv_right(self, x: float) -> float:
@@ -373,6 +373,47 @@ def convex_envelope(flux: PiecewiseLinearFlux, a: float, b: float) -> PiecewiseL
 def concave_envelope(flux: PiecewiseLinearFlux, a: float, b: float) -> PiecewiseLinearFlux:
     """Smallest concave majorant of ``flux`` on [a, b], as a flux on [a, b]."""
     return _hull(flux, a, b, -1.0)
+
+
+def _riemann_waves(flux: PiecewiseLinearFlux, v_l: float, v_r: float) -> tuple:
+    """Waves of the Riemann solution, left to right: (speed, left, right).
+
+    Increasing data ride the convex envelope, decreasing data the concave
+    one; either way the speeds strictly increase.  When no kink of the
+    envelope's sign lies between the two states, the envelope is the chord
+    between them and the solution one shock; its slope is taken from the
+    same clamped end values the envelope would hold.  Otherwise the public
+    envelope is built through its module-level name, and slopes come from
+    its node lists: the same subtraction and division as ``env.slopes``.
+
+    The solution depends only on the flux and the two states, so it is kept
+    in the flux's capped Riemann table and the stored tuple itself is
+    returned.  A zero state is keyed with its sign too: ``0.0 == -0.0``, but
+    the sign reaches the wave states.
+    """
+    if v_l and v_r:
+        key = (v_l, v_r)
+    else:
+        key = (v_l, v_r, copysign(1.0, v_l), copysign(1.0, v_r))
+    table = flux._riemann_table
+    waves = table.get(key)
+    if waves is not None:
+        return waves
+    if v_l < v_r:
+        sign, a, b, envelope = 1.0, v_l, v_r, convex_envelope
+    else:
+        sign, a, b, envelope = -1.0, v_r, v_l, concave_envelope
+    xs, ys = _restricted_nodes(flux, a, b, sign)
+    if len(xs) > 2:
+        xs, ys = envelope(flux, a, b)._nodes
+    waves = [
+        ((ys[k + 1] - ys[k]) / (xs[k + 1] - xs[k]), xs[k], xs[k + 1]) for k in range(len(xs) - 1)
+    ]
+    if sign < 0:
+        waves = [(s, right, left) for s, left, right in reversed(waves)]
+    waves = tuple(waves)
+    table.store(key, waves)
+    return waves
 
 
 def lipschitz_distance(f: FluxFunction, g: FluxFunction) -> float:

@@ -12,17 +12,12 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from heapq import heappush, heappop
-from math import copysign, inf, isfinite, sqrt
+from math import inf, isfinite, sqrt
 from typing import Optional
 
 import numpy as np
 
-from .flux import (
-    PiecewiseLinearFlux,
-    _restricted_nodes,
-    concave_envelope,
-    convex_envelope,
-)
+from .flux import PiecewiseLinearFlux, _riemann_waves
 
 # Fronts within this distance of a collision point at the collision time
 # join it as one multi-front collision; slices merge fronts this close into
@@ -186,52 +181,6 @@ class FrontEvent:
     outgoing: tuple[int, ...]
 
 
-def _riemann_parts(flux: PiecewiseLinearFlux, v_l: float, v_r: float) -> tuple:
-    """Waves of the Riemann solution, left to right: (speed, left, right).
-
-    The solution depends only on the flux and the two states, so it is kept
-    in the flux's capped Riemann table and the stored tuple itself is
-    returned.  A zero state is keyed with its sign too: ``0.0 == -0.0``, but
-    the sign reaches the wave states.
-    """
-    if v_l and v_r:
-        key = (v_l, v_r)
-    else:
-        key = (v_l, v_r, copysign(1.0, v_l), copysign(1.0, v_r))
-    table = flux._riemann_table
-    waves = table.get(key)
-    if waves is None:
-        waves = _riemann_waves(flux, v_l, v_r)
-        table.store(key, waves)
-    return waves
-
-
-def _riemann_waves(flux: PiecewiseLinearFlux, v_l: float, v_r: float) -> tuple:
-    """Solve the Riemann problem afresh.
-
-    Increasing data ride the convex envelope, decreasing data the concave
-    one; either way the speeds strictly increase.  When no kink of the
-    envelope's sign lies between the two states, the envelope is the chord
-    between them and the solution one shock; its slope is taken from the
-    same clamped end values the envelope would hold.  Otherwise the public
-    envelope is built, and slopes come from its node lists: the same
-    subtraction and division as ``env.slopes``.
-    """
-    if v_l < v_r:
-        sign, a, b, envelope = 1.0, v_l, v_r, convex_envelope
-    else:
-        sign, a, b, envelope = -1.0, v_r, v_l, concave_envelope
-    xs, ys = _restricted_nodes(flux, a, b, sign)
-    if len(xs) > 2:
-        xs, ys = envelope(flux, a, b)._nodes
-    waves = [
-        ((ys[k + 1] - ys[k]) / (xs[k + 1] - xs[k]), xs[k], xs[k + 1]) for k in range(len(xs) - 1)
-    ]
-    if sign < 0:
-        waves = [(s, right, left) for s, left, right in reversed(waves)]
-    return tuple(waves)
-
-
 def solve_riemann(
     flux: PiecewiseLinearFlux,
     v_left: float,
@@ -246,10 +195,8 @@ def solve_riemann(
         raise ValueError(f"Riemann states must be finite, got {v_left} and {v_right}")
     if v_left == v_right:
         raise ValueError("degenerate Riemann datum: left and right states are equal")
-    parts = _riemann_parts(flux, v_left, v_right)
-    return [
-        Front(k, time, position, s, a, b) for k, (s, a, b) in enumerate(parts)
-    ]
+    waves = _riemann_waves(flux, v_left, v_right)
+    return [Front(k, time, position, s, a, b) for k, (s, a, b) in enumerate(waves)]
 
 
 @dataclass
@@ -478,16 +425,6 @@ def evolve(
     heap: list = []
     counter = itertools.count()
 
-    def new_front(t, x, s, a, b) -> int:
-        k = len(birth_t)
-        birth_t.append(t)
-        birth_x.append(x)
-        spd.append(s)
-        lv.append(a)
-        rv.append(b)
-        death.append(inf)
-        return k
-
     def pos_at(k: int, t: float) -> float:
         return birth_x[k] + spd[k] * (t - birth_t[k])
 
@@ -504,22 +441,38 @@ def evolve(
             return
         heappush(heap, (tc, ci + si * tc, next(counter), i, j))
 
-    # emit the t = 0 fans, jump by jump, left to right, one column at a time
-    for x0, a, b in initial.jumps():
-        speeds, lefts, rights = zip(*_riemann_parts(flux, a, b))
-        k, n = len(spd), len(speeds)
-        birth_t.extend([0.0] * n)
-        birth_x.extend([x0] * n)
-        spd.extend(speeds)
-        lv.extend(lefts)
-        rv.extend(rights)
-        death.extend([inf] * n)
-        ids = tuple(range(k, k + n))
-        left_outer = live.tail
-        events.append(FrontEvent(0.0, x0, (), ids))
+    def emit(t: float, x: float, incoming: tuple, waves) -> None:
+        """Record an event whose outgoing fronts are ``waves`` (speed, left, right).
+
+        The new fronts go into the columns and the live list, and the pairs
+        they form with the outer neighbours (or, when nothing comes out, the
+        neighbours with each other) become collision candidates, left first.
+        """
+        k = len(spd)
+        for s, a, b in waves:
+            birth_t.append(t)
+            birth_x.append(x)
+            spd.append(s)
+            lv.append(a)
+            rv.append(b)
+            death.append(inf)
+        ids = tuple(range(k, len(spd)))
+        events.append(FrontEvent(t, x, incoming, ids))
         live.apply(events[-1])
-        if left_outer != -1:
-            push_pair(left_outer, ids[0], 0.0)
+        if ids:
+            last = ids[-1]
+            if prv[k] != -1:
+                push_pair(prv[k], k, t)
+            if nxt[last] != -1:
+                push_pair(last, nxt[last], t)
+        else:  # the stale links of the dead incoming fronts name the neighbours
+            left_outer, right_outer = prv[incoming[0]], nxt[incoming[-1]]
+            if left_outer != -1 and right_outer != -1:
+                push_pair(left_outer, right_outer, t)
+
+    # the t = 0 fans, jump by jump, left to right, keep every wave
+    for x0, a, b in initial.jumps():
+        emit(0.0, x0, (), _riemann_waves(flux, a, b))
 
     while heap:
         t, x, _, i, j = heappop(heap)
@@ -532,26 +485,16 @@ def evolve(
             group.insert(0, prv[group[0]])
         while nxt[group[-1]] != -1 and abs(pos_at(nxt[group[-1]], t) - x) <= EVENT_SPACE_TOL:
             group.append(nxt[group[-1]])
-        left_outer = prv[group[0]]
-        right_outer = nxt[group[-1]]
         v_l = lv[group[0]]
         v_r = rv[group[-1]]
         for k in group:
             death[k] = t
-        ids: list[int] = []
+        waves = []
         if abs(v_l - v_r) > ZERO_STRENGTH_TOL:
-            for s, a, b in _riemann_parts(flux, v_l, v_r):
-                if abs(a - b) > ZERO_STRENGTH_TOL:
-                    ids.append(new_front(t, x, s, a, b))
-        events.append(FrontEvent(t, x, tuple(group), tuple(ids)))
-        live.apply(events[-1])
-        if ids:
-            if left_outer != -1:
-                push_pair(left_outer, ids[0], t)
-            if right_outer != -1:
-                push_pair(ids[-1], right_outer, t)
-        elif left_outer != -1 and right_outer != -1:
-            push_pair(left_outer, right_outer, t)
+            waves = [
+                w for w in _riemann_waves(flux, v_l, v_r) if abs(w[1] - w[2]) > ZERO_STRENGTH_TOL
+            ]
+        emit(t, x, tuple(group), waves)
         if len(events) > event_cap:
             raise EventCapError(
                 f"more than {event_cap} events before t={t:.6g}; "

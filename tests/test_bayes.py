@@ -310,6 +310,31 @@ def test_pcn_concentrates_on_informative_data():
     assert np.all(lo <= hi + 1e-15)
 
 
+def test_pcn_mean_keeps_one_value_per_grid_point_when_cells_merge():
+    # at mean 37 every link value rounds to within 1e-15 of 1, so neighbouring
+    # field cells are equal and the StepFunction sample keeps fewer values
+    prior = PriorSpec(n=8, mean=37.0)
+    obs = ObservationSet(kind="pointwise", values=[0.9], noise_std=0.1, times=(0.5,))
+    run = run_pcn(prior, obs, MeanForward(), chain_length=30, beta=0.5, seed=4, burn_in=10)
+    assert prior.transform(run.latent_chain[-1]).values.size < 8
+    expected = np.zeros(8)
+    for v in run.latent_chain[10:]:
+        expected += prior.transformed_values(v)
+    assert run.mean_values.tolist() == (expected / 20).tolist()
+    lo, hi = run.credible_band()
+    assert lo.shape == hi.shape == (8,)
+
+
+def test_zero_amplitude_prior_bands_every_grid_point():
+    prior = small_prior(amplitude=0.0)
+    obs = ObservationSet(kind="pointwise", values=[0.5], noise_std=0.1, times=(0.5,))
+    run = run_pcn(prior, obs, MeanForward(), chain_length=20, beta=0.3, seed=1)
+    assert prior.transform(np.zeros(8)).values.size == 1  # one constant cell
+    lo, hi = run.credible_band()
+    assert lo.tolist() == hi.tolist() == [0.5] * 8
+    assert run.mean_values.tolist() == [0.5] * 8
+
+
 def test_hellinger_identical_posteriors_is_exactly_zero():
     prior = small_prior()
     fwd = MeanForward()

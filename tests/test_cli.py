@@ -142,6 +142,15 @@ def test_non_finite_nodes_exit_2(tmp_path, block):
     assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
 
+@pytest.mark.parametrize("field", [
+    {"horizon": "soon"}, {"horizon": float("nan")}, {"horizon": float("inf")},
+    {"times": 1.0}, {"level": None},
+])
+def test_bad_scenario_fields_exit_2(tmp_path, field):
+    cfg = write_cfg(tmp_path, dict(SOLVE_CFG, **field))
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+
+
 def test_unknown_command_exits_nonzero(tmp_path, capsys):
     cfg = write_cfg(tmp_path, SOLVE_CFG)
     assert main(["explode", "--config", cfg]) != 0
@@ -176,6 +185,42 @@ def test_stability_short_ladder_is_a_solver_error(tmp_path):
     bad["stability"] = dict(bad["stability"], epsilons=[0.125, 0.0625])
     cfg = write_cfg(tmp_path, bad)
     assert main(["stability", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+
+
+def test_json_artifacts_write_booleans_as_booleans(tmp_path):
+    cfg = write_cfg(tmp_path, STABILITY_CFG)
+    assert main(["stability", "--config", cfg, "--out", str(tmp_path / "s")]) == 0
+    text = (tmp_path / "s" / "rate_report.json").read_text()
+    report = json.loads(text)
+    assert report["bound_satisfied"] == [True, True, True]
+    assert report["meta"]["sticking_free"] is True
+    assert '"sticking_free": true' in text
+    noiseless = dict(INVERT_CFG, inversion=dict(
+        INVERT_CFG["inversion"],
+        synthetic=dict(INVERT_CFG["inversion"]["synthetic"], noise_std=0.0),
+    ))
+    cfg = write_cfg(tmp_path, noiseless, "noiseless.json")
+    assert main(["synth", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    obs = json.loads((tmp_path / "o" / "observations.json").read_text())
+    assert obs["meta"]["noiseless"] is True
+    assert obs["meta"]["seed"] == 5 and type(obs["meta"]["seed"]) is int
+
+
+def with_inversion(**blocks):
+    return dict(INVERT_CFG, inversion=dict(INVERT_CFG["inversion"], **blocks))
+
+
+@pytest.mark.parametrize("cfg", [
+    with_inversion(forward={"kind": "pointwise", "times": [0.5, 1.0]}),
+    with_inversion(forward={"kind": "viscous-trajectory", "times": [0.5, 1.0]}),
+    with_inversion(sampler={"chain_length": "ten", "beta": 0.2}),
+    with_inversion(forward={"kind": "pointwise", "times": [0.5, 1.0], "positions": "ab"}),
+], ids=["pointwise_without_positions", "viscous_without_epsilon", "chain_length_not_a_number",
+        "positions_not_numbers"])
+def test_malformed_inversion_blocks_exit_2(tmp_path, capsys, cfg):
+    path = write_cfg(tmp_path, cfg)
+    assert main(["invert", "--config", path, "--out", str(tmp_path / "o")]) == 2
+    assert "config error" in capsys.readouterr().err
 
 
 def test_synth_is_seed_deterministic(tmp_path):

@@ -16,6 +16,7 @@ from shockline.filippov import (
     track,
 )
 from shockline.flux import (
+    BurgersQuadraticFlux,
     LinearTrafficVelocity,
     PiecewiseLinearFlux,
     TableVelocity,
@@ -162,6 +163,79 @@ def test_sticking_on_nonmonotone_velocity():
     assert lo == pytest.approx(t_hit, abs=1e-10)
     assert hi == 5.0
     assert check_speed_inclusion(traj, sol, w) <= 1e-10
+
+
+# Level-0 Burgers: nodes -1, 0, 1 with f = 1/2, 0, 1/2, so every front is a
+# chord and its speed is (f(l) - f(r)) / (l - r) in {-1/2, 0, 1/2}.
+BURGERS0 = piecewise_linearize(BurgersQuadraticFlux(), 0)
+
+
+def line_velocity(w_minus, w_plus):
+    """w(u) linear on [-1, 1] with w(-1) = w_minus and w(1) = w_plus."""
+    return TableVelocity(np.array([-1.0, 1.0]), np.array([w_minus, w_plus]))
+
+
+PARKED = line_velocity(0.0, 0.0)  # w = 0: fronts pass the car
+STICKY = line_velocity(-1.0, 1.0)  # w(u) = u: Lax shocks hold the car
+
+
+# (breakpoints, values, velocity, x0, t0, horizon,
+#  node times, node positions, segment speeds, sticking spans)
+EVENT_CASES = {
+    # the 1 -> 0 front at speed 1/2 reaches the car at t = 0.5 + 0.75/0.5 = 2
+    # and, since w(1) = 0 <= 1/2, passes it to the left
+    "front_behind_crosses_a_parked_car": (
+        [0.0], [1.0, 0.0], PARKED, 1.0, 0.5, 3.0,
+        [0.5, 2.0, 3.0], [1.0, 1.0, 1.0], [0.0, 0.0], []),
+    # same contact, but w(1) = 1 > 1/2: the car rides the front to x = 1.5
+    "front_behind_catches_a_sticky_car": (
+        [0.0], [1.0, 0.0], STICKY, 1.0, 0.5, 3.0,
+        [0.5, 2.0, 3.0], [1.0, 1.0, 1.5], [0.0, 0.5], [(2.0, 3.0, 0)]),
+    # started on the front: w(0) = 0 <= 1/2 and w(1) = 0 < 1/2, so the car
+    # stays in the left cell and the front moves away
+    "parked_car_on_a_front_stays_left": (
+        [0.0], [1.0, 0.0], PARKED, 0.25, 0.5, 3.0,
+        [0.5, 3.0], [0.25, 0.25], [0.0], []),
+    # the car sticks to front 0 at (2, 1); fronts 4 and 5 collide at (3, 11.5)
+    # while it is stuck (an event time, so a node); front 0 dies at (4, 2)
+    # against front 1 and the car sticks to the outgoing still shock 7
+    # (w(1) = 1 > 0 > w(-1) = -1)
+    "stuck_car_outlives_an_event_then_its_front": (
+        [0.0, 4.0, 8.0, 10.0, 13.0], [1.0, 0.0, -1.0, 1.0, 0.0, -1.0], STICKY, 1.0, 0.5, 6.0,
+        [0.5, 2.0, 3.0, 4.0, 6.0], [1.0, 1.0, 1.5, 2.0, 2.0], [0.0, 0.5, 0.5, 0.0],
+        [(2.0, 4.0, 0), (4.0, 6.0, 7)]),
+    # the cell of the car collapses onto it at (2, 1); the outgoing still
+    # shock 1 -> -1 has w(1) = -1 <= 0 on its left, so the car leaves in the
+    # left cell at speed -1
+    "collapsing_cell_leaves_the_car_left_of_the_outgoing_shock": (
+        [0.0, 2.0], [1.0, 0.0, -1.0], line_velocity(1.0, -1.0), 1.0, 0.5, 3.0,
+        [0.5, 2.0, 3.0], [1.0, 1.0, 0.0], [0.0, -1.0], []),
+    # stuck from the start on the still front 1 (w(-1) = -1/4 <= 0 <= w(1));
+    # it dies at (2, 1) and the outgoing 0 -> -1 shock runs left at -1/2,
+    # faster than w(0) = 3/8 and w(-1) = -1/4, so the car ends up right of it
+    "stuck_car_falls_through_the_outgoing_shock": (
+        [0.0, 1.0], [0.0, 1.0, -1.0], line_velocity(-0.25, 1.0), 1.0, 0.5, 4.0,
+        [0.5, 2.0, 4.0], [1.0, 1.0, 0.5], [0.0, -0.25], [(0.5, 2.0, 1)]),
+    # stuck from the start on the still front 2 (w(-1) = 0 <= 0 <= w(1) = 1);
+    # fronts 1, 2, 3 annihilate at (2, 0), leaving the car in the 0 cell
+    # between fronts 0 and 4, where it drives on at w(0) = 1/2
+    "stuck_car_survives_an_annihilation": (
+        [-3.0, -1.0, 0.0, 1.0, 3.0], [-1.0, 0.0, 1.0, -1.0, 0.0, 1.0], line_velocity(0.0, 1.0),
+        0.0, 0.5, 4.0,
+        [0.5, 2.0, 4.0], [0.0, 0.0, 1.0], [0.0, 0.5], [(0.5, 2.0, 2)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EVENT_CASES))
+def test_hand_derived_paths_through_front_contacts_and_events(name):
+    bps, vals, w, x0, t0, horizon, times, positions, speeds, sticking = EVENT_CASES[name]
+    sol = evolve(StepFunction(bps, vals), BURGERS0, horizon)
+    traj = track(sol, w, x0, t0)
+    assert traj.times.tolist() == times
+    assert traj.positions.tolist() == positions
+    assert traj.speeds.tolist() == speeds
+    assert traj.sticking == sticking
+    assert check_speed_inclusion(traj, sol, w) == 0.0
 
 
 def test_riemann_comparison_identical_inputs_zero():
