@@ -24,22 +24,22 @@ FLUX = traffic_flux_from_velocity(W, LEVEL)
 
 def show_shock():
     sol = evolve(StepFunction([0.0], [0.2, 0.8]), FLUX, 2.0)
-    front = sol.fronts[0]
+    speed = sol.speeds[0]
     chord = (FLUX(0.2) - FLUX(0.8)) / (0.2 - 0.8)
     print("up-jump 0.2 -> 0.8:")
-    print(f"  fronts: {len(sol.fronts)} (single shock)")
-    print(f"  tracked speed    {front.speed:+.12f}")
+    print(f"  fronts: {sol.front_count} (single shock)")
+    print(f"  tracked speed    {speed:+.12f}")
     print(f"  chord slope      {chord:+.12f}")
-    print(f"  difference       {abs(front.speed - chord):.2e}")
+    print(f"  difference       {abs(speed - chord):.2e}")
 
 
 def show_fan():
     sol = evolve(StepFunction([0.0], [0.8, 0.2]), FLUX, 2.0)
-    strengths = [f.strength for f in sol.fronts]
+    strengths = np.abs(sol.left_values - sol.right_values)
     print("\ndown-jump 0.8 -> 0.2:")
-    print(f"  fronts: {len(sol.fronts)}, each of strength <= 2^-{LEVEL}")
-    print(f"  max strength {max(strengths):.6f}  (2^-{LEVEL} = {2.0**-LEVEL:.6f})")
-    speeds = sorted(f.speed for f in sol.fronts)
+    print(f"  fronts: {sol.front_count}, each of strength <= 2^-{LEVEL}")
+    print(f"  max strength {strengths.max():.6f}  (2^-{LEVEL} = {2.0**-LEVEL:.6f})")
+    speeds = np.sort(sol.speeds)
     print(f"  fan speeds span [{speeds[0]:+.4f}, {speeds[-1]:+.4f}]")
 
 

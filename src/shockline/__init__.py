@@ -63,7 +63,6 @@ from .flux import (
 )
 from .front_tracking import (
     EventCapError,
-    Front,
     FrontEvent,
     FrontTrackingSolution,
     ShockCatalog,

@@ -653,14 +653,6 @@ class StudyRow:
     def stderr(self) -> float:
         return self.estimate.stderr
 
-    def to_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "hellinger": self.hellinger,
-            "stderr": self.stderr,
-            "forward_discrepancy": self.forward_discrepancy,
-        }
-
 
 @dataclass
 class StudyReport:
@@ -671,15 +663,6 @@ class StudyReport:
     fitted_constant: float
     monotone_nonincreasing: bool
     meta: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "rows": [r.to_dict() for r in self.rows],
-            "control_value": self.control_value,
-            "fitted_constant": self.fitted_constant,
-            "monotone_nonincreasing": self.monotone_nonincreasing,
-            "meta": self.meta,
-        }
 
 
 def posterior_convergence_study(
@@ -766,17 +749,12 @@ def shock_containment_fraction(
         sol_a = approx_forward.solve(sample)
         sol_r = ref_forward.solve(sample)
         cat_r = sol_r.shock_catalog(shock_threshold)
-        contained = True
-        for seg in sol_a.shock_catalog(shock_threshold).segments:
-            for xq, tq in (
-                (seg.x0, seg.t0),
-                (0.5 * (seg.x0 + seg.x1), 0.5 * (seg.t0 + seg.t1)),
-                (seg.x1, seg.t1),
-            ):
-                if not cat_r.covers(xq, tq, clearance):
-                    contained = False
-                    break
-            if not contained:
-                break
+        cat_a = sol_a.shock_catalog(shock_threshold)
+        segments = zip(cat_a.x0.tolist(), cat_a.t0.tolist(), cat_a.x1.tolist(), cat_a.t1.tolist())
+        contained = all(
+            cat_r.covers(xq, tq, clearance)
+            for x0, t0, x1, t1 in segments
+            for xq, tq in ((x0, t0), (0.5 * (x0 + x1), 0.5 * (t0 + t1)), (x1, t1))
+        )
         ok += contained
     return ok / max(len(latents), 1)

@@ -18,7 +18,6 @@ from . import config as cfgio
 from .bayes import (
     BallAverageForward,
     PointwiseForward,
-    PriorSpec,
     TrajectoryForward,
     VelocityTrajectoryForward,
     ViscousTrajectoryForward,
@@ -38,6 +37,11 @@ from .flux import (
 )
 from .front_tracking import evolve, quantize_step
 from .viscous import solve_viscous
+
+
+# The perturbation families each stability target knows, its default first.
+STABILITY_FAMILIES = {"initial": ("shift", "dither", "steps"),
+                      "velocity": ("scale", "tilt", "curve")}
 
 
 class CheckFailure(RuntimeError):
@@ -145,29 +149,27 @@ def cmd_stability(cfg: ScenarioConfig, args, out: str) -> int:
         raise ConfigError("stability needs a velocity spec")
     if cfg.particle is None:
         raise ConfigError("stability needs a particle block")
-    target = blk.get("target", "initial")
-    family = blk.get("family", "shift")
+    target = read_field(blk, "target", str, "initial", where)
+    families = STABILITY_FAMILIES.get(target)
+    if families is None:
+        raise ConfigError(f"unknown stability target {target!r}")
+    family = read_field(blk, "family", str, families[0], where)
+    if family not in families:
+        raise ConfigError(f"unknown {target} perturbation family {family!r}; one of {families}")
     epsilons = read_field(blk, "epsilons", float_tuple, (), where)
     if not epsilons:
         raise ConfigError("stability block needs a nonempty epsilons ladder")
     x0, t0 = cfg.particle
-    kwargs = dict(
-        x0=x0, t0=t0, horizon=cfg.horizon,
-        epsilons=epsilons, family=family, level=cfg.level,
-        seed=cfg.seed if args.seed is None else args.seed,
-    )
     if target == "initial":
-        if "window" in blk:
-            kwargs["window"] = read_field(blk, "window", tuple, where=where)
-        report = initial_field_stability(cfg.initial, cfg.velocity, **kwargs)
-    elif target == "velocity":
-        kwargs.pop("seed")
-        kwargs.pop("family")
-        report = flux_stability(
-            cfg.initial, cfg.velocity, family=family, **kwargs
+        report = initial_field_stability(
+            cfg.initial, cfg.velocity, x0, t0, cfg.horizon, epsilons, family, cfg.level,
+            window=read_field(blk, "window", float_tuple, where=where) if "window" in blk else None,
+            seed=cfg.seed if args.seed is None else args.seed,
         )
     else:
-        raise ConfigError(f"unknown stability target {target!r}")
+        report = flux_stability(
+            cfg.initial, cfg.velocity, x0, t0, cfg.horizon, epsilons, family, cfg.level
+        )
     cfgio.write_rate_report(
         os.path.join(out, "rate_report.json"),
         os.path.join(out, "rate_report.csv"),
@@ -179,6 +181,16 @@ def cmd_stability(cfg: ScenarioConfig, args, out: str) -> int:
 
 
 def _forward_from_block(blk: dict, cfg: ScenarioConfig):
+    """The forward map of a forward block; a value its constructor rejects is a ConfigError."""
+    try:
+        return _forward_map(blk, cfg)
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(f"bad forward block: {exc}") from exc
+
+
+def _forward_map(blk: dict, cfg: ScenarioConfig):
     where = "forward block"
     kind = read_field(blk, "kind", str, "trajectory", where)
     level = read_field(blk, "level", int, cfg.level, where)
@@ -220,32 +232,35 @@ def _forward_from_block(blk: dict, cfg: ScenarioConfig):
     raise ConfigError(f"unknown forward kind {kind!r}")
 
 
-def _truth_from_block(blk: dict, prior: PriorSpec):
-    if "truth" in blk:
-        try:
-            return cfgio.StepFunction.from_spec(blk["truth"])
-        except (ValueError, KeyError, TypeError) as exc:
-            raise ConfigError(f"bad truth field: {exc}") from exc
-    if "truth_latent" in blk:
-        return prior.transform(np.asarray(blk["truth_latent"], dtype=float))
-    raise ConfigError("synthetic block needs 'truth' or 'truth_latent'")
+def _synthetic_observations(blk: dict, cfg: ScenarioConfig, forward, seed=None):
+    """Observations of the inversion block's synthetic recipe; ``seed`` overrides its seed."""
+    synth = blk["synthetic"]
+    where = "synthetic block"
+    if seed is None:
+        seed = read_field(synth, "seed", int, cfg.seed, where)
+    noise_std = read_field(synth, "noise_std", float, 0.0, where)
+    prior = cfgio.prior_from_block(blk.get("prior", {}))
+    if "truth" in synth:
+        truth = read_field(synth, "truth", cfgio.StepFunction.from_spec, where=where)
+    elif "truth_latent" in synth:
+        truth = read_field(
+            synth, "truth_latent", lambda v: prior.transform(np.asarray(v, dtype=float)),
+            where=where,
+        )
+    else:
+        raise ConfigError("synthetic block needs 'truth' or 'truth_latent'")
+    return synth_observations(forward, truth, noise_std, seed)
 
 
 def cmd_synth(cfg: ScenarioConfig, args, out: str) -> int:
     blk = cfg.block("inversion")
-    synth = blk.get("synthetic")
-    if synth is None:
+    if blk.get("synthetic") is None:
         raise ConfigError("synth needs an inversion.synthetic block")
-    prior = cfgio.prior_from_block(blk.get("prior", {}))
     forward = _forward_from_block(blk.get("forward", {}), cfg)
-    seed = int(synth.get("seed", cfg.seed)) if args.seed is None else args.seed
-    truth = _truth_from_block(synth, prior)
-    obs = synth_observations(forward, truth, float(synth.get("noise_std", 0.0)), seed)
+    obs = _synthetic_observations(blk, cfg, forward, args.seed)
     cfgio.write_observations_json(os.path.join(out, "observations.json"), obs)
     if args.check:
-        again = synth_observations(
-            forward, truth, float(synth.get("noise_std", 0.0)), seed
-        )
+        again = _synthetic_observations(blk, cfg, forward, args.seed)
         if not np.array_equal(obs.values, again.values):
             raise CheckFailure("synthetic data not reproducible under its seed")
     return 0
@@ -260,13 +275,7 @@ def _observations(blk: dict, cfg: ScenarioConfig, forward):
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad observations block: {exc}") from exc
     if "synthetic" in blk:
-        synth = blk["synthetic"]
-        prior = cfgio.prior_from_block(blk.get("prior", {}))
-        seed = int(synth.get("seed", cfg.seed))
-        truth = _truth_from_block(synth, prior)
-        return synth_observations(
-            forward, truth, float(synth.get("noise_std", 0.0)), seed
-        )
+        return _synthetic_observations(blk, cfg, forward)
     raise ConfigError("inversion block needs observations, observations_file, "
                       "or a synthetic recipe")
 
@@ -333,7 +342,7 @@ def cmd_viscous(cfg: ScenarioConfig, args, out: str) -> int:
         _smooth_flux(cfg),
         epsilon,
         cfg.horizon,
-        window=read_field(blk, "window", tuple, where=where) if "window" in blk else None,
+        window=read_field(blk, "window", float_tuple, where=where) if "window" in blk else None,
         n_cells=read_field(blk, "n_cells", int, 2000, where),
         cfl_safety=read_field(blk, "cfl_safety", float, 0.9, where),
         store_every=read_field(blk, "store_every", int, 1, where),

@@ -103,15 +103,6 @@ class LadderReport:
     monotone_nonincreasing: bool
     meta: dict = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        return {
-            "labels": [float(x) for x in self.labels],
-            "errors": [float(x) for x in self.errors],
-            "reference_label": float(self.reference_label),
-            "monotone_nonincreasing": self.monotone_nonincreasing,
-            "meta": self.meta,
-        }
-
 
 def _snap(value: float, level: int) -> float:
     """Round to the dyadic grid, at least one grid cell."""
@@ -363,14 +354,6 @@ class BurgersCheck:
     max_breakpoint_gap: float
     horizon: float
     level: int
-
-    def to_dict(self) -> dict:
-        return {
-            "l1_difference": self.l1_difference,
-            "max_breakpoint_gap": self.max_breakpoint_gap,
-            "horizon": self.horizon,
-            "level": self.level,
-        }
 
 
 def burgers_transform_check(

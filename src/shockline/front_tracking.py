@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
 from heapq import heappush, heappop
-from math import inf, isfinite, sqrt
+from math import inf, isfinite
 from typing import Optional
 
 import numpy as np
@@ -151,26 +150,6 @@ def l1_distance(a: StepFunction, b: StepFunction, window: Optional[tuple] = None
     return float(np.sum(np.diff(edges) * np.abs(a.sample(mids) - b.sample(mids))))
 
 
-@dataclass
-class Front:
-    """One straight-line discontinuity in the (x, t) half-plane."""
-
-    index: int
-    birth_time: float
-    birth_position: float
-    speed: float
-    left_value: float
-    right_value: float
-    death_time: float = inf
-
-    def position_at(self, t: float) -> float:
-        return self.birth_position + self.speed * (t - self.birth_time)
-
-    @property
-    def strength(self) -> float:
-        return abs(self.left_value - self.right_value)
-
-
 @dataclass(frozen=True)
 class FrontEvent:
     """Fan emission (no incoming) or collision, in causal order."""
@@ -181,61 +160,55 @@ class FrontEvent:
     outgoing: tuple[int, ...]
 
 
-def solve_riemann(
-    flux: PiecewiseLinearFlux,
-    v_left: float,
-    v_right: float,
-    position: float = 0.0,
-    time: float = 0.0,
-) -> list[Front]:
-    """Fronts emitted by a single jump, ordered left to right."""
+def solve_riemann(flux: PiecewiseLinearFlux, v_left: float, v_right: float) -> tuple:
+    """Waves emitted by a single jump, left to right: ``(speed, left, right)``.
+
+    This is the flux's stored Riemann solution, the one ``evolve`` emits;
+    it is an immutable tuple, so a caller cannot change the stored waves.
+    """
     if not isinstance(flux, PiecewiseLinearFlux):
         raise TypeError("front tracking needs a piecewise-linear flux; linearize first")
     if not (isfinite(v_left) and isfinite(v_right)):
         raise ValueError(f"Riemann states must be finite, got {v_left} and {v_right}")
     if v_left == v_right:
         raise ValueError("degenerate Riemann datum: left and right states are equal")
-    waves = _riemann_waves(flux, v_left, v_right)
-    return [Front(k, time, position, s, a, b) for k, (s, a, b) in enumerate(waves)]
-
-
-@dataclass
-class ShockSegment:
-    """Space-time segment swept by one front, for shock catalogs."""
-
-    front_index: int
-    t0: float
-    x0: float
-    t1: float
-    x1: float
-    strength: float
-    speed: float
-
-    def distance_to(self, x: float, t: float) -> float:
-        """Euclidean distance from (x, t) to the segment in the plane."""
-        dx, dt = self.x1 - self.x0, self.t1 - self.t0
-        denom = dx * dx + dt * dt
-        if denom == 0.0:
-            return sqrt((x - self.x0) ** 2 + (t - self.t0) ** 2)
-        s = ((x - self.x0) * dx + (t - self.t0) * dt) / denom
-        s = min(max(s, 0.0), 1.0)
-        return sqrt((x - (self.x0 + s * dx)) ** 2 + (t - (self.t0 + s * dt)) ** 2)
+    return _riemann_waves(flux, v_left, v_right)
 
 
 @dataclass
 class ShockCatalog:
-    """Fronts stronger than a threshold, with neighborhood queries."""
+    """Fronts stronger than a threshold, as space-time segments.
+
+    Segment k is front ``index[k]`` from (``x0[k]``, ``t0[k]``) to
+    (``x1[k]``, ``t1[k]``), its death or the horizon, with jump
+    ``strength[k]``; one array per quantity.
+    """
 
     threshold: float
-    segments: list[ShockSegment]
+    index: np.ndarray
+    t0: np.ndarray
+    x0: np.ndarray
+    t1: np.ndarray
+    x1: np.ndarray
+    strength: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.segments)
+        return self.index.size
 
     def min_distance(self, x: float, t: float) -> float:
-        if not self.segments:
+        """Euclidean distance from (x, t) to the nearest segment in the plane."""
+        if not self.index.size:
             return inf
-        return min(seg.distance_to(x, t) for seg in self.segments)
+        dx, dt = self.x1 - self.x0, self.t1 - self.t0
+        denom = dx * dx + dt * dt
+        with np.errstate(divide="ignore", invalid="ignore"):
+            s = ((x - self.x0) * dx + (t - self.t0) * dt) / denom
+        # a zero-length segment measures from its start point
+        s = np.where(denom == 0.0, 0.0, np.clip(s, 0.0, 1.0))
+        # the foot point first, as in x - (x0 + s dx); (x - x0) - s dx rounds otherwise
+        ex = x - (self.x0 + s * dx)
+        et = t - (self.t0 + s * dt)
+        return float(np.sqrt(np.min(ex * ex + et * et)))
 
     def covers(self, x: float, t: float, delta: float) -> bool:
         """True when (x, t) lies within delta of some cataloged shock."""
@@ -248,8 +221,7 @@ class FrontTrackingSolution:
     Fronts are stored once, one float array per quantity and indexed by
     front number: ``birth_times``, ``birth_positions``, ``speeds``,
     ``left_values``, ``right_values`` and ``death_times`` (inf while the
-    front lives to the horizon).  ``fronts`` gives the same data as
-    ``Front`` records.
+    front lives to the horizon).
     """
 
     def __init__(
@@ -266,15 +238,6 @@ class FrontTrackingSolution:
         self.left_values = np.asarray(left_values, dtype=float)
         self.right_values = np.asarray(right_values, dtype=float)
         self.death_times = np.asarray(death_times, dtype=float)
-
-    @cached_property
-    def fronts(self) -> list[Front]:
-        """The stored fronts as ``Front`` records, built on first access."""
-        columns = (
-            self.birth_times, self.birth_positions, self.speeds,
-            self.left_values, self.right_values, self.death_times,
-        )
-        return [Front(k, *row) for k, row in enumerate(zip(*(c.tolist() for c in columns)))]
 
     @property
     def front_count(self) -> int:
@@ -327,17 +290,10 @@ class FrontTrackingSolution:
     def shock_catalog(self, threshold: float = 0.0) -> ShockCatalog:
         """Space-time segments of all fronts with strength > threshold."""
         strength = np.abs(self.left_values - self.right_values)
-        segs = []
-        for k in np.flatnonzero(strength > threshold).tolist():
-            t0, x0 = float(self.birth_times[k]), float(self.birth_positions[k])
-            s = float(self.speeds[k])
-            t1 = min(float(self.death_times[k]), self.horizon)
-            segs.append(ShockSegment(k, t0, x0, t1, x0 + s * (t1 - t0), float(strength[k]), s))
-        return ShockCatalog(threshold, segs)
-
-    def mass(self, t: float, window: tuple[float, float]) -> float:
-        """Integral of the field at time t over a window."""
-        return self.slice(t).integral(*window)
+        k = np.flatnonzero(strength > threshold)
+        t0, x0 = self.birth_times[k], self.birth_positions[k]
+        t1 = np.minimum(self.death_times[k], self.horizon)
+        return ShockCatalog(threshold, k, t0, x0, t1, x0 + self.speeds[k] * (t1 - t0), strength[k])
 
 
 class _LiveFronts:

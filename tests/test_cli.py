@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from shockline.bayes import PriorSpec, TrajectoryForward, hellinger_between, synth_observations
+from shockline import cli
 from shockline.cli import main
 from shockline.config import read_slice_csv, write_slice_csv
 from shockline.flux import LinearTrafficVelocity
@@ -187,6 +188,34 @@ def test_stability_short_ladder_is_a_solver_error(tmp_path):
     assert main(["stability", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
 
 
+def test_stability_velocity_target_defaults_to_scale(tmp_path):
+    cfg = write_cfg(tmp_path, dict(STABILITY_CFG, stability={
+        "target": "velocity", "epsilons": [0.125, 0.0625, 0.03125]}))
+    assert main(["stability", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    report = json.loads((tmp_path / "o" / "rate_report.json").read_text())
+    assert report["label"] == "flux/scale" and report["meta"]["family"] == "scale"
+
+
+@pytest.mark.parametrize("stability", [
+    {"target": "initial", "family": "bogus"},
+    {"target": "velocity", "family": "bogus"},
+    {"target": "velocity", "family": "shift"},
+    {"target": "bogus"},
+    {"target": "initial", "window": ["a", "b"]},
+], ids=["initial_bogus", "velocity_bogus", "velocity_shift", "unknown_target",
+        "window_not_numbers"])
+def test_bad_stability_block_exits_2_before_any_solve(tmp_path, capsys, monkeypatch, stability):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a stability study ran")
+
+    monkeypatch.setattr(cli, "initial_field_stability", no_solve)
+    monkeypatch.setattr(cli, "flux_stability", no_solve)
+    block = dict(stability, epsilons=[0.125, 0.0625, 0.03125])
+    cfg = write_cfg(tmp_path, dict(STABILITY_CFG, stability=block))
+    assert main(["stability", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
 def test_json_artifacts_write_booleans_as_booleans(tmp_path):
     cfg = write_cfg(tmp_path, STABILITY_CFG)
     assert main(["stability", "--config", cfg, "--out", str(tmp_path / "s")]) == 0
@@ -210,16 +239,41 @@ def with_inversion(**blocks):
     return dict(INVERT_CFG, inversion=dict(INVERT_CFG["inversion"], **blocks))
 
 
+def with_synthetic(**fields):
+    return with_inversion(synthetic=dict(INVERT_CFG["inversion"]["synthetic"], **fields))
+
+
+MALFORMED_SYNTHETIC = {
+    "noise_std_not_a_number": with_synthetic(noise_std="x"),
+    "seed_not_a_number": with_synthetic(seed="x"),
+    "truth_latent_wrong_length": with_synthetic(truth_latent=[0.1, 0.2, 0.3]),
+}
+
+
 @pytest.mark.parametrize("cfg", [
     with_inversion(forward={"kind": "pointwise", "times": [0.5, 1.0]}),
     with_inversion(forward={"kind": "viscous-trajectory", "times": [0.5, 1.0]}),
     with_inversion(sampler={"chain_length": "ten", "beta": 0.2}),
     with_inversion(forward={"kind": "pointwise", "times": [0.5, 1.0], "positions": "ab"}),
+    with_inversion(forward={"kind": "ball-average", "times": [0.5, 1.0],
+                            "positions": [0.0, 0.5], "radius": -1}),
+    with_inversion(forward={"kind": "trajectory", "times": [0.5, 1.0, 1.5],
+                            "x0": -0.5, "t0": 0.75}),
+    with_inversion(forward={"kind": "pointwise", "times": [0.5, 1.0], "positions": [0.0]}),
+    *MALFORMED_SYNTHETIC.values(),
 ], ids=["pointwise_without_positions", "viscous_without_epsilon", "chain_length_not_a_number",
-        "positions_not_numbers"])
+        "positions_not_numbers", "negative_radius", "t0_after_first_time",
+        "positions_and_times_unpaired", *MALFORMED_SYNTHETIC])
 def test_malformed_inversion_blocks_exit_2(tmp_path, capsys, cfg):
     path = write_cfg(tmp_path, cfg)
     assert main(["invert", "--config", path, "--out", str(tmp_path / "o")]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cfg", MALFORMED_SYNTHETIC.values(), ids=MALFORMED_SYNTHETIC)
+def test_malformed_synthetic_blocks_exit_2_in_synth(tmp_path, capsys, cfg):
+    path = write_cfg(tmp_path, cfg)
+    assert main(["synth", "--config", path, "--out", str(tmp_path / "o")]) == 2
     assert "config error" in capsys.readouterr().err
 
 
@@ -279,6 +333,13 @@ def test_invert_empty_ladder_exits_2(tmp_path):
     bad = dict(LADDER_CFG, inversion=dict(LADDER_CFG["inversion"], ladder={"levels": []}))
     cfg = write_cfg(tmp_path, bad)
     assert main(["invert", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+
+
+def test_viscous_window_not_numbers_exits_2(tmp_path, capsys):
+    bad = dict(VISCOUS_CFG, viscous=dict(VISCOUS_CFG["viscous"], window=["a", "b"]))
+    cfg = write_cfg(tmp_path, bad)
+    assert main(["viscous", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "config error" in capsys.readouterr().err
 
 
 def test_viscous_snapshots_and_mass_accounting(tmp_path):

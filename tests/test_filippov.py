@@ -100,12 +100,9 @@ def test_crossing_node_lies_on_front():
                 continue
             total_crossings += 1
             t, z = traj.times[k], traj.positions[k]
-            dists = [
-                abs(f.birth_position + f.speed * (t - f.birth_time) - z)
-                for f in sol.fronts
-                if f.birth_time <= t <= f.death_time
-            ]
-            assert dists and min(dists) < 1e-12
+            alive = (sol.birth_times <= t) & (t <= sol.death_times)
+            dists = np.abs(sol.birth_positions + sol.speeds * (t - sol.birth_times) - z)[alive]
+            assert dists.size and dists.min() < 1e-12
     assert total_crossings > 0
 
 

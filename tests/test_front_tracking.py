@@ -6,6 +6,7 @@ on seeded random step data.
 """
 
 import copy
+import math
 import pickle
 import re
 
@@ -140,49 +141,41 @@ def test_riemann_traffic_shock_is_stationary():
     flux = PiecewiseLinearFlux(
         np.array([0.0, 0.2, 0.8, 1.0]), np.array([0.0, 0.16, 0.16, 0.0])
     )
-    fronts = solve_riemann(flux, 0.2, 0.8)
-    assert len(fronts) == 1
-    assert fronts[0].speed == 0.0
-    assert (fronts[0].left_value, fronts[0].right_value) == (0.2, 0.8)
+    assert solve_riemann(flux, 0.2, 0.8) == ((0.0, 0.2, 0.8),)
 
 
 def test_riemann_traffic_shock_speed_near_zero_any_level():
     for level in (1, 4, 8):
         flux = piecewise_linearize(TrafficQuadraticFlux(1.0, 1.0), level)
-        fronts = solve_riemann(flux, 0.2, 0.8)
-        assert len(fronts) == 1
-        assert abs(fronts[0].speed) < 1e-12
+        (speed, _, _), = solve_riemann(flux, 0.2, 0.8)
+        assert abs(speed) < 1e-12
 
 
 def test_riemann_traffic_fan_level_one_frozen():
     flux = piecewise_linearize(TrafficQuadraticFlux(1.0, 1.0), 1)
-    fronts = solve_riemann(flux, 1.0, 0.0)
-    states = [(f.speed, f.left_value, f.right_value) for f in fronts]
-    assert states == [(-0.5, 1.0, 0.5), (0.5, 0.5, 0.0)]
+    assert solve_riemann(flux, 1.0, 0.0) == ((-0.5, 1.0, 0.5), (0.5, 0.5, 0.0))
 
 
 def test_riemann_burgers_fan_frozen():
     flux = piecewise_linearize(BurgersQuadraticFlux(), 2)  # spacing 0.25
-    fronts = solve_riemann(flux, -0.5, 0.5)
-    speeds = [f.speed for f in fronts]
+    waves = solve_riemann(flux, -0.5, 0.5)
+    speeds = [s for s, _, _ in waves]
     assert speeds == pytest.approx([-0.375, -0.125, 0.125, 0.375], abs=1e-15)
-    assert fronts[0].left_value == -0.5
-    assert fronts[-1].right_value == 0.5
+    assert waves[0][1] == -0.5
+    assert waves[-1][2] == 0.5
 
 
 def test_riemann_fronts_satisfy_rh_and_ordering():
     rng = np.random.default_rng(2)
     for _ in range(50):
         vl, vr = rng.choice(np.arange(9) / 8.0, 2, replace=False)
-        fronts = solve_riemann(TRAFFIC3, vl, vr)
-        assert fronts[0].left_value == vl
-        assert fronts[-1].right_value == vr
-        speeds = [f.speed for f in fronts]
+        waves = solve_riemann(TRAFFIC3, vl, vr)
+        assert waves[0][1] == vl
+        assert waves[-1][2] == vr
+        speeds = [s for s, _, _ in waves]
         assert all(a < b for a, b in zip(speeds, speeds[1:]))
-        for f in fronts:
-            assert f.speed == pytest.approx(
-                rh_speed(TRAFFIC3, f.left_value, f.right_value), abs=1e-12
-            )
+        for speed, left, right in waves:
+            assert speed == pytest.approx(rh_speed(TRAFFIC3, left, right), abs=1e-12)
 
 
 def test_riemann_states_must_be_finite():
@@ -298,18 +291,15 @@ def as_hex(sol):
     return [[x.hex() for x in a.tolist()] for a in arrays], events
 
 
-def test_solve_riemann_returns_fresh_fronts_and_keeps_the_stored_waves():
+def test_solve_riemann_returns_the_stored_waves():
     flux = fresh_copy(TRAFFIC3)
-    first = solve_riemann(flux, 0.875, 0.125)
-    stored = flux._riemann_table[(0.875, 0.125)]
-    snapshot = list(stored)
-    for front in first:
-        front.speed, front.left_value, front.right_value = 9.0, 9.0, 9.0
-    again = solve_riemann(flux, 0.875, 0.125, position=1.0)
-    assert flux._riemann_table[(0.875, 0.125)] is stored
-    assert list(stored) == snapshot
-    assert [(f.speed, f.left_value, f.right_value) for f in again] == snapshot
-    assert all(f.birth_position == 1.0 for f in again)
+    waves = solve_riemann(flux, 0.875, 0.125)
+    # the stored tuple itself, immutable all the way down
+    assert waves is flux._riemann_table[(0.875, 0.125)]
+    assert isinstance(waves, tuple) and all(isinstance(w, tuple) for w in waves)
+    assert solve_riemann(flux, 0.875, 0.125) is waves
+    # copy.copy starts with an empty table, so this is a fresh solve
+    assert solve_riemann(copy.copy(flux), 0.875, 0.125) == waves
 
 
 def test_riemann_table_stays_under_its_cap_and_exact_past_it():
@@ -363,7 +353,7 @@ def test_riemann_table_keeps_the_sign_of_zero_states(case):
 
 def test_constant_data_gives_empty_solution():
     sol = evolve(StepFunction.constant(0.4375), TRAFFIC3, 2.0)
-    assert len(sol.fronts) == 0
+    assert sol.front_count == 0
     assert sol.collision_count == 0
     assert sol.evaluate_field(0.3, 1.7) == (0.4375, 0.4375)
     assert np.array_equal(sol.slice(1.0).values, [0.4375])
@@ -373,11 +363,10 @@ def test_single_jump_is_pure_riemann_fan():
     s = StepFunction([0.25], [0.875, 0.125])
     sol = evolve(s, TRAFFIC3, 2.0)
     assert sol.collision_count == 0
-    direct = solve_riemann(TRAFFIC3, 0.875, 0.125, position=0.25)
-    assert len(sol.fronts) == len(direct)
-    for got, want in zip(sol.fronts, direct):
-        assert got.speed == want.speed
-        assert got.left_value == want.left_value
+    direct = solve_riemann(TRAFFIC3, 0.875, 0.125)
+    columns = zip(sol.speeds.tolist(), sol.left_values.tolist(), sol.right_values.tolist())
+    assert tuple(columns) == direct
+    assert sol.birth_positions.tolist() == [0.25] * len(direct)
 
 
 def test_two_shock_merge_hand_solved():
@@ -390,8 +379,7 @@ def test_two_shock_merge_hand_solved():
     assert ev.time == pytest.approx(2.0 / 3.0, abs=1e-14)
     assert ev.position == pytest.approx(0.25, abs=1e-14)
     assert len(ev.incoming) == 2 and len(ev.outgoing) == 1
-    merged = sol.fronts[ev.outgoing[0]]
-    assert merged.speed == pytest.approx(0.0, abs=1e-15)
+    assert sol.speeds[ev.outgoing[0]] == pytest.approx(0.0, abs=1e-15)
     final = sol.slice(2.0)
     assert np.array_equal(final.values, [0.125, 0.875])
     # pre-merge slice has more jumps than post-merge
@@ -459,14 +447,96 @@ def test_shock_catalog_thresholds():
         np.array([0.0, 0.2, 0.8, 1.0]), np.array([0.0, 0.16, 0.16, 0.0])
     )
     sol = evolve(s, flux, 2.0)
-    assert len(sol.shock_catalog(0.0).segments) == 1
-    assert len(sol.shock_catalog(0.5).segments) == 1  # strength 0.6 > 0.5
+    assert len(sol.shock_catalog(0.0)) == 1
+    assert len(sol.shock_catalog(0.5)) == 1  # strength 0.6 > 0.5
     # threshold at the total variation drops everything (strict comparison)
-    assert len(sol.shock_catalog(s.total_variation()).segments) == 0
-    seg = sol.shock_catalog(0.5).segments[0]
-    assert seg.strength == pytest.approx(0.6, abs=1e-15)
-    assert seg.distance_to(0.0, 1.0) == 0.0
-    assert seg.distance_to(0.3, 1.0) == pytest.approx(0.3, abs=1e-14)
+    assert len(sol.shock_catalog(s.total_variation())) == 0
+    catalog = sol.shock_catalog(0.5)
+    assert catalog.strength[0] == pytest.approx(0.6, abs=1e-15)
+    assert catalog.min_distance(0.0, 1.0) == 0.0
+    assert catalog.min_distance(0.3, 1.0) == pytest.approx(0.3, abs=1e-14)
+
+
+def reference_distance(x0, t0, x1, t1, x, t):
+    """Distance from (x, t) to one segment, one segment at a time in Python floats."""
+    dx, dt = x1 - x0, t1 - t0
+    denom = dx * dx + dt * dt
+    if denom == 0.0:
+        return math.sqrt((x - x0) ** 2 + (t - t0) ** 2)
+    s = ((x - x0) * dx + (t - t0) * dt) / denom
+    s = min(max(s, 0.0), 1.0)
+    return math.sqrt((x - (x0 + s * dx)) ** 2 + (t - (t0 + s * dt)) ** 2)
+
+
+def reference_min_distance(sol, threshold, x, t):
+    """Nearest front stronger than ``threshold``, each cut off at its death or the horizon."""
+    best = math.inf
+    for k in range(sol.front_count):
+        if abs(sol.left_values[k] - sol.right_values[k]) > threshold:
+            t0, x0 = float(sol.birth_times[k]), float(sol.birth_positions[k])
+            t1 = min(float(sol.death_times[k]), sol.horizon)
+            x1 = x0 + float(sol.speeds[k]) * (t1 - t0)
+            best = min(best, reference_distance(x0, t0, x1, t1, x, t))
+    return best
+
+
+def assert_catalog_matches_reference(sol, threshold, queries):
+    catalog = sol.shock_catalog(threshold)
+    for x, t in queries:
+        got, want = catalog.min_distance(x, t), reference_min_distance(sol, threshold, x, t)
+        if want == math.inf:
+            assert got == math.inf
+        else:
+            assert abs(got - want) <= np.spacing(want), (x, t, got, want)
+    return catalog
+
+
+def test_shock_catalog_matches_per_segment_reference():
+    rng = np.random.default_rng(31)
+    queries = [(float(x), float(t)) for x, t in
+               zip(rng.uniform(-3.0, 3.0, 40), rng.uniform(0.0, 2.0, 40))]
+    # an empty catalog: no fronts at all, or none strong enough
+    flat = evolve(StepFunction.constant(0.25), TRAFFIC3, 2.0)
+    assert len(assert_catalog_matches_reference(flat, 0.0, queries)) == 0
+    # one front alive to the horizon: its death time is inf, its segment ends at t = 2
+    shock = evolve(StepFunction([0.0], [0.25, 0.75]), TRAFFIC3, 2.0)
+    catalog = assert_catalog_matches_reference(shock, 0.0, queries)
+    assert shock.death_times.tolist() == [math.inf] and catalog.t1.tolist() == [2.0]
+    assert len(assert_catalog_matches_reference(shock, 0.5, queries)) == 0  # strength 0.5
+    # two shocks die in a collision; the merged one lives on
+    merge = evolve(StepFunction([0.0, 0.5], [0.125, 0.5, 0.875]), TRAFFIC3, 2.0)
+    catalog = assert_catalog_matches_reference(merge, 0.0, queries + [(0.25, 2.0 / 3.0)])
+    assert np.isfinite(catalog.t1).sum() == 3 and (catalog.t1 < 2.0).sum() == 2
+    # seeded traffic and Burgers runs with collisions, at thresholds that
+    # keep all, some, or exactly the fronts stronger than a fan step
+    burgers = piecewise_linearize(BurgersQuadraticFlux(), 4)
+    for flux, lo in ((FLUX8, 0.0), (burgers, -1.0)):
+        for _ in range(6):
+            sol = evolve(random_step(rng, max_jumps=8, level=4, lo=lo), flux, 2.0)
+            ends = [(float(x), float(t)) for x, t in zip(sol.birth_positions, sol.birth_times)]
+            for threshold in (0.0, 2.0 ** -4, 0.3):
+                catalog = assert_catalog_matches_reference(sol, threshold, queries + ends[:10])
+                strength = np.abs(sol.left_values - sol.right_values)
+                assert catalog.index.tolist() == np.flatnonzero(strength > threshold).tolist()
+
+
+def test_shock_catalog_zero_length_segment():
+    # a front born at the horizon and one dying where it is born sweep no length
+    sol = FrontTrackingSolution(
+        StepFunction.constant(0.0), None, 1.0, [],
+        birth_times=[1.0, 0.5, 0.0], birth_positions=[0.5, -0.25, 2.0],
+        speeds=[0.25, -1.0, 0.0], left_values=[0.0, 0.5, 0.25], right_values=[0.5, 0.0, 0.5],
+        death_times=[np.inf, 0.5, np.inf],
+    )
+    catalog = assert_catalog_matches_reference(
+        sol, 0.0, [(0.5, 1.0), (0.5, 0.0), (-1.0, 0.25), (0.0, 0.5), (3.0, 1.5), (1.9, 0.3)]
+    )
+    assert catalog.x1.tolist() == [0.5, -0.25, 2.0]
+    assert catalog.min_distance(0.5, 1.0) == 0.0
+    assert catalog.min_distance(0.5, 1.5) == 0.5
+    assert catalog.min_distance(-0.25, 0.0) == 0.5
+    # strengths 0.5, 0.5 and 0.25: a threshold equal to a strength drops it
+    assert len(sol.shock_catalog(0.25)) == 2 and len(sol.shock_catalog(0.5)) == 0
 
 
 def test_event_cap_raises():
@@ -488,19 +558,6 @@ def test_evolve_rejects_bad_horizon(horizon):
 def test_evolve_rejects_non_finite_data(breakpoints, values):
     with pytest.raises(ValueError, match="finite"):
         evolve(StepFunction(breakpoints, values), TRAFFIC3, 1.0)
-
-
-def test_front_views_match_stored_arrays():
-    sol = evolve(random_step(np.random.default_rng(4)), TRAFFIC3, 2.0)
-    assert len(sol.fronts) == sol.front_count > 0
-    for k, f in enumerate(sol.fronts):
-        assert f.index == k
-        assert (f.birth_time, f.birth_position, f.speed) == (
-            sol.birth_times[k], sol.birth_positions[k], sol.speeds[k]
-        )
-        assert (f.left_value, f.right_value, f.death_time) == (
-            sol.left_values[k], sol.right_values[k], sol.death_times[k]
-        )
 
 
 # non-concave rho * w(rho): envelopes with several vertices, fans and shocks mixed
@@ -721,13 +778,7 @@ def test_evolution_is_deterministic():
     s = random_step(rng)
     a = evolve(s, TRAFFIC3, 2.0)
     b = evolve(s, TRAFFIC3, 2.0)
-    assert len(a.fronts) == len(b.fronts)
-    for fa, fb in zip(a.fronts, b.fronts):
-        assert (fa.birth_time, fa.birth_position, fa.speed) == (
-            fb.birth_time,
-            fb.birth_position,
-            fb.speed,
-        )
+    assert as_hex(a) == as_hex(b)
 
 
 # ---------------------------------------------------------------------------
@@ -787,12 +838,11 @@ def test_outgoing_speeds_increase_at_every_event():
         s = random_step(rng, max_jumps=8)
         sol = evolve(s, FLUX8, 2.0)
         for e in sol.events:
-            speeds = [sol.fronts[i].speed for i in e.outgoing]
+            speeds = sol.speeds[list(e.outgoing)]
             assert all(x < y for x, y in zip(speeds, speeds[1:]))
             for i in e.outgoing:
-                f = sol.fronts[i]
-                assert f.speed == pytest.approx(
-                    rh_speed(FLUX8, f.left_value, f.right_value), abs=1e-12
+                assert sol.speeds[i] == pytest.approx(
+                    rh_speed(FLUX8, sol.left_values[i], sol.right_values[i]), abs=1e-12
                 )
 
 
