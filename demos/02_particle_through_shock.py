@@ -49,7 +49,7 @@ def random_field_speeds():
     )
     sol = evolve(data, flux, 2.0)
     traj = track(sol, W, x0=-2.5, t0=0.05, horizon=2.0)
-    violation = check_speed_inclusion(traj, sol, W, max_samples=1000)
+    violation = check_speed_inclusion(traj, sol, W)
     print("\nrandom six-state field:")
     print(f"  trajectory nodes: {len(traj.times)}")
     print(f"  worst speed-inclusion violation over 1000 samples: {violation:.1e}")

@@ -72,6 +72,6 @@ from .front_tracking import (
     quantize_step,
     solve_riemann,
 )
-from .viscous import CflError, GridField, solve_viscous, track_smooth
+from .viscous import GridField, solve_viscous, track_smooth
 
 __version__ = "0.1.0"

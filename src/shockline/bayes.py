@@ -33,6 +33,8 @@ from .front_tracking import (
 from .viscous import solve_viscous, track_smooth
 
 LOG_UNDERFLOW = log(1e-300)
+# batches of the batch-means error bar of a Hellinger estimate
+HELLINGER_BATCHES = 10
 
 
 def latent_to_unit_interval(v):
@@ -375,6 +377,11 @@ class ViscousTrajectoryForward(_TrackedForward):
     n_cells: int = 400
     store_every: int = 4
 
+    def __post_init__(self):
+        super().__post_init__()
+        if not (isfinite(self.epsilon) and self.epsilon > 0):
+            raise ValueError("epsilon must be positive and finite")
+
     def __call__(self, sample: StepFunction) -> np.ndarray:
         fld = solve_viscous(
             sample, self.flux, self.epsilon, self.horizon,
@@ -393,16 +400,17 @@ def potential(sample, obs: ObservationSet, forward: ForwardMap) -> float:
     return float(np.dot(r, r) / (2.0 * obs.noise_std ** 2))
 
 
+def check_noise_std(noise_std: float) -> None:
+    """Raise ValueError unless ``noise_std`` is a usable synthetic noise level."""
+    if not (isfinite(noise_std) and noise_std >= 0):
+        raise ValueError("noise_std must be nonnegative and finite")
+
+
 def synth_observations(
-    forward: ForwardMap,
-    truth,
-    noise_std: float,
-    seed: int = 0,
-    positions: Optional[Sequence[float]] = None,
+    forward: ForwardMap, truth, noise_std: float, seed: int = 0
 ) -> ObservationSet:
     """Noisy data from a known truth; noise_std = 0 gives exact data."""
-    if noise_std < 0:
-        raise ValueError("noise_std must be nonnegative")
+    check_noise_std(noise_std)
     clean = forward(truth)
     meta = {"seed": seed, "clean_values": [float(v) for v in clean]}
     if noise_std > 0:
@@ -412,7 +420,7 @@ def synth_observations(
         # noiseless data still needs a scale for the misfit; unit by convention
         values, std = clean, 1.0
         meta["noiseless"] = True
-    pts = getattr(forward, "positions", positions)
+    pts = getattr(forward, "positions", None)
     return ObservationSet(
         kind=forward.kind,
         values=values,
@@ -448,11 +456,20 @@ class PosteriorRun:
     def posterior_mean_field(self):
         return self.prior.field_from_values(self.mean_values)
 
-    def credible_band(self, lo_q: float = 0.05, hi_q: float = 0.95, thin: int = 10):
-        vals = np.stack(
-            [self.prior.transformed_values(v) for v in self.latent_chain[:: max(thin, 1)]]
-        )
-        return np.quantile(vals, lo_q, axis=0), np.quantile(vals, hi_q, axis=0)
+    def credible_band(self):
+        """5% and 95% quantiles of the grid values over every 10th chain state."""
+        vals = np.stack([self.prior.transformed_values(v) for v in self.latent_chain[::10]])
+        return np.quantile(vals, 0.05, axis=0), np.quantile(vals, 0.95, axis=0)
+
+
+def check_pcn_settings(chain_length: int, beta: float, burn_in: int) -> None:
+    """Raise ValueError unless the pCN chain settings are usable."""
+    if not 0.0 <= beta <= 1.0:
+        raise ValueError("beta must lie in [0, 1]")
+    if chain_length < 1:
+        raise ValueError("chain_length must be positive")
+    if not 0 <= burn_in < chain_length:
+        raise ValueError("burn_in must be in [0, chain_length)")
 
 
 def run_pcn(
@@ -470,12 +487,7 @@ def run_pcn(
     fresh prior fluctuation; acceptance probability min(1, exp(Phi - Phi')).
     beta = 0 reproduces the starting point forever.
     """
-    if not 0.0 <= beta <= 1.0:
-        raise ValueError("beta must lie in [0, 1]")
-    if chain_length < 1:
-        raise ValueError("chain_length must be positive")
-    if not 0 <= burn_in < chain_length:
-        raise ValueError("burn_in must be in [0, chain_length)")
+    check_pcn_settings(chain_length, beta, burn_in)
     rng = np.random.default_rng(seed)
     factor = prior.factor
     contraction = sqrt(1.0 - beta * beta)
@@ -544,9 +556,7 @@ def _logsumexp(x: np.ndarray) -> float:
     return m + log(float(np.sum(np.exp(x - m))))
 
 
-def _hellinger_from_potentials(
-    phi_a: np.ndarray, phi_b: np.ndarray, n_batches: int
-) -> HellingerEstimate:
+def _hellinger_from_potentials(phi_a: np.ndarray, phi_b: np.ndarray) -> HellingerEstimate:
     m = phi_a.size
 
     def estimate(pa: np.ndarray, pb: np.ndarray) -> tuple[float, float, float]:
@@ -564,7 +574,7 @@ def _hellinger_from_potentials(
         return sqrt(max(d2, 0.0)), log_za, log_zb
 
     value, log_za, log_zb = estimate(phi_a, phi_b)
-    bounds = np.linspace(0, m, n_batches + 1).astype(int)
+    bounds = np.linspace(0, m, HELLINGER_BATCHES + 1).astype(int)
     batch_vals = []
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         if hi - lo >= 2:
@@ -578,9 +588,9 @@ def _hellinger_from_potentials(
     return HellingerEstimate(value, stderr, m, log_za, log_zb, batch_vals)
 
 
-def _common_latents(prior: PriorSpec, n_samples: int, seed: int, n_batches: int) -> np.ndarray:
+def _common_latents(prior: PriorSpec, n_samples: int, seed: int) -> np.ndarray:
     """The prior samples that every posterior in one comparison shares."""
-    if n_samples < max(2 * n_batches, 4):
+    if n_samples < 2 * HELLINGER_BATCHES:
         raise ValueError("n_samples too small for batch-means error bars")
     return prior.sample_latent(np.random.default_rng(seed), size=n_samples)
 
@@ -620,7 +630,6 @@ def hellinger_between(
     n_samples: int,
     seed: int = 0,
     obs_b: Optional[ObservationSet] = None,
-    n_batches: int = 10,
     jobs: int = 1,
 ) -> HellingerEstimate:
     """Hellinger distance between two posteriors sharing the same prior.
@@ -629,14 +638,14 @@ def hellinger_between(
     forward maps (and identical data) give exactly zero.  Raises
     FloatingPointError when an evidence estimate falls below 1e-300.
     """
-    latents = _common_latents(prior, n_samples, seed, n_batches)
+    latents = _common_latents(prior, n_samples, seed)
     g_a = evaluate_forward_on_samples(prior, forward_a, latents, jobs)
     g_b = g_a if forward_b is forward_a else evaluate_forward_on_samples(
         prior, forward_b, latents, jobs
     )
     phi_a = _potentials(g_a, obs)
     phi_b = _potentials(g_b, obs if obs_b is None else obs_b)
-    return _hellinger_from_potentials(phi_a, phi_b, n_batches)
+    return _hellinger_from_potentials(phi_a, phi_b)
 
 
 @dataclass
@@ -672,7 +681,6 @@ def posterior_convergence_study(
     reference: ForwardMap,
     n_samples: int,
     seed: int = 0,
-    n_batches: int = 10,
     jobs: int = 1,
 ) -> StudyReport:
     """Hellinger distances posterior(approx) vs posterior(reference).
@@ -682,16 +690,16 @@ def posterior_convergence_study(
     max d / sqrt(discrepancy), the A = B control (always exactly 0), and
     whether the distances decrease along the ladder as given.
     """
-    latents = _common_latents(prior, n_samples, seed, n_batches)
+    latents = _common_latents(prior, n_samples, seed)
     g_ref = evaluate_forward_on_samples(prior, reference, latents, jobs)
     phi_ref = _potentials(g_ref, obs)
-    control = _hellinger_from_potentials(phi_ref, phi_ref, n_batches).value
+    control = _hellinger_from_potentials(phi_ref, phi_ref).value
     rows = []
     for label, fwd in ladder:
         g_n = evaluate_forward_on_samples(prior, fwd, latents, jobs)
         phi_n = _potentials(g_n, obs)
         disc = float(np.mean(np.abs(g_n - g_ref)))
-        estimate = _hellinger_from_potentials(phi_n, phi_ref, n_batches)
+        estimate = _hellinger_from_potentials(phi_n, phi_ref)
         rows.append(StudyRow(float(label), estimate, disc))
     dists = np.asarray([r.hellinger for r in rows])
     discs = np.asarray([max(r.forward_discrepancy, 1e-300) for r in rows])
@@ -706,29 +714,22 @@ def posterior_convergence_study(
 
 
 def place_observation_points(
-    sol: FrontTrackingSolution,
-    times: Sequence[float],
-    x_range: tuple[float, float],
-    shock_threshold: float = 0.05,
-    clearance: float = 0.02,
-    scan_points: int = 400,
+    sol: FrontTrackingSolution, times: Sequence[float], x_range: tuple[float, float]
 ) -> list[tuple[float, float]]:
     """One observation point per time, outside shock neighborhoods.
 
-    Scans x_range at each time and keeps the candidate farthest from every
-    shock stronger than ``shock_threshold``; errors out if no candidate has
-    clearance greater than ``clearance``.
+    Scans 400 points of x_range at each time and keeps the candidate
+    farthest from every shock stronger than 0.05; errors out if no
+    candidate is farther than 0.02 from them.
     """
-    catalog = sol.shock_catalog(shock_threshold)
+    catalog = sol.shock_catalog(0.05)
     points = []
-    xs = np.linspace(x_range[0], x_range[1], scan_points)
+    xs = np.linspace(x_range[0], x_range[1], 400)
     for t in times:
         dists = np.asarray([catalog.min_distance(x, t) for x in xs])
         k = int(np.argmax(dists))
-        if dists[k] <= clearance:
-            raise ValueError(
-                f"no observation point at t={t} clears the shock set by {clearance}"
-            )
+        if dists[k] <= 0.02:
+            raise ValueError(f"no observation point at t={t} clears the shock set by 0.02")
         points.append((float(xs[k]), float(t)))
     return points
 

@@ -21,6 +21,8 @@ from .bayes import (
     TrajectoryForward,
     VelocityTrajectoryForward,
     ViscousTrajectoryForward,
+    check_noise_std,
+    check_pcn_settings,
     posterior_convergence_study,
     run_pcn,
     synth_observations,
@@ -180,14 +182,19 @@ def cmd_stability(cfg: ScenarioConfig, args, out: str) -> int:
     return 0
 
 
-def _forward_from_block(blk: dict, cfg: ScenarioConfig):
-    """The forward map of a forward block; a value its constructor rejects is a ConfigError."""
+def _config_checked(where: str, fn, *args):
+    """``fn(*args)``; a ValueError it raises for a value of ``where`` is a ConfigError."""
     try:
-        return _forward_map(blk, cfg)
+        return fn(*args)
     except ConfigError:
         raise
     except ValueError as exc:
-        raise ConfigError(f"bad forward block: {exc}") from exc
+        raise ConfigError(f"bad {where}: {exc}") from exc
+
+
+def _forward_from_block(blk: dict, cfg: ScenarioConfig):
+    """The forward map of a forward block; a value its constructor rejects is a ConfigError."""
+    return _config_checked("forward block", _forward_map, blk, cfg)
 
 
 def _forward_map(blk: dict, cfg: ScenarioConfig):
@@ -232,13 +239,16 @@ def _forward_map(blk: dict, cfg: ScenarioConfig):
     raise ConfigError(f"unknown forward kind {kind!r}")
 
 
-def _synthetic_observations(blk: dict, cfg: ScenarioConfig, forward, seed=None):
-    """Observations of the inversion block's synthetic recipe; ``seed`` overrides its seed."""
+def _synthetic(blk: dict, cfg: ScenarioConfig, seed=None) -> tuple:
+    """(truth, noise_std, seed) of the inversion block's synthetic recipe, the
+    arguments of ``synth_observations`` after the forward; ``seed`` overrides
+    the recipe's seed."""
     synth = blk["synthetic"]
     where = "synthetic block"
     if seed is None:
         seed = read_field(synth, "seed", int, cfg.seed, where)
     noise_std = read_field(synth, "noise_std", float, 0.0, where)
+    _config_checked(where, check_noise_std, noise_std)
     prior = cfgio.prior_from_block(blk.get("prior", {}))
     if "truth" in synth:
         truth = read_field(synth, "truth", cfgio.StepFunction.from_spec, where=where)
@@ -249,24 +259,24 @@ def _synthetic_observations(blk: dict, cfg: ScenarioConfig, forward, seed=None):
         )
     else:
         raise ConfigError("synthetic block needs 'truth' or 'truth_latent'")
-    return synth_observations(forward, truth, noise_std, seed)
+    return truth, noise_std, seed
 
 
 def cmd_synth(cfg: ScenarioConfig, args, out: str) -> int:
     blk = cfg.block("inversion")
     if blk.get("synthetic") is None:
         raise ConfigError("synth needs an inversion.synthetic block")
+    recipe = _synthetic(blk, cfg, args.seed)
     forward = _forward_from_block(blk.get("forward", {}), cfg)
-    obs = _synthetic_observations(blk, cfg, forward, args.seed)
+    obs = synth_observations(forward, *recipe)
     cfgio.write_observations_json(os.path.join(out, "observations.json"), obs)
-    if args.check:
-        again = _synthetic_observations(blk, cfg, forward, args.seed)
-        if not np.array_equal(obs.values, again.values):
-            raise CheckFailure("synthetic data not reproducible under its seed")
+    if args.check and not np.array_equal(obs.values, synth_observations(forward, *recipe).values):
+        raise CheckFailure("synthetic data not reproducible under its seed")
     return 0
 
 
-def _observations(blk: dict, cfg: ScenarioConfig, forward):
+def _observations(blk: dict, cfg: ScenarioConfig):
+    """The inversion block's observations, or its synthetic recipe (a tuple)."""
     if "observations_file" in blk:
         return cfgio.read_observations_json(blk["observations_file"])
     if "observations" in blk:
@@ -275,21 +285,25 @@ def _observations(blk: dict, cfg: ScenarioConfig, forward):
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad observations block: {exc}") from exc
     if "synthetic" in blk:
-        return _synthetic_observations(blk, cfg, forward)
+        return _synthetic(blk, cfg)
     raise ConfigError("inversion block needs observations, observations_file, "
                       "or a synthetic recipe")
 
 
 def cmd_invert(cfg: ScenarioConfig, args, out: str) -> int:
     blk = cfg.block("inversion")
+    # the sampler and the observations are read and checked before any forward is built
     prior = cfgio.prior_from_block(blk.get("prior", {}))
-    forward = _forward_from_block(blk.get("forward", {}), cfg)
-    obs = _observations(blk, cfg, forward)
     sampler = blk.get("sampler", {})
     chain_length = read_field(sampler, "chain_length", int, 1000, "sampler block")
     beta = read_field(sampler, "beta", float, 0.1, "sampler block")
     burn_in = read_field(sampler, "burn_in", int, 0, "sampler block")
     thin = read_field(sampler, "thin", int, 1, "sampler block")
+    _config_checked("sampler block", check_pcn_settings, chain_length, beta, burn_in)
+    obs = _observations(blk, cfg)
+    forward = _forward_from_block(blk.get("forward", {}), cfg)
+    if isinstance(obs, tuple):
+        obs = synth_observations(forward, *obs)
     seed = cfg.seed if args.seed is None else args.seed
     run = run_pcn(prior, obs, forward, chain_length, beta, seed, burn_in=burn_in)
     cfgio.write_chain_csv(os.path.join(out, "chain.csv"), run, thin=thin)

@@ -93,6 +93,28 @@ class RateReport:
             )
 
 
+def _rate_ladder(label: str, traj: Trajectory, rungs, epsilons, meta: dict) -> RateReport:
+    """Sup-distances of perturbed paths from ``traj`` against C * sqrt(size).
+
+    ``rungs`` yields (measured perturbation size, bound constant C,
+    perturbed trajectory) per ladder value.  Adds to ``meta`` whether no
+    path sticks and the requested ladder ``epsilons``.
+    """
+    sizes, consts, errors, stick_free = [], [], [], not traj.sticking
+    for size, c, traj_p in rungs:
+        sizes.append(size)
+        consts.append(c)
+        errors.append(traj.sup_distance(traj_p))
+        stick_free = stick_free and not traj_p.sticking
+    slope, intercept = fit_rate(sizes, errors)
+    sizes, consts, errors = np.asarray(sizes), np.asarray(consts), np.asarray(errors)
+    bounds = consts * np.sqrt(sizes)
+    meta.update(sticking_free=stick_free, requested_epsilons=[float(e) for e in epsilons])
+    return RateReport(
+        label, sizes, errors, slope, intercept, consts, bounds, errors <= bounds, meta
+    )
+
+
 @dataclass
 class LadderReport:
     """Errors against a reference along a discrete refinement ladder."""
@@ -123,14 +145,13 @@ def perturb_initial_field(
     level: int,
     window: tuple[float, float],
     seed: int = 0,
-    floor: float = 0.0,
-    ceiling: float = 1.0,
 ) -> StepFunction:
     """Perturbation of ``base`` with L1-window size close to ``eps``.
 
     Families: 'shift' moves every jump location, 'dither' nudges interior
     cell values on the dyadic grid, 'steps' adds small grid-valued
-    rectangles.  Values are clipped to [floor, ceiling].
+    rectangles.  Values are clipped to [2**-level, 1], so the density
+    floor stays positive on the grid.
     """
     if family == "shift":
         tv = base.total_variation()
@@ -138,6 +159,7 @@ def perturb_initial_field(
             raise ValueError("shift family needs at least one jump")
         return base.translate(eps / tv)
     rng = np.random.default_rng(seed)
+    floor = 2.0 ** -level
     if family == "dither":
         vals = base.values.copy()
         if vals.size < 3:
@@ -146,7 +168,7 @@ def perturb_initial_field(
         total = float(np.sum(widths)) if widths.size else 1.0
         amp = _snap(eps / max(total, 1e-9), level)
         for k in range(1, vals.size - 1):
-            vals[k] = min(max(vals[k] + amp * (1 if k % 2 else -1), floor), ceiling)
+            vals[k] = min(max(vals[k] + amp * (1 if k % 2 else -1), floor), 1.0)
         return StepFunction(base.breakpoints.copy(), vals)
     if family == "steps":
         lo, hi = window
@@ -167,7 +189,7 @@ def perturb_initial_field(
         vals = base.sample(sample_pts)
         for a, b, h in bumps:
             inside = (sample_pts > a) & (sample_pts < b)
-            vals[inside] = np.clip(vals[inside] + h, floor, ceiling)
+            vals[inside] = np.clip(vals[inside] + h, floor, 1.0)
         return StepFunction(xs, vals)
     raise ValueError(f"unknown perturbation family {family!r}")
 
@@ -200,53 +222,24 @@ def initial_field_stability(
     base_q = quantize_step(base, level)
     if base_q.min_value() <= 0:
         raise ValueError("density floor must stay positive after quantization")
-    sol = evolve(base_q, flux, horizon)
-    traj = track(sol, velocity, x0, t0, horizon)
-
+    traj = track(evolve(base_q, flux, horizon), velocity, x0, t0, horizon)
     lw = velocity.lipschitz_norm
-    eps_meas, errors, consts, bounds, ok, stick_free = [], [], [], [], [], True
-    for eps in epsilons:
-        pert = perturb_initial_field(
-            base, eps, family, level, window, seed=seed,
-            floor=2.0 ** -level, ceiling=1.0,
-        )
-        pert_q = quantize_step(pert, level)
-        if pert_q.min_value() <= 0:
-            raise ValueError("perturbed density floor must stay positive")
-        e_meas = l1_distance(base_q, pert_q, window)
-        sol_p = evolve(pert_q, flux, horizon)
-        traj_p = track(sol_p, velocity, x0, t0, horizon)
-        err = traj.sup_distance(traj_p)
-        m_rho = min(base_q.min_value(), pert_q.min_value())
-        c = (
-            1.0
-            + (horizon - t0) * (1.0 + 2.0 / m_rho) * lw
-            + (base_q.total_variation() + pert_q.total_variation()) / m_rho
-        )
-        eps_meas.append(e_meas)
-        errors.append(err)
-        consts.append(c)
-        bounds.append(c * np.sqrt(e_meas))
-        ok.append(err <= c * np.sqrt(e_meas))
-        stick_free = stick_free and not traj_p.sticking
-    slope, intercept = fit_rate(eps_meas, errors)
-    return RateReport(
-        label=f"initial-field/{family}",
-        epsilons=np.asarray(eps_meas),
-        errors=np.asarray(errors),
-        slope=slope,
-        intercept=intercept,
-        bound_constants=np.asarray(consts),
-        bound_values=np.asarray(bounds),
-        bound_satisfied=np.asarray(ok),
-        meta={
-            "family": family,
-            "level": level,
-            "window": [float(window[0]), float(window[1])],
-            "sticking_free": stick_free and not traj.sticking,
-            "requested_epsilons": [float(e) for e in epsilons],
-        },
-    )
+
+    def rungs():
+        for eps in epsilons:
+            pert = perturb_initial_field(base, eps, family, level, window, seed)
+            pert_q = quantize_step(pert, level)
+            if pert_q.min_value() <= 0:
+                raise ValueError("perturbed density floor must stay positive")
+            e_meas = l1_distance(base_q, pert_q, window)
+            traj_p = track(evolve(pert_q, flux, horizon), velocity, x0, t0, horizon)
+            m_rho = min(base_q.min_value(), pert_q.min_value())
+            tv = base_q.total_variation() + pert_q.total_variation()
+            c = 1.0 + (horizon - t0) * (1.0 + 2.0 / m_rho) * lw + tv / m_rho
+            yield e_meas, c, traj_p
+
+    meta = {"family": family, "level": level, "window": [float(window[0]), float(window[1])]}
+    return _rate_ladder(f"initial-field/{family}", traj, rungs(), epsilons, meta)
 
 
 def perturb_velocity(
@@ -306,44 +299,22 @@ def flux_stability(
     if m_rho <= 0:
         raise ValueError("density floor must stay positive after quantization")
     flux = traffic_flux_from_velocity(velocity, level)
-    sol = evolve(rho_q, flux, horizon)
-    traj = track(sol, velocity, x0, t0, horizon)
+    traj = track(evolve(rho_q, flux, horizon), velocity, x0, t0, horizon)
     lw = velocity.lipschitz_norm
     tv = rho_q.total_variation()
     c = 1.0 + 2.0 * (horizon - t0) * (1.0 + 2.0 / m_rho) * lw + 2.0 * tv / m_rho
 
-    eps_meas, errors, bounds, ok, stick_free = [], [], [], [], not traj.sticking
-    for eps in epsilons:
-        w_p = perturb_velocity(velocity, eps, family, level)
-        if not w_p.is_admissible():
-            raise ValueError("perturbed velocity left the admissible class")
-        e_meas = velocity_lip_distance(velocity, w_p, level)
-        flux_p = traffic_flux_from_velocity(w_p, level)
-        sol_p = evolve(rho_q, flux_p, horizon)
-        traj_p = track(sol_p, w_p, x0, t0, horizon)
-        err = traj.sup_distance(traj_p)
-        eps_meas.append(e_meas)
-        errors.append(err)
-        bounds.append(c * np.sqrt(e_meas))
-        ok.append(err <= c * np.sqrt(e_meas))
-        stick_free = stick_free and not traj_p.sticking
-    slope, intercept = fit_rate(eps_meas, errors)
-    return RateReport(
-        label=f"flux/{family}",
-        epsilons=np.asarray(eps_meas),
-        errors=np.asarray(errors),
-        slope=slope,
-        intercept=intercept,
-        bound_constants=np.full(len(eps_meas), c),
-        bound_values=np.asarray(bounds),
-        bound_satisfied=np.asarray(ok),
-        meta={
-            "family": family,
-            "level": level,
-            "sticking_free": stick_free,
-            "requested_epsilons": [float(e) for e in epsilons],
-        },
-    )
+    def rungs():
+        for eps in epsilons:
+            w_p = perturb_velocity(velocity, eps, family, level)
+            if not w_p.is_admissible():
+                raise ValueError("perturbed velocity left the admissible class")
+            e_meas = velocity_lip_distance(velocity, w_p, level)
+            sol_p = evolve(rho_q, traffic_flux_from_velocity(w_p, level), horizon)
+            yield e_meas, c, track(sol_p, w_p, x0, t0, horizon)
+
+    meta = {"family": family, "level": level}
+    return _rate_ladder(f"flux/{family}", traj, rungs(), epsilons, meta)
 
 
 @dataclass
@@ -356,10 +327,8 @@ class BurgersCheck:
     level: int
 
 
-def burgers_transform_check(
-    initial: StepFunction, level: int, horizon: float, times: Optional[Sequence[float]] = None
-) -> BurgersCheck:
-    """Run traffic flow and its Burgers image; compare mapped slices.
+def burgers_transform_check(initial: StepFunction, level: int, horizon: float) -> BurgersCheck:
+    """Run traffic flow and its Burgers image; compare slices at T/2 and T.
 
     The substitution u = 1 - 2 rho turns the chord flux of rho (1 - rho)
     into the chord flux of u^2/2 on the image grid (up to a constant), so
@@ -375,11 +344,9 @@ def burgers_transform_check(
     sol_rho = evolve(rho_q, traffic_flux, horizon)
     u0 = StepFunction(rho_q.breakpoints.copy(), 1.0 - 2.0 * rho_q.values)
     sol_u = evolve(u0, burgers_flux, horizon)
-    if times is None:
-        times = [0.5 * horizon, horizon]
     worst_l1 = 0.0
     worst_gap = 0.0
-    for t in times:
+    for t in (0.5 * horizon, horizon):
         a = sol_rho.slice(t)
         b = sol_u.slice(t)
         mapped = StepFunction(b.breakpoints.copy(), 0.5 * (1.0 - b.values))

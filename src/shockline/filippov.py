@@ -279,24 +279,21 @@ def track(
 
 
 def check_speed_inclusion(
-    traj: Trajectory,
-    solution: FrontTrackingSolution,
-    velocity: VelocityFunction,
-    max_samples: int = 1000,
-    seed: int = 0,
+    traj: Trajectory, solution: FrontTrackingSolution, velocity: VelocityFunction
 ) -> float:
     """Largest violation of the one-sided speed inclusion at segment midpoints.
 
-    For each sampled segment the speed must lie within [min, max] of the
-    velocities of the one-sided field limits at the midpoint; the return
-    value is max(0, violation) over samples and is 0 for an admissible path.
+    For each sampled segment (all of them, or 1000 drawn with seed 0) the
+    speed must lie within [min, max] of the velocities of the one-sided
+    field limits at the midpoint; the return value is max(0, violation)
+    over samples and is 0 for an admissible path.
     """
     nseg = traj.speeds.size
     if nseg == 0:
         return 0.0
     idx = np.arange(nseg)
-    if nseg > max_samples:
-        idx = np.random.default_rng(seed).choice(nseg, size=max_samples, replace=False)
+    if nseg > 1000:
+        idx = np.random.default_rng(0).choice(nseg, size=1000, replace=False)
         idx.sort()
     worst = 0.0
     for k in idx:
@@ -389,17 +386,16 @@ def initial_position_spread(
     y0: float,
     t0: float,
     horizon: Optional[float] = None,
-    check_points: int = 1000,
 ) -> SpreadReport:
     """Track from two starting points and fit |x-y|^2 <= |x0-y0|^2 (t/t0)^C.
 
     The fitted exponent is the smallest C >= 0 for which the envelope holds
-    at the evaluation times (trajectory nodes plus a uniform grid).
+    at the evaluation times (trajectory nodes plus 1000 uniform times).
     """
     a = track(solution, velocity, x0, t0, horizon)
     b = track(solution, velocity, y0, t0, horizon)
     T = a.end_time
-    ts = np.unique(np.concatenate((a.times, b.times, np.linspace(t0, T, check_points))))
+    ts = np.unique(np.concatenate((a.times, b.times, np.linspace(t0, T, 1000))))
     spread = np.abs(a.position_at(ts) - b.position_at(ts))
     d0 = abs(x0 - y0)
     if d0 == 0.0:

@@ -86,9 +86,6 @@ class _FluxBase:
             return float(out)
         return out
 
-    def _values(self, v: np.ndarray) -> np.ndarray:  # pragma: no cover
-        raise NotImplementedError
-
 
 @dataclass(frozen=True)
 class TrafficQuadraticFlux(_FluxBase):

@@ -24,10 +24,6 @@ from .flux import (
 from .front_tracking import StepFunction
 
 
-class CflError(ValueError):
-    """Raised when a requested time step violates the stability condition."""
-
-
 def _eo_split(flux: FluxFunction) -> tuple[Callable, Callable]:
     """Engquist-Osher splitting f = f(0-ref) + fplus + fminus.
 
@@ -146,15 +142,13 @@ def solve_viscous(
     window: Optional[tuple[float, float]] = None,
     n_cells: int = 2000,
     cfl_safety: float = 0.9,
-    dt: Optional[float] = None,
     store_every: int = 1,
 ) -> GridField:
     """March the viscous problem to ``horizon`` with far-field Dirichlet ends.
 
-    The automatic step is dt = cfl_safety / (2L/dx + 2 eps/dx^2), which
-    satisfies both dt <= cfl_safety * min(dx/(2L), dx^2/(2 eps)) and the
-    monotonicity bound dt * (L/dx + 2 eps/dx^2) <= 1.  A user-supplied dt
-    must pass the same two checks or CflError is raised.
+    The step is dt = cfl_safety / (2L/dx + 2 eps/dx^2), shrunk to land on
+    the horizon, which satisfies both dt <= cfl_safety * min(dx/(2L),
+    dx^2/(2 eps)) and the monotonicity bound dt * (L/dx + 2 eps/dx^2) <= 1.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
@@ -172,15 +166,7 @@ def solve_viscous(
     lip = flux.lipschitz_norm
     dx = (x_hi - x_lo) / n_cells
     x = x_lo + dx * (np.arange(n_cells) + 0.5)
-    rate = 2.0 * lip / dx + 2.0 * epsilon / (dx * dx)
-    if dt is None:
-        dt = cfl_safety / rate
-    else:
-        limit = cfl_safety * min(dx / (2.0 * lip), dx * dx / (2.0 * epsilon))
-        if dt > limit or dt * (lip / dx + 2.0 * epsilon / (dx * dx)) > 1.0:
-            raise CflError(
-                f"dt={dt} violates the stability condition (limit {limit:.3e})"
-            )
+    dt = cfl_safety / (2.0 * lip / dx + 2.0 * epsilon / (dx * dx))
     n_steps = max(1, ceil(horizon / dt))
     dt = horizon / n_steps  # land exactly on the horizon; only shrinks dt
 

@@ -329,7 +329,7 @@ def test_criterion_14_speed_inclusion(report):
         rho0 = random_step(rng, 8, 8, lo=0.05, hi=1.0)
         sol = evolve(rho0, flux, 2.0)
         traj = track(sol, W, float(rng.uniform(-3.0, -2.2)), 0.05, 2.0)
-        violation = check_speed_inclusion(traj, sol, W, max_samples=1000)
+        violation = check_speed_inclusion(traj, sol, W)
         worst = max(worst, violation)
         assert violation <= 1e-10
     report(14, f"10 trajectories x 1000 samples, worst violation {worst:.1e} <= 1e-10")
@@ -368,7 +368,7 @@ def test_criterion_16_posterior_approximation_ladder(report):
     t0 = time.perf_counter()
     rep = posterior_convergence_study(
         prior, obs, [(4, make(4)), (6, make(6)), (8, make(8))], ref,
-        n_samples=2000, seed=0, n_batches=10,
+        n_samples=2000, seed=0,
     )
     elapsed = time.perf_counter() - t0
     assert rep.control_value == 0.0

@@ -347,11 +347,11 @@ def test_hellinger_identical_posteriors_is_exactly_zero():
 def test_hellinger_shift_invariance_and_bounds():
     rng = np.random.default_rng(0)
     phi = rng.uniform(0.0, 5.0, 400)
-    est = _hellinger_from_potentials(phi, phi + 3.0, 10)
+    est = _hellinger_from_potentials(phi, phi + 3.0)
     assert est.value < 1e-12
     assert est.log_evidence_b == pytest.approx(est.log_evidence_a - 3.0, abs=1e-12)
     other = rng.uniform(0.0, 5.0, 400)
-    est = _hellinger_from_potentials(phi, other, 10)
+    est = _hellinger_from_potentials(phi, other)
     assert 0.0 <= est.value <= 1.0 + 1e-12
     assert est.stderr >= 0.0
 
@@ -359,7 +359,7 @@ def test_hellinger_shift_invariance_and_bounds():
 def test_hellinger_underflow_raises():
     phi = np.full(100, 1e6)
     with pytest.raises(FloatingPointError):
-        _hellinger_from_potentials(phi, phi.copy(), 5)
+        _hellinger_from_potentials(phi, phi.copy())
 
 
 def test_hellinger_needs_enough_samples():
@@ -385,9 +385,7 @@ def test_convergence_study_reference_rung_is_exact():
     prior = small_prior()
     fwd = MeanForward()
     obs = ObservationSet(kind="pointwise", values=[0.6], noise_std=0.1, times=(0.5,))
-    report = posterior_convergence_study(
-        prior, obs, [(4.0, fwd)], fwd, n_samples=40, seed=0, n_batches=5
-    )
+    report = posterior_convergence_study(prior, obs, [(4.0, fwd)], fwd, n_samples=40, seed=0)
     assert report.control_value == 0.0
     assert report.rows[0].hellinger == 0.0
     assert report.fitted_constant == 0.0

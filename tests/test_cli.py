@@ -245,6 +245,7 @@ def with_synthetic(**fields):
 
 MALFORMED_SYNTHETIC = {
     "noise_std_not_a_number": with_synthetic(noise_std="x"),
+    "negative_noise_std": with_synthetic(noise_std=-1),
     "seed_not_a_number": with_synthetic(seed="x"),
     "truth_latent_wrong_length": with_synthetic(truth_latent=[0.1, 0.2, 0.3]),
 }
@@ -260,10 +261,14 @@ MALFORMED_SYNTHETIC = {
     with_inversion(forward={"kind": "trajectory", "times": [0.5, 1.0, 1.5],
                             "x0": -0.5, "t0": 0.75}),
     with_inversion(forward={"kind": "pointwise", "times": [0.5, 1.0], "positions": [0.0]}),
+    with_inversion(sampler={"chain_length": 0, "beta": 0.2}),
+    with_inversion(sampler={"chain_length": 150, "beta": 2}),
+    with_inversion(forward={"kind": "viscous-trajectory", "times": [0.5, 1.0], "epsilon": -1}),
     *MALFORMED_SYNTHETIC.values(),
 ], ids=["pointwise_without_positions", "viscous_without_epsilon", "chain_length_not_a_number",
         "positions_not_numbers", "negative_radius", "t0_after_first_time",
-        "positions_and_times_unpaired", *MALFORMED_SYNTHETIC])
+        "positions_and_times_unpaired", "zero_chain_length", "beta_above_one",
+        "negative_viscous_epsilon", *MALFORMED_SYNTHETIC])
 def test_malformed_inversion_blocks_exit_2(tmp_path, capsys, cfg):
     path = write_cfg(tmp_path, cfg)
     assert main(["invert", "--config", path, "--out", str(tmp_path / "o")]) == 2

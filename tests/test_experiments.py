@@ -1,8 +1,11 @@
 """Stability ladders, rate fits, and cross-formulation checks."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from shockline import experiments
 from shockline.experiments import (
     burgers_transform_check,
     fit_rate,
@@ -163,6 +166,45 @@ def test_flux_stability_with_fronts_holds_bounds():
         )
         assert report.all_bounds_hold, family
         assert report.meta["sticking_free"]
+
+
+TWO_JUMPS = StepFunction([0.0, 0.5], [0.5, 0.75, 0.375])
+STUDIES = {
+    "initial-field": lambda: initial_field_stability(
+        TWO_JUMPS, W, -0.3, 0.1, 2.0, LADDER, "shift", 8
+    ),
+    "flux": lambda: flux_stability(TWO_JUMPS, W, -0.3, 0.1, 2.0, LADDER, "tilt", 8),
+}
+
+
+@pytest.mark.parametrize("study", STUDIES)
+def test_rate_ladder_report_arithmetic(study):
+    report = STUDIES[study]()
+    assert report.bound_values.tolist() == (
+        report.bound_constants * np.sqrt(report.epsilons)
+    ).tolist()
+    assert report.bound_satisfied.tolist() == (report.errors <= report.bound_values).tolist()
+    assert report.meta["requested_epsilons"] == LADDER
+    assert report.meta["sticking_free"] is True
+
+
+@pytest.mark.parametrize("study", STUDIES)
+@pytest.mark.parametrize("sticky_call", range(len(LADDER) + 1))
+def test_rate_ladder_sees_sticking_on_any_path(monkeypatch, study, sticky_call):
+    """Call 0 tracks the base path, call k the k-th rung."""
+    calls, real_track = [], experiments.track
+
+    def track(*args):
+        traj = real_track(*args)
+        if len(calls) == sticky_call:
+            traj = dataclasses.replace(traj, sticking=[(0.5, 0.75, 0)])
+        calls.append(traj)
+        return traj
+
+    monkeypatch.setattr(experiments, "track", track)
+    report = STUDIES[study]()
+    assert len(calls) == len(LADDER) + 1
+    assert report.meta["sticking_free"] is False
 
 
 def test_burgers_transform_constant_data_is_exact():

@@ -1,4 +1,5 @@
-"""Every name a ``shockline`` module imports is used in that module.
+"""Every name a ``shockline`` module imports is used in that module, and
+every parameter of a function is used in its body.
 
 ``__init__`` is left out, since its imports are the package's re-exports,
 and so is ``from __future__ import annotations``.
@@ -32,3 +33,46 @@ def test_imported_names_are_used(module):
     tree = ast.parse((SRC / module).read_text(encoding="utf-8"))
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert sorted(set(imported_names(tree)) - used) == []
+
+
+def unused_parameters(tree):
+    """(function, parameter) for each parameter its function's body never names.
+
+    Lambdas count as functions; the ``self`` or ``cls`` of a method does not
+    count as a parameter.
+    """
+    methods = {
+        id(f) for c in ast.walk(tree) if isinstance(c, ast.ClassDef) for f in c.body
+        if isinstance(f, ast.FunctionDef)
+        and not any(getattr(d, "id", None) == "staticmethod" for d in f.decorator_list)
+    }
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            a = node.args
+            params = [*a.posonlyargs, *a.args]
+            if id(node) in methods:
+                params = params[1:]
+            params += [*a.kwonlyargs, *filter(None, (a.vararg, a.kwarg))]
+            body = node.body if isinstance(node.body, list) else [node.body]
+            used = {n.id for stmt in body for n in ast.walk(stmt) if isinstance(n, ast.Name)}
+            name = getattr(node, "name", "<lambda>")
+            yield from ((name, p.arg) for p in params if p.arg not in used)
+
+
+def test_unused_parameters_are_found():
+    tree = ast.parse(
+        "class A:\n"
+        "    def m(self, a, b): return a\n"
+        "    @staticmethod\n"
+        "    def s(x): return 1\n"
+        "def f(a, *args, k, **kw): return lambda y: k\n"
+    )
+    assert sorted(unused_parameters(tree)) == [
+        ("<lambda>", "y"), ("f", "a"), ("f", "args"), ("f", "kw"), ("m", "b"), ("s", "x"),
+    ]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_parameters_are_used(module):
+    tree = ast.parse((SRC / module).read_text(encoding="utf-8"))
+    assert list(unused_parameters(tree)) == []

@@ -7,13 +7,14 @@ import numpy as np
 import pytest
 
 from shockline.flux import (
+    BurgersQuadraticFlux,
     LinearTrafficVelocity,
     PiecewiseLinearFlux,
     TrafficQuadraticFlux,
     traffic_flux_from_velocity,
 )
 from shockline.front_tracking import StepFunction, evolve
-from shockline.viscous import CflError, default_window, solve_viscous, track_smooth
+from shockline.viscous import default_window, solve_viscous, track_smooth
 
 TRAFFIC = TrafficQuadraticFlux(1.0, 1.0)
 W = LinearTrafficVelocity(1.0, 1.0)
@@ -73,17 +74,19 @@ def test_mass_change_matches_boundary_account():
         assert drift == pytest.approx(field.boundary_account, abs=1e-8)
 
 
-def test_oversized_dt_raises():
-    s = StepFunction([0.0], [0.25, 0.75])
-    with pytest.raises(CflError):
-        solve_viscous(s, TRAFFIC, 0.05, 0.5, n_cells=200, dt=1.0)
-
-
-def test_user_dt_below_limit_is_accepted():
-    s = StepFunction([0.0], [0.25, 0.75])
-    probe = solve_viscous(s, TRAFFIC, 0.05, 0.5, n_cells=200)
-    field = solve_viscous(s, TRAFFIC, 0.05, 0.5, n_cells=200, dt=0.5 * probe.dt)
-    assert field.dt <= probe.dt
+@pytest.mark.parametrize("flux, data", [
+    (TRAFFIC, StepFunction([0.0], [0.25, 0.75])),
+    (BurgersQuadraticFlux(), StepFunction([0.0], [0.5, -0.5])),
+    (PiecewiseLinearFlux([0.0, 0.25, 0.5, 1.0], [0.0, 0.5, 0.25, 0.0]),
+     StepFunction([0.0, 0.3], [0.1, 0.9, 0.4])),
+], ids=["traffic", "burgers", "piecewise-linear"])
+def test_automatic_step_obeys_both_stability_bounds(flux, data):
+    lip = flux.lipschitz_norm
+    for eps, n_cells, cfl_safety in ((0.05, 200, 0.9), (0.01, 400, 0.9), (0.2, 100, 0.5)):
+        field = solve_viscous(data, flux, eps, 0.2, n_cells=n_cells, cfl_safety=cfl_safety)
+        dt, dx = field.dt, field.dx
+        assert dt <= cfl_safety * min(dx / (2.0 * lip), dx * dx / (2.0 * eps))
+        assert dt * (lip / dx + 2.0 * eps / (dx * dx)) <= 1.0
 
 
 def test_bad_parameters_raise():
