@@ -30,7 +30,7 @@ from .front_tracking import (
     evolve,
     quantize_step,
 )
-from .viscous import solve_viscous, track_smooth
+from .viscous import CFL_SAFETY, check_viscous_settings, solve_viscous, track_smooth
 
 LOG_UNDERFLOW = log(1e-300)
 # batches of the batch-means error bar of a Hellinger estimate
@@ -379,8 +379,9 @@ class ViscousTrajectoryForward(_TrackedForward):
 
     def __post_init__(self):
         super().__post_init__()
-        if not (isfinite(self.epsilon) and self.epsilon > 0):
-            raise ValueError("epsilon must be positive and finite")
+        check_viscous_settings(
+            self.epsilon, self.horizon, None, self.n_cells, CFL_SAFETY, self.store_every
+        )
 
     def __call__(self, sample: StepFunction) -> np.ndarray:
         fld = solve_viscous(
@@ -398,6 +399,27 @@ def potential(sample, obs: ObservationSet, forward: ForwardMap) -> float:
         raise ValueError("forward output and observations differ in length")
     r = obs.values - g
     return float(np.dot(r, r) / (2.0 * obs.noise_std ** 2))
+
+
+def _observed_geometry(forward: ForwardMap) -> dict:
+    """What observations of ``forward`` record besides their values."""
+    pts = getattr(forward, "positions", None)
+    return {
+        "kind": forward.kind,
+        "times": np.asarray(forward.times),
+        "positions": np.asarray(pts, dtype=float) if pts is not None else None,
+        "radius": getattr(forward, "radius", None),
+    }
+
+
+def check_observations_fit(obs: ObservationSet, forward: ForwardMap) -> None:
+    """Raise ValueError unless ``obs`` has the kind, times, positions and radius
+    that ``synth_observations`` records for ``forward``."""
+    for name, want in _observed_geometry(forward).items():
+        have = getattr(obs, name)
+        if not np.array_equal(have, want):  # None equals only None
+            have, want = np.asarray(have).tolist(), np.asarray(want).tolist()
+            raise ValueError(f"observation {name} {have} differs from the forward's {want}")
 
 
 def check_noise_std(noise_std: float) -> None:
@@ -420,16 +442,7 @@ def synth_observations(
         # noiseless data still needs a scale for the misfit; unit by convention
         values, std = clean, 1.0
         meta["noiseless"] = True
-    pts = getattr(forward, "positions", None)
-    return ObservationSet(
-        kind=forward.kind,
-        values=values,
-        noise_std=std,
-        times=np.asarray(forward.times),
-        positions=np.asarray(pts, dtype=float) if pts is not None else None,
-        radius=getattr(forward, "radius", None),
-        meta=meta,
-    )
+    return ObservationSet(values=values, noise_std=std, meta=meta, **_observed_geometry(forward))
 
 
 @dataclass
@@ -588,10 +601,15 @@ def _hellinger_from_potentials(phi_a: np.ndarray, phi_b: np.ndarray) -> Hellinge
     return HellingerEstimate(value, stderr, m, log_za, log_zb, batch_vals)
 
 
-def _common_latents(prior: PriorSpec, n_samples: int, seed: int) -> np.ndarray:
-    """The prior samples that every posterior in one comparison shares."""
+def check_hellinger_samples(n_samples: int) -> None:
+    """Raise ValueError unless ``n_samples`` fills every batch-means batch twice."""
     if n_samples < 2 * HELLINGER_BATCHES:
         raise ValueError("n_samples too small for batch-means error bars")
+
+
+def _common_latents(prior: PriorSpec, n_samples: int, seed: int) -> np.ndarray:
+    """The prior samples that every posterior in one comparison shares."""
+    check_hellinger_samples(n_samples)
     return prior.sample_latent(np.random.default_rng(seed), size=n_samples)
 
 

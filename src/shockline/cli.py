@@ -21,7 +21,9 @@ from .bayes import (
     TrajectoryForward,
     VelocityTrajectoryForward,
     ViscousTrajectoryForward,
+    check_hellinger_samples,
     check_noise_std,
+    check_observations_fit,
     check_pcn_settings,
     posterior_convergence_study,
     run_pcn,
@@ -38,7 +40,7 @@ from .flux import (
     traffic_flux_from_velocity,
 )
 from .front_tracking import evolve, quantize_step
-from .viscous import solve_viscous
+from .viscous import CFL_SAFETY, check_viscous_settings, solve_viscous
 
 
 # The perturbation families each stability target knows, its default first.
@@ -292,7 +294,8 @@ def _observations(blk: dict, cfg: ScenarioConfig):
 
 def cmd_invert(cfg: ScenarioConfig, args, out: str) -> int:
     blk = cfg.block("inversion")
-    # the sampler and the observations are read and checked before any forward is built
+    # the sampler and the observations are read before any forward is built,
+    # and every block is checked before the chain runs
     prior = cfgio.prior_from_block(blk.get("prior", {}))
     sampler = blk.get("sampler", {})
     chain_length = read_field(sampler, "chain_length", int, 1000, "sampler block")
@@ -304,6 +307,21 @@ def cmd_invert(cfg: ScenarioConfig, args, out: str) -> int:
     forward = _forward_from_block(blk.get("forward", {}), cfg)
     if isinstance(obs, tuple):
         obs = synth_observations(forward, *obs)
+    _config_checked("observations", check_observations_fit, obs, forward)
+    ladder_blk = blk.get("ladder")
+    if ladder_blk:
+        where = "ladder block"
+        levels = read_field(ladder_blk, "levels", lambda ns: [int(n) for n in ns], (), where)
+        if not levels:
+            raise ConfigError("ladder block needs a nonempty levels list")
+        n_samples = read_field(ladder_blk, "n_samples", int, 500, where)
+        _config_checked(where, check_hellinger_samples, n_samples)
+
+        def forward_at(level):
+            return _forward_from_block(dict(blk.get("forward", {}), level=level), cfg)
+
+        rungs = [(n, forward_at(n)) for n in levels]
+        reference = forward_at(read_field(ladder_blk, "reference", int, 12, where))
     seed = cfg.seed if args.seed is None else args.seed
     run = run_pcn(prior, obs, forward, chain_length, beta, seed, burn_in=burn_in)
     cfgio.write_chain_csv(os.path.join(out, "chain.csv"), run, thin=thin)
@@ -318,20 +336,9 @@ def cmd_invert(cfg: ScenarioConfig, args, out: str) -> int:
         "credible_band_high": band_hi,
         "grid": prior.grid,
     }
-    ladder_blk = blk.get("ladder")
     if ladder_blk:
-        where = "ladder block"
-        levels = read_field(ladder_blk, "levels", lambda ns: [int(n) for n in ns], (), where)
-        if not levels:
-            raise ConfigError("ladder block needs a nonempty levels list")
-
-        def forward_at(level):
-            return _forward_from_block(dict(blk.get("forward", {}), level=level), cfg)
-
         study = posterior_convergence_study(
-            prior, obs, [(n, forward_at(n)) for n in levels],
-            forward_at(read_field(ladder_blk, "reference", int, 12, where)),
-            read_field(ladder_blk, "n_samples", int, 500, where), seed=seed, jobs=args.jobs,
+            prior, obs, rungs, reference, n_samples, seed=seed, jobs=args.jobs
         )
         summary["hellinger_table"] = [
             {"level": n, **row.estimate.to_dict()} for n, row in zip(levels, study.rows)
@@ -350,17 +357,17 @@ def cmd_invert(cfg: ScenarioConfig, args, out: str) -> int:
 def cmd_viscous(cfg: ScenarioConfig, args, out: str) -> int:
     blk = cfg.block("viscous")
     where = "viscous block"
-    epsilon = read_field(blk, "epsilon", float, 0.05, where)
-    fld = solve_viscous(
-        cfg.initial,
-        _smooth_flux(cfg),
-        epsilon,
+    settings = (  # solve_viscous's arguments after the flux, in order
+        read_field(blk, "epsilon", float, 0.05, where),
         cfg.horizon,
-        window=read_field(blk, "window", float_tuple, where=where) if "window" in blk else None,
-        n_cells=read_field(blk, "n_cells", int, 2000, where),
-        cfl_safety=read_field(blk, "cfl_safety", float, 0.9, where),
-        store_every=read_field(blk, "store_every", int, 1, where),
+        read_field(blk, "window", float_tuple, where=where) if "window" in blk else None,
+        read_field(blk, "n_cells", int, 2000, where),
+        read_field(blk, "cfl_safety", float, CFL_SAFETY, where),
+        read_field(blk, "store_every", int, 1, where),
     )
+    _config_checked(where, check_viscous_settings, *settings)
+    epsilon = settings[0]
+    fld = solve_viscous(cfg.initial, _smooth_flux(cfg), *settings)
     times = read_field(blk, "snapshot_times", float_tuple, (), where) or list(cfg.times) or [
         cfg.horizon
     ]

@@ -14,7 +14,7 @@ number of events plus crossings.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import inf, isfinite, log
+from math import isfinite, log
 from typing import Optional
 
 import numpy as np
@@ -114,6 +114,7 @@ def track(
     spd = solution.speeds.tolist()
     lv = solution.left_values.tolist()
     rv = solution.right_values.tolist()
+    far_left = solution.initial.far_left
 
     live = _LiveFronts()
     nxt, prv = live.nxt, live.prv
@@ -126,28 +127,18 @@ def track(
     def pos(k: int, t: float) -> float:
         return bx[k] + spd[k] * (t - bt[k])
 
-    # locate the particle among the alive fronts at t0
+    # locate the particle among the alive fronts at t0; afterwards its two
+    # neighbours are only ever read off the live-front links
     left_id, right_id = -1, live.head
     while right_id != -1 and pos(right_id, t0) < x0:
         left_id = right_id
         right_id = nxt[right_id]
 
-    far_left = solution.initial.far_left
-
-    def cell_value() -> float:
-        if left_id != -1:
-            return rv[left_id]
-        if right_id != -1:
-            return lv[right_id]
-        return far_left
-
     nodes_t = [t0]
     nodes_z = [x0]
     seg_speed: list[float] = []
     sticking: list[tuple[float, float, int]] = []
-    stuck = False
-    stick_front = -1
-    stick_start = 0.0
+    stick, stick_start = -1, t0  # the front the particle rides, -1 while free
 
     def append_node(t_new: float, s_used: float) -> None:
         if t_new > nodes_t[-1]:
@@ -155,121 +146,79 @@ def track(
             nodes_t.append(t_new)
             seg_speed.append(s_used)
 
-    def start_stick(f: int, t: float) -> None:
-        nonlocal stuck, stick_front, stick_start
-        stuck = True
-        stick_front = f
-        stick_start = t
-
     def end_stick(t: float) -> None:
-        nonlocal stuck, stick_front
-        if stuck:
-            if t > stick_start:
-                sticking.append((stick_start, t, stick_front))
-            stuck = False
-            stick_front = -1
+        nonlocal stick
+        if stick != -1 and t > stick_start:
+            sticking.append((stick_start, t, stick))
+        stick = -1
 
     # starting exactly on a front: same crossing/sticking rule as a contact
     if right_id != -1 and pos(right_id, t0) == x0:
         f = right_id
         if w(rv[f]) > spd[f]:
             left_id, right_id = f, nxt[f]
-        elif w(lv[f]) < spd[f]:
-            pass  # stays on the left side
-        else:
-            start_stick(f, t0)
+        elif w(lv[f]) >= spd[f]:
+            stick = f
 
     def advance_to(t_end: float) -> None:
-        nonlocal left_id, right_id
+        nonlocal left_id, right_id, stick, stick_start
         while nodes_t[-1] < t_end:
-            if stuck:
-                append_node(t_end, spd[stick_front])
+            if stick != -1:
+                append_node(t_end, spd[stick])
                 return
             t_cur = nodes_t[-1]
             z = nodes_z[-1]
-            s_p = w(cell_value())
-            tau, hit, from_left = t_end, -1, False
+            s_p = w(rv[left_id] if left_id != -1 else lv[right_id] if right_id != -1 else far_left)
+            tau, hit = t_end, -1
             if right_id != -1 and s_p > spd[right_id]:
                 cand = t_cur + (pos(right_id, t_cur) - z) / (s_p - spd[right_id])
                 if cand <= tau:
-                    tau, hit, from_left = cand, right_id, True
+                    tau, hit = cand, right_id
             if left_id != -1 and spd[left_id] > s_p:
                 cand = t_cur + (z - pos(left_id, t_cur)) / (spd[left_id] - s_p)
                 if cand < tau:
-                    tau, hit, from_left = cand, left_id, False
-            if hit == -1 or tau >= t_end:
-                append_node(t_end, s_p)
-                return
+                    tau, hit = cand, left_id
             append_node(tau, s_p)
-            sf = spd[hit]
-            if from_left:
-                if w(rv[hit]) >= sf:
-                    left_id, right_id = hit, nxt[hit]
-                else:
-                    start_stick(hit, tau)
+            if tau >= t_end:  # also when nothing is hit, since then tau == t_end
+                return
+            if hit == right_id and w(rv[hit]) >= spd[hit]:
+                left_id, right_id = hit, nxt[hit]
+            elif hit == left_id and w(lv[hit]) <= spd[hit]:
+                left_id, right_id = prv[hit], hit
             else:
-                if w(lv[hit]) <= sf:
-                    left_id, right_id = prv[hit], hit
-                else:
-                    start_stick(hit, tau)
+                stick, stick_start = hit, tau
 
-    def rescan_at_event(e) -> None:
+    def reanchor(e) -> None:
         """Re-anchor the particle sitting at an event point among the outgoing fan."""
-        nonlocal left_id, right_id
-        out = e.outgoing
-        if not out:
-            # annihilation: the two outer cells merged
-            left_id = _locate_left(e.position, e.time)
-            right_id = nxt[left_id] if left_id != -1 else live.head
+        nonlocal left_id, right_id, stick, stick_start
+        if not e.outgoing:
+            # annihilation: the stale links of the dead fronts name the neighbours
+            left_id, right_id = prv[e.incoming[0]], nxt[e.incoming[-1]]
             return
-        m = len(out)
-        for k in range(m):
-            c_left = lv[out[k]]
-            if w(c_left) <= spd[out[k]]:
-                left_id = prv[out[k]]
-                right_id = out[k]
+        for f in e.outgoing:
+            if w(lv[f]) <= spd[f]:
+                left_id, right_id = prv[f], f
                 return
-            if w(rv[out[k]]) < spd[out[k]]:
-                start_stick(out[k], e.time)
+            if w(rv[f]) < spd[f]:
+                stick, stick_start = f, e.time
                 return
-        left_id = out[m - 1]
-        right_id = nxt[out[m - 1]]
+        left_id, right_id = e.outgoing[-1], nxt[e.outgoing[-1]]
 
-    def _locate_left(x: float, t: float) -> int:
-        """Rightmost alive front strictly left of x at time t."""
-        k = live.head
-        best = -1
-        while k != -1 and pos(k, t) < x - 1e-12:
-            best = k
-            k = nxt[k]
-        return best
-
-    while True:
-        t_next = events[ei].time if ei < len(events) else inf
-        t_stop = min(t_next, T)
-        advance_to(t_stop)
-        if t_next > T or ei >= len(events):
-            break
-        while ei < len(events) and events[ei].time == t_next:
-            e = events[ei]
-            live.apply(e)
-            ei += 1
-            if stuck:
-                if stick_front in e.incoming:
-                    end_stick(t_next)
-                    rescan_at_event(e)
-                continue
-            in_set = e.incoming
-            left_in = left_id in in_set
-            right_in = right_id in in_set
-            if left_in and right_in:
-                rescan_at_event(e)
-            elif left_in:
-                left_id = prv[right_id] if right_id != -1 else _locate_left(nodes_z[-1], t_next)
-            elif right_in:
-                right_id = nxt[left_id] if left_id != -1 else live.head
-        if t_next >= T:
-            break
+    while ei < len(events) and events[ei].time <= T:
+        e = events[ei]
+        advance_to(e.time)
+        live.apply(e)
+        ei += 1
+        if stick != -1:
+            if stick in e.incoming:
+                end_stick(e.time)
+                reanchor(e)
+        elif left_id in e.incoming and right_id in e.incoming:
+            reanchor(e)
+        elif left_id in e.incoming:
+            left_id = prv[right_id] if right_id != -1 else live.tail
+        elif right_id in e.incoming:
+            right_id = nxt[left_id] if left_id != -1 else live.head
 
     advance_to(T)
     end_stick(T)

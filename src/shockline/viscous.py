@@ -8,7 +8,7 @@ the update monotone, so discrete solutions inherit the maximum principle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import ceil, sqrt
+from math import ceil, inf, sqrt
 from typing import Callable, Optional
 
 import numpy as np
@@ -22,6 +22,9 @@ from .flux import (
     VelocityFunction,
 )
 from .front_tracking import StepFunction
+
+# the solver's default safety factor on the stable time step
+CFL_SAFETY = 0.9
 
 
 def _eo_split(flux: FluxFunction) -> tuple[Callable, Callable]:
@@ -134,6 +137,29 @@ def default_window(
     return lo - margin, hi + margin
 
 
+def check_viscous_settings(
+    epsilon: float,
+    horizon: float,
+    window: Optional[tuple[float, float]],
+    n_cells: int,
+    cfl_safety: float,
+    store_every: int,
+) -> None:
+    """Raise ValueError unless the viscous solver settings are usable."""
+    if not 0 < epsilon < inf:
+        raise ValueError("epsilon must be positive and finite")
+    if not 0 < horizon < inf:
+        raise ValueError("horizon must be positive and finite")
+    if window is not None and not (len(window) == 2 and -inf < window[0] < window[1] < inf):
+        raise ValueError("window must be a finite interval (lo, hi) with lo < hi")
+    if n_cells < 4:
+        raise ValueError("need at least 4 cells")
+    if not 0 < cfl_safety <= 1:
+        raise ValueError("cfl_safety must be in (0, 1]")
+    if store_every < 1:
+        raise ValueError("store_every must be positive")
+
+
 def solve_viscous(
     initial: StepFunction,
     flux: FluxFunction,
@@ -141,7 +167,7 @@ def solve_viscous(
     horizon: float,
     window: Optional[tuple[float, float]] = None,
     n_cells: int = 2000,
-    cfl_safety: float = 0.9,
+    cfl_safety: float = CFL_SAFETY,
     store_every: int = 1,
 ) -> GridField:
     """March the viscous problem to ``horizon`` with far-field Dirichlet ends.
@@ -150,19 +176,10 @@ def solve_viscous(
     the horizon, which satisfies both dt <= cfl_safety * min(dx/(2L),
     dx^2/(2 eps)) and the monotonicity bound dt * (L/dx + 2 eps/dx^2) <= 1.
     """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    if horizon <= 0:
-        raise ValueError("horizon must be positive")
-    if n_cells < 4:
-        raise ValueError("need at least 4 cells")
-    if not 0 < cfl_safety <= 1:
-        raise ValueError("cfl_safety must be in (0, 1]")
+    check_viscous_settings(epsilon, horizon, window, n_cells, cfl_safety, store_every)
     if window is None:
         window = default_window(initial, flux, epsilon, horizon)
     x_lo, x_hi = window
-    if x_hi <= x_lo:
-        raise ValueError("window must have positive length")
     lip = flux.lipschitz_norm
     dx = (x_hi - x_lo) / n_cells
     x = x_lo + dx * (np.arange(n_cells) + 0.5)

@@ -16,6 +16,8 @@ from shockline.bayes import (
     VelocityTrajectoryForward,
     ViscousTrajectoryForward,
     _hellinger_from_potentials,
+    check_hellinger_samples,
+    check_observations_fit,
     evaluate_forward_on_samples,
     hellinger_between,
     latent_to_unit_interval,
@@ -229,6 +231,31 @@ def test_synthetic_data_noiseless_and_noisy():
         synth_observations(fwd, truth, -0.1)
 
 
+@pytest.mark.parametrize("make", FORWARDS.values(), ids=FORWARDS.keys())
+def test_observations_fit_only_the_geometry_they_were_made_for(make):
+    prior, fwd = make()
+    obs = synth_observations(fwd, prior.transform(np.zeros(prior.n)), 0.0)
+    check_observations_fit(obs, fwd)
+    spec = obs.to_spec()
+    other_kind = "trajectory" if obs.kind != "trajectory" else "pointwise"
+    changes = [{"kind": other_kind}, {"times": [t + 0.125 for t in spec["times"]]},
+               {"positions": [0.25] * len(spec["times"])}, {"radius": 0.5}]
+    if "positions" in spec:
+        changes.append({"positions": [x + 1.0 for x in spec["positions"]]})
+    for change in changes:
+        with pytest.raises(ValueError, match=f"observation {next(iter(change))} "):
+            check_observations_fit(ObservationSet.from_spec(dict(spec, **change)), fwd)
+
+
+def test_viscous_forward_rejects_unusable_solver_settings():
+    _, fwd = FORWARDS["ViscousTrajectoryForward"]()
+    for change in [{"epsilon": 0.0}, {"epsilon": -1.0}, {"epsilon": math.nan},
+                   {"epsilon": math.inf}, {"n_cells": 3}, {"store_every": 0}]:
+        with pytest.raises(ValueError):
+            replace(fwd, **change)
+    assert replace(fwd, n_cells=4, store_every=1).n_cells == 4
+
+
 def test_forward_maps_are_picklable_and_deterministic():
     fwd = TrajectoryForward(velocity=W, level=5, x0=-0.5, t0=0.1, times=(0.5, 1.0))
     clone = pickle.loads(pickle.dumps(fwd))
@@ -363,6 +390,9 @@ def test_hellinger_underflow_raises():
 
 
 def test_hellinger_needs_enough_samples():
+    check_hellinger_samples(20)
+    with pytest.raises(ValueError):
+        check_hellinger_samples(19)
     prior = small_prior()
     obs = ObservationSet(kind="pointwise", values=[0.6], noise_std=0.1, times=(0.5,))
     with pytest.raises(ValueError):

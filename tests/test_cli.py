@@ -264,11 +264,16 @@ MALFORMED_SYNTHETIC = {
     with_inversion(sampler={"chain_length": 0, "beta": 0.2}),
     with_inversion(sampler={"chain_length": 150, "beta": 2}),
     with_inversion(forward={"kind": "viscous-trajectory", "times": [0.5, 1.0], "epsilon": -1}),
+    with_inversion(forward={"kind": "viscous-trajectory", "times": [0.5, 1.0], "epsilon": 0.05,
+                            "n_cells": 2}),
+    with_inversion(forward={"kind": "viscous-trajectory", "times": [0.5, 1.0], "epsilon": 0.05,
+                            "store_every": 0}),
     *MALFORMED_SYNTHETIC.values(),
 ], ids=["pointwise_without_positions", "viscous_without_epsilon", "chain_length_not_a_number",
         "positions_not_numbers", "negative_radius", "t0_after_first_time",
         "positions_and_times_unpaired", "zero_chain_length", "beta_above_one",
-        "negative_viscous_epsilon", *MALFORMED_SYNTHETIC])
+        "negative_viscous_epsilon", "viscous_n_cells_too_few", "viscous_store_every_zero",
+        *MALFORMED_SYNTHETIC])
 def test_malformed_inversion_blocks_exit_2(tmp_path, capsys, cfg):
     path = write_cfg(tmp_path, cfg)
     assert main(["invert", "--config", path, "--out", str(tmp_path / "o")]) == 2
@@ -338,6 +343,69 @@ def test_invert_empty_ladder_exits_2(tmp_path):
     bad = dict(LADDER_CFG, inversion=dict(LADDER_CFG["inversion"], ladder={"levels": []}))
     cfg = write_cfg(tmp_path, bad)
     assert main(["invert", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+
+
+def test_ladder_with_too_few_samples_exits_2_before_the_chain(tmp_path, capsys):
+    bad = dict(LADDER_CFG, inversion=dict(
+        LADDER_CFG["inversion"], ladder=dict(LADDER_CFG["inversion"]["ladder"], n_samples=5)))
+    cfg = write_cfg(tmp_path, bad)
+    out = tmp_path / "o"
+    assert main(["invert", "--config", cfg, "--out", str(out)]) == 2
+    assert "n_samples too small" in capsys.readouterr().err
+    assert not (out / "chain.csv").exists()
+
+
+def observed_inversion(forward, **observations):
+    """INVERT_CFG inverting inline noisy observations instead of synthetic data."""
+    inv = {k: v for k, v in INVERT_CFG["inversion"].items() if k != "synthetic"}
+    obs = dict({"values": [0.1, 0.2], "noise_std": 0.05}, **observations)
+    return dict(INVERT_CFG, inversion=dict(
+        inv, forward=forward, observations=obs, sampler={"chain_length": 5, "beta": 0.2}))
+
+
+TRAJECTORY_AT = {"kind": "trajectory", "times": [0.4, 0.8]}
+POINTWISE_AT = {"kind": "pointwise", "times": [0.4, 0.8], "positions": [0.0, 0.5]}
+BALLS_AT = dict(POINTWISE_AT, kind="ball-average", radius=0.1)
+
+
+@pytest.mark.parametrize("forward, observations", [
+    (TRAJECTORY_AT, {"kind": "pointwise", "times": [0.9, 0.95], "positions": [5, 6]}),
+    (TRAJECTORY_AT, {"kind": "trajectory", "times": [0.4, 0.9]}),
+    (TRAJECTORY_AT, {"kind": "trajectory", "times": [0.4, 0.8], "positions": [0.0, 0.5]}),
+    (POINTWISE_AT, {"kind": "pointwise", "times": [0.4, 0.8], "positions": [5, 6]}),
+    (POINTWISE_AT, {"kind": "pointwise", "times": [0.4, 0.8]}),
+    (BALLS_AT, {"kind": "ball-average", "times": [0.4, 0.8], "positions": [0.0, 0.5],
+                "radius": 0.2}),
+], ids=["kind", "times", "positions_on_a_path", "positions", "no_positions", "radius"])
+def test_observations_of_another_geometry_exit_2_before_the_chain(
+        tmp_path, capsys, forward, observations):
+    cfg = write_cfg(tmp_path, observed_inversion(forward, **observations))
+    out = tmp_path / "o"
+    assert main(["invert", "--config", cfg, "--out", str(out)]) == 2
+    assert "config error: bad observations" in capsys.readouterr().err
+    assert not (out / "chain.csv").exists()
+
+
+@pytest.mark.parametrize("forward", [TRAJECTORY_AT, POINTWISE_AT, BALLS_AT],
+                         ids=["trajectory", "pointwise", "ball-average"])
+def test_observations_of_the_forward_geometry_are_inverted(tmp_path, forward):
+    geometry = {k: v for k, v in forward.items() if k != "kind"}
+    cfg = write_cfg(tmp_path, observed_inversion(forward, kind=forward["kind"], **geometry))
+    assert main(["invert", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+
+
+@pytest.mark.parametrize("viscous", [
+    {"epsilon": -1}, {"epsilon": float("nan")}, {"epsilon": float("inf")}, {"n_cells": 2},
+    {"store_every": 0}, {"cfl_safety": 2}, {"window": [1.0, 0.0]},
+], ids=["negative_epsilon", "nan_epsilon", "infinite_epsilon", "two_cells",
+        "store_every_zero", "cfl_safety_above_one", "inverted_window"])
+def test_bad_viscous_settings_exit_2(tmp_path, capsys, viscous):
+    bad = dict(VISCOUS_CFG, viscous=dict(VISCOUS_CFG["viscous"], **viscous))
+    cfg = write_cfg(tmp_path, bad)
+    out = tmp_path / "o"
+    assert main(["viscous", "--config", cfg, "--out", str(out)]) == 2
+    assert "config error: bad viscous block" in capsys.readouterr().err
+    assert not (out / "summary.json").exists()
 
 
 def test_viscous_window_not_numbers_exits_2(tmp_path, capsys):

@@ -220,6 +220,20 @@ EVENT_CASES = {
         [-3.0, -1.0, 0.0, 1.0, 3.0], [-1.0, 0.0, 1.0, -1.0, 0.0, 1.0], line_velocity(0.0, 1.0),
         0.0, 0.5, 4.0,
         [0.5, 2.0, 4.0], [0.0, 0.0, 1.0], [0.0, 0.5], [(0.5, 2.0, 2)]),
+    # no front lies right of the car, which drives left at w(-1) = -1 and
+    # meets its left front, the 0 -> -1 shock at speed -1/2, at (2, -1):
+    # exactly where that front collides with the 1 -> 0 shock coming at
+    # speed 1/2; the outgoing 1 -> -1 still shock 2 holds the car there
+    # (w(1) = 1 > 0 > w(-1) = -1)
+    "car_right_of_all_fronts_sticks_where_its_left_front_dies": (
+        [-2.0, 0.0], [1.0, 0.0, -1.0], STICKY, 0.5, 0.5, 4.0,
+        [0.5, 2.0, 4.0], [0.5, -1.0, -1.0], [-1.0, 0.0], [(2.0, 4.0, 2)]),
+    # the mirror image: no front lies left of the car, which drives right at
+    # w(1) = 1 and meets its right front at (2, 1), where that front dies;
+    # the car sticks to the outgoing still shock 2
+    "car_left_of_all_fronts_sticks_where_its_right_front_dies": (
+        [0.0, 2.0], [1.0, 0.0, -1.0], STICKY, -0.5, 0.5, 4.0,
+        [0.5, 2.0, 4.0], [-0.5, 1.0, 1.0], [1.0, 0.0], [(2.0, 4.0, 2)]),
 }
 
 

@@ -14,7 +14,7 @@ from shockline.flux import (
     traffic_flux_from_velocity,
 )
 from shockline.front_tracking import StepFunction, evolve
-from shockline.viscous import default_window, solve_viscous, track_smooth
+from shockline.viscous import check_viscous_settings, default_window, solve_viscous, track_smooth
 
 TRAFFIC = TrafficQuadraticFlux(1.0, 1.0)
 W = LinearTrafficVelocity(1.0, 1.0)
@@ -97,6 +97,24 @@ def test_bad_parameters_raise():
         solve_viscous(s, TRAFFIC, 0.05, -1.0)
     with pytest.raises(ValueError):
         solve_viscous(s, TRAFFIC, 0.05, 1.0, window=(2.0, -2.0))
+
+
+@pytest.mark.parametrize("change", [
+    {"epsilon": math.nan}, {"epsilon": math.inf}, {"horizon": math.nan},
+    {"horizon": math.inf}, {"horizon": 0.0}, {"window": (1.0, 1.0)},
+    {"window": (-math.inf, 1.0)}, {"window": (0.0, math.nan)}, {"window": (0.0, 1.0, 2.0)},
+    {"n_cells": 3}, {"cfl_safety": 0.0}, {"cfl_safety": 1.5}, {"cfl_safety": math.nan},
+    {"store_every": 0},
+], ids=str)
+def test_unusable_settings_raise_before_any_step(change):
+    settings = dict(epsilon=0.05, horizon=1.0, window=None, n_cells=4, cfl_safety=1.0,
+                    store_every=1)
+    check_viscous_settings(**dict(settings, window=(-1.0, 1.0)))
+    check_viscous_settings(**settings)
+    with pytest.raises(ValueError):
+        check_viscous_settings(**dict(settings, **change))
+    with pytest.raises(ValueError):
+        solve_viscous(StepFunction.constant(0.5), TRAFFIC, **dict(settings, **change))
 
 
 def test_default_window_margin_frozen():
