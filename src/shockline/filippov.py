@@ -152,12 +152,13 @@ def track(
             sticking.append((stick_start, t, stick))
         stick = -1
 
-    # starting exactly on a front: same crossing/sticking rule as a contact
+    # starting exactly on a front: same crossing/sticking rule as a contact,
+    # so a tie w(rv) == s crosses
     if right_id != -1 and pos(right_id, t0) == x0:
         f = right_id
-        if w(rv[f]) > spd[f]:
+        if w(rv[f]) >= spd[f]:
             left_id, right_id = f, nxt[f]
-        elif w(lv[f]) >= spd[f]:
+        elif w(lv[f]) > spd[f]:
             stick = f
 
     def advance_to(t_end: float) -> None:

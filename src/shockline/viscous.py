@@ -35,12 +35,13 @@ def _eo_split(flux: FluxFunction) -> tuple[Callable, Callable]:
     """
     if isinstance(flux, TrafficQuadraticFlux):
         crest = 0.5 * flux.rho_max
+        f_crest = flux._values(np.asarray(crest))
 
         def fplus(v):
             return flux._values(np.minimum(v, crest))
 
         def fminus(v):
-            return flux._values(np.maximum(v, crest)) - flux._values(np.asarray(crest))
+            return flux._values(np.maximum(v, crest)) - f_crest
 
         return fplus, fminus
     if isinstance(flux, BurgersQuadraticFlux):
@@ -187,32 +188,30 @@ def solve_viscous(
     n_steps = max(1, ceil(horizon / dt))
     dt = horizon / n_steps  # land exactly on the horizon; only shrinks dt
 
-    v = np.asarray(initial.sample(x), dtype=float)
+    v = np.asarray(initial.sample(x), dtype=float)  # a fresh array, updated in place
     fplus, fminus = _eo_split(flux)
     lam = dt / dx
     mu = epsilon * dt / (dx * dx)
 
-    stored_vals = [v.copy()]
-    stored_times = [0.0]
+    n_rows = -(-n_steps // store_every) + 1  # the sample, then each stored step
+    values, times = np.empty((n_rows, n_cells)), np.empty(n_rows)
+    values[0], times[0], row = v, 0.0, 0
     boundary_account = 0.0
-    t = 0.0
     for step in range(1, n_steps + 1):
         interface = fplus(v[:-1]) + fminus(v[1:])
         diff = v[2:] - 2.0 * v[1:-1] + v[:-2]
         boundary_account += dt * (interface[0] - interface[-1]) + mu * dx * (
             (v[-1] - v[-2]) - (v[1] - v[0])
         )
-        v = v.copy()
         v[1:-1] += -lam * np.diff(interface) + mu * diff
-        t = step * dt
         if step % store_every == 0 or step == n_steps:
-            stored_vals.append(v.copy())
-            stored_times.append(t)
+            row += 1
+            values[row], times[row] = v, step * dt
 
     return GridField(
         x=x,
-        times=np.asarray(stored_times),
-        values=np.asarray(stored_vals),
+        times=times,
+        values=values,
         epsilon=epsilon,
         flux=flux,
         dx=dx,

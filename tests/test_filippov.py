@@ -176,8 +176,13 @@ PARKED = line_velocity(0.0, 0.0)  # w = 0: fronts pass the car
 STICKY = line_velocity(-1.0, 1.0)  # w(u) = u: Lax shocks hold the car
 
 
+# The level-3 traffic flux for w(u) = 1 - u: its 0 -> 0.375 shock runs at
+# (f(0.375) - f(0)) / 0.375 = 0.625 = w(0.375), a tie for a car right of it.
+TRAFFIC3 = traffic_flux_from_velocity(W, 3)
+
 # (breakpoints, values, velocity, x0, t0, horizon,
-#  node times, node positions, segment speeds, sticking spans)
+#  node times, node positions, segment speeds, sticking spans);
+# the flux is BURGERS0 unless EVENT_FLUX names another
 EVENT_CASES = {
     # the 1 -> 0 front at speed 1/2 reaches the car at t = 0.5 + 0.75/0.5 = 2
     # and, since w(1) = 0 <= 1/2, passes it to the left
@@ -213,13 +218,19 @@ EVENT_CASES = {
     "stuck_car_falls_through_the_outgoing_shock": (
         [0.0, 1.0], [0.0, 1.0, -1.0], line_velocity(-0.25, 1.0), 1.0, 0.5, 4.0,
         [0.5, 2.0, 4.0], [1.0, 1.0, 0.5], [0.0, -0.25], [(0.5, 2.0, 1)]),
-    # stuck from the start on the still front 2 (w(-1) = 0 <= 0 <= w(1) = 1);
+    # stuck from the start on the still front 2 (w(-1) = -1/4 < 0 < w(1));
     # fronts 1, 2, 3 annihilate at (2, 0), leaving the car in the 0 cell
     # between fronts 0 and 4, where it drives on at w(0) = 1/2
     "stuck_car_survives_an_annihilation": (
-        [-3.0, -1.0, 0.0, 1.0, 3.0], [-1.0, 0.0, 1.0, -1.0, 0.0, 1.0], line_velocity(0.0, 1.0),
+        [-3.0, -1.0, 0.0, 1.0, 3.0], [-1.0, 0.0, 1.0, -1.0, 0.0, 1.0], line_velocity(-0.25, 1.25),
         0.0, 0.5, 4.0,
         [0.5, 2.0, 4.0], [0.0, 0.0, 1.0], [0.0, 0.5], [(0.5, 2.0, 2)]),
+    # the same start with w(-1) = 0, the front's speed: the tie crosses, so
+    # the car rides beside front 2 in its right cell, on the same path
+    "car_started_on_a_still_front_of_its_downstream_speed_survives_an_annihilation": (
+        [-3.0, -1.0, 0.0, 1.0, 3.0], [-1.0, 0.0, 1.0, -1.0, 0.0, 1.0], line_velocity(0.0, 1.0),
+        0.0, 0.5, 4.0,
+        [0.5, 2.0, 4.0], [0.0, 0.0, 1.0], [0.0, 0.5], []),
     # no front lies right of the car, which drives left at w(-1) = -1 and
     # meets its left front, the 0 -> -1 shock at speed -1/2, at (2, -1):
     # exactly where that front collides with the 1 -> 0 shock coming at
@@ -234,13 +245,27 @@ EVENT_CASES = {
     "car_left_of_all_fronts_sticks_where_its_right_front_dies": (
         [0.0, 2.0], [1.0, 0.0, -1.0], STICKY, -0.5, 0.5, 4.0,
         [0.5, 2.0, 4.0], [-0.5, 1.0, 1.0], [1.0, 0.0], [(2.0, 4.0, 2)]),
+    # the car drives at w(0) = 1 and meets the 0 -> 0.375 front at (1, 0.625);
+    # w(0.375) = 0.625 >= 0.625 crosses on the tie, and it drives on beside it
+    "car_crosses_a_front_of_its_own_downstream_speed": (
+        [0.0], [0.0, 0.375], W, 0.125, 0.5, 2.0,
+        [0.5, 1.0, 2.0], [0.125, 0.625, 1.25], [1.0, 0.625], []),
+    # started on the same front at (0.3125, 0.5): the contact's tie rule
+    # crosses it too, with no sticking span
+    "car_started_on_a_front_of_its_own_downstream_speed_crosses": (
+        [0.0], [0.0, 0.375], W, 0.3125, 0.5, 2.0,
+        [0.5, 2.0], [0.3125, 1.25], [0.625], []),
+}
+EVENT_FLUX = {
+    "car_crosses_a_front_of_its_own_downstream_speed": TRAFFIC3,
+    "car_started_on_a_front_of_its_own_downstream_speed_crosses": TRAFFIC3,
 }
 
 
 @pytest.mark.parametrize("name", sorted(EVENT_CASES))
 def test_hand_derived_paths_through_front_contacts_and_events(name):
     bps, vals, w, x0, t0, horizon, times, positions, speeds, sticking = EVENT_CASES[name]
-    sol = evolve(StepFunction(bps, vals), BURGERS0, horizon)
+    sol = evolve(StepFunction(bps, vals), EVENT_FLUX.get(name, BURGERS0), horizon)
     traj = track(sol, w, x0, t0)
     assert traj.times.tolist() == times
     assert traj.positions.tolist() == positions

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +15,14 @@ from shockline.flux import (
     traffic_flux_from_velocity,
 )
 from shockline.front_tracking import StepFunction, evolve
-from shockline.viscous import check_viscous_settings, default_window, solve_viscous, track_smooth
+from shockline.viscous import (
+    CFL_SAFETY,
+    _eo_split,
+    check_viscous_settings,
+    default_window,
+    solve_viscous,
+    track_smooth,
+)
 
 TRAFFIC = TrafficQuadraticFlux(1.0, 1.0)
 W = LinearTrafficVelocity(1.0, 1.0)
@@ -163,6 +171,81 @@ def test_store_every_thins_levels_but_keeps_endpoint():
     assert thin.times.size < dense.times.size
     assert thin.times[-1] == 0.5
     assert np.array_equal(thin.values[-1], dense.values[-1])
+
+
+def reference_march(initial, flux, epsilon, horizon, n_cells, store_every):
+    """The earlier march: a fresh copy of the field each step, stored rows
+    appended to a list and stacked at the end."""
+    x_lo, x_hi = default_window(initial, flux, epsilon, horizon)
+    dx = (x_hi - x_lo) / n_cells
+    x = x_lo + dx * (np.arange(n_cells) + 0.5)
+    dt = CFL_SAFETY / (2.0 * flux.lipschitz_norm / dx + 2.0 * epsilon / (dx * dx))
+    n_steps = max(1, math.ceil(horizon / dt))
+    dt = horizon / n_steps
+    v = np.asarray(initial.sample(x), dtype=float)
+    fplus, fminus = _eo_split(flux)
+    lam = dt / dx
+    mu = epsilon * dt / (dx * dx)
+    stored_vals = [v.copy()]
+    stored_times = [0.0]
+    boundary_account = 0.0
+    for step in range(1, n_steps + 1):
+        interface = fplus(v[:-1]) + fminus(v[1:])
+        diff = v[2:] - 2.0 * v[1:-1] + v[:-2]
+        boundary_account += dt * (interface[0] - interface[-1]) + mu * dx * (
+            (v[-1] - v[-2]) - (v[1] - v[0])
+        )
+        v = v.copy()
+        v[1:-1] += -lam * np.diff(interface) + mu * diff
+        if step % store_every == 0 or step == n_steps:
+            stored_vals.append(v.copy())
+            stored_times.append(step * dt)
+    return np.asarray(stored_times), np.asarray(stored_vals), dt, boundary_account, n_steps
+
+
+def _hex(a):
+    return [float(v).hex() for v in np.ravel(a)]
+
+
+# T = 0.45 on 120 cells takes 40, 53 and 49 steps: none a multiple of 3
+MARCH_CASES = {
+    "traffic": (TRAFFIC, StepFunction([-0.5, 0.5], [0.1, 0.8, 0.3])),
+    "burgers": (BurgersQuadraticFlux(), StepFunction([0.0], [0.5, -0.5])),
+    "piecewise-linear": (PiecewiseLinearFlux([0.0, 0.25, 0.5, 1.0], [0.0, 0.5, 0.25, 0.0]),
+                         StepFunction([0.0, 0.3], [0.1, 0.9, 0.4])),
+}
+
+
+@pytest.mark.parametrize("store_every", [1, 2, 3, 1000])
+@pytest.mark.parametrize("name", sorted(MARCH_CASES))
+def test_march_matches_the_list_append_march_bit_for_bit(name, store_every):
+    flux, data = MARCH_CASES[name]
+    field = solve_viscous(data, flux, 0.05, 0.45, n_cells=120, store_every=store_every)
+    times, values, dt, boundary_account, n_steps = reference_march(
+        data, flux, 0.05, 0.45, 120, store_every)
+    if store_every == 3:
+        assert n_steps % store_every != 0
+    if store_every == 1000:
+        assert store_every > n_steps and times.size == 2
+    assert field.values.shape == values.shape
+    assert _hex(field.times) == _hex(times)
+    assert _hex(field.values) == _hex(values)
+    assert float(field.dt).hex() == float(dt).hex()
+    assert float(field.boundary_account).hex() == float(boundary_account).hex()
+
+
+def test_march_holds_the_field_once():
+    # tracemalloc sees numpy's data buffers; a list of rows stacked at the
+    # end peaks near twice the field
+    s = StepFunction([0.0], [0.2, 0.8])
+    tracemalloc.start()
+    try:
+        field = solve_viscous(s, TRAFFIC, 0.05, 1.0, n_cells=400)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert field.values.shape[0] > 100
+    assert peak <= field.values.nbytes + 16 * field.values[0].nbytes
 
 
 def test_linear_advection_diffusion_matches_erf_profile():
