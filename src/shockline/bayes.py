@@ -333,8 +333,8 @@ class BallAverageForward(_FieldForward):
 
     def __post_init__(self):
         super().__post_init__()
-        if not self.radius > 0:
-            raise ValueError("radius must be positive")
+        if not (isfinite(self.radius) and self.radius > 0):
+            raise ValueError("radius must be positive and finite")
 
     def __call__(self, sample: StepFunction) -> np.ndarray:
         r = self.radius
@@ -450,13 +450,10 @@ class PosteriorRun:
     """pCN chain output with running posterior-mean field values."""
 
     prior: PriorSpec
-    beta: float
-    seed: int
     latent_chain: np.ndarray
     potentials: np.ndarray
     accepted: np.ndarray
     mean_values: np.ndarray
-    burn_in: int = 0
 
     @property
     def acceptance_rate(self) -> float:
@@ -529,13 +526,10 @@ def run_pcn(
             kept += 1
     return PosteriorRun(
         prior=prior,
-        beta=beta,
-        seed=seed,
         latent_chain=chain,
         potentials=phis,
         accepted=accepted,
         mean_values=mean_acc / max(kept, 1),
-        burn_in=burn_in,
     )
 
 
@@ -550,7 +544,6 @@ class HellingerEstimate:
     n_samples: int
     log_evidence_a: float
     log_evidence_b: float
-    batch_values: np.ndarray
 
     def to_dict(self) -> dict:
         return {
@@ -598,7 +591,7 @@ def _hellinger_from_potentials(phi_a: np.ndarray, phi_b: np.ndarray) -> Hellinge
         if batch_vals.size >= 2
         else inf
     )
-    return HellingerEstimate(value, stderr, m, log_za, log_zb, batch_vals)
+    return HellingerEstimate(value, stderr, m, log_za, log_zb)
 
 
 def check_hellinger_samples(n_samples: int) -> None:

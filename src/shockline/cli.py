@@ -216,9 +216,9 @@ def _forward_map(blk: dict, cfg: ScenarioConfig):
             raise ConfigError("trajectory forward needs x0 and t0")
         if t0 <= 0:
             raise ConfigError("forward t0 must be positive")
+    if kind != "velocity-trajectory" and cfg.velocity is None:
+        raise ConfigError(f"{kind} forward needs a velocity spec")
     if kind == "trajectory":
-        if cfg.velocity is None:
-            raise ConfigError("trajectory forward needs a velocity spec")
         return TrajectoryForward(cfg.velocity, level, x0, t0, times)
     if kind == "velocity-trajectory":
         return VelocityTrajectoryForward(cfg.initial, level, x0, t0, times)

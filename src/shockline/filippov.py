@@ -325,8 +325,6 @@ class SpreadReport:
     initial_spread: float
     fitted_exponent: float
     envelope_ok: bool
-    first: Trajectory
-    second: Trajectory
 
 
 def initial_position_spread(
@@ -358,4 +356,4 @@ def initial_position_spread(
                 continue
             c_fit = max(c_fit, 2.0 * log(d / d0) / log(t / t0))
         ok = bool(np.all(spread ** 2 <= d0 * d0 * (ts / t0) ** c_fit + 1e-12))
-    return SpreadReport(ts, spread, d0, c_fit, ok, a, b)
+    return SpreadReport(ts, spread, d0, c_fit, ok)

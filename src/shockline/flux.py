@@ -241,7 +241,7 @@ class PiecewiseLinearFlux(_NodeTable):
 
         Key 1.0 holds the convex kinks (the slope strictly increases),
         key -1.0 the concave ones (it strictly decreases).  Computed on
-        first use: envelopes are fluxes too, and most are never hulled.
+        first use.
         """
         s = self.slopes
         inner_x, inner_y = self.breakpoints[1:-1], self.values[1:-1]
@@ -297,32 +297,7 @@ def piecewise_linearize(flux: FluxFunction, level: int) -> PiecewiseLinearFlux:
     return PiecewiseLinearFlux(grid, np.asarray(flux(grid), dtype=float))
 
 
-def _restricted_nodes(flux: PiecewiseLinearFlux, a: float, b: float, sign: float):
-    """[a] + the flux's kinks of ``sign`` strictly inside (a, b) + [b], as lists.
-
-    A vertex of the convex minorant (concave majorant) on [a, b] is an end
-    point or a node where the slope strictly increases (decreases), so the
-    other nodes can never reach the hull.  An end at a node takes the node's
-    value, which is what ``np.interp`` returns there; other ends are
-    interpolated.  Ends within DOMAIN_TOL outside the domain are clamped
-    onto it; two that clamp onto the same end leave no interval.
-    """
-    lo, hi = flux.domain
-    if not (lo - DOMAIN_TOL <= a < b <= hi + DOMAIN_TOL):
-        raise ValueError(f"need domain lo <= a < b <= hi, got a={a}, b={b}")
-    if b <= lo or a >= hi:
-        raise ValueError(f"a={a} and b={b} clamp onto the same end of the domain [{lo}, {hi}]")
-    a = min(max(a, lo), hi)
-    b = min(max(b, lo), hi)
-    kx, ky = flux._kinks[sign]
-    i = bisect_right(kx, a)
-    j = bisect_left(kx, b)
-    xs = [float(a), *kx[i:j], float(b)]
-    ys = [flux.at(xs[0]), *ky[i:j], flux.at(xs[-1])]
-    return xs, ys
-
-
-def _merge_collinear(xs: list, ys: list) -> PiecewiseLinearFlux:
+def _merge_collinear(xs: list, ys: list) -> tuple[list, list]:
     out_x = [xs[0]]
     out_y = [ys[0]]
     last_slope = None
@@ -336,19 +311,39 @@ def _merge_collinear(xs: list, ys: list) -> PiecewiseLinearFlux:
             out_x.append(xs[k])
             out_y.append(ys[k])
             last_slope = slope
-    return PiecewiseLinearFlux(out_x, out_y)
+    return out_x, out_y
 
 
-def _hull(flux: PiecewiseLinearFlux, a: float, b: float, sign: float) -> PiecewiseLinearFlux:
-    """Monotone chain over the kinks on [a, b]: convex for sign 1, concave for -1.
+def _hull(flux: PiecewiseLinearFlux, a: float, b: float, sign: float) -> tuple[list, list]:
+    """Envelope nodes on [a, b] as float lists: convex for sign 1, concave for -1.
+
+    A vertex of the convex minorant (concave majorant) is an end point or a
+    node where the slope strictly increases (decreases), so a monotone chain
+    runs over the ends and the flux's kinks of ``sign`` strictly inside
+    (a, b); with none there, the envelope is the chord.  An end at a node
+    takes the node's value, which is what ``np.interp`` returns there; other
+    ends are interpolated.  Ends within DOMAIN_TOL outside the domain are
+    clamped onto it; two that clamp onto the same end leave no interval.
 
     Multiplying both sides of the turn test by -1 is exact, so the concave
     hull is the convex hull's loop with the comparison reversed bit for bit.
     """
-    xs, ys = _restricted_nodes(flux, a, b, sign)
-    hull_x = [xs[0]]
-    hull_y = [ys[0]]
-    for x, y in zip(xs[1:], ys[1:]):
+    lo, hi = flux.domain
+    if not (lo - DOMAIN_TOL <= a < b <= hi + DOMAIN_TOL):
+        raise ValueError(f"need domain lo <= a < b <= hi, got a={a}, b={b}")
+    if b <= lo or a >= hi:
+        raise ValueError(f"a={a} and b={b} clamp onto the same end of the domain [{lo}, {hi}]")
+    a = float(min(max(a, lo), hi))
+    b = float(min(max(b, lo), hi))
+    kx, ky = flux._kinks[sign]
+    i = bisect_right(kx, a)
+    j = bisect_left(kx, b)
+    ya, yb = flux.at(a), flux.at(b)
+    if i == j:
+        return [a, b], [ya, yb]
+    hull_x = [a]
+    hull_y = [ya]
+    for x, y in zip([*kx[i:j], b], [*ky[i:j], yb]):
         # pop while the previous node sits on or above the new chord (below, for -1)
         while len(hull_x) >= 2:
             x0, y0 = hull_x[-2], hull_y[-2]
@@ -362,13 +357,13 @@ def _hull(flux: PiecewiseLinearFlux, a: float, b: float, sign: float) -> Piecewi
     return _merge_collinear(hull_x, hull_y)
 
 
-def convex_envelope(flux: PiecewiseLinearFlux, a: float, b: float) -> PiecewiseLinearFlux:
-    """Largest convex minorant of ``flux`` on [a, b], as a flux on [a, b]."""
+def convex_envelope(flux: PiecewiseLinearFlux, a: float, b: float) -> tuple[list, list]:
+    """Largest convex minorant of ``flux`` on [a, b], as node lists (xs, ys)."""
     return _hull(flux, a, b, 1.0)
 
 
-def concave_envelope(flux: PiecewiseLinearFlux, a: float, b: float) -> PiecewiseLinearFlux:
-    """Smallest concave majorant of ``flux`` on [a, b], as a flux on [a, b]."""
+def concave_envelope(flux: PiecewiseLinearFlux, a: float, b: float) -> tuple[list, list]:
+    """Smallest concave majorant of ``flux`` on [a, b], as node lists (xs, ys)."""
     return _hull(flux, a, b, -1.0)
 
 
@@ -376,12 +371,10 @@ def _riemann_waves(flux: PiecewiseLinearFlux, v_l: float, v_r: float) -> tuple:
     """Waves of the Riemann solution, left to right: (speed, left, right).
 
     Increasing data ride the convex envelope, decreasing data the concave
-    one; either way the speeds strictly increase.  When no kink of the
-    envelope's sign lies between the two states, the envelope is the chord
-    between them and the solution one shock; its slope is taken from the
-    same clamped end values the envelope would hold.  Otherwise the public
-    envelope is built through its module-level name, and slopes come from
-    its node lists: the same subtraction and division as ``env.slopes``.
+    one; either way the speeds strictly increase.  Every miss calls the
+    envelope once, through its module-level name, so a wrapper put there
+    sees every solve; each slope is the difference quotient of two
+    neighbouring envelope nodes.
 
     The solution depends only on the flux and the two states, so it is kept
     in the flux's capped Riemann table and the stored tuple itself is
@@ -400,9 +393,7 @@ def _riemann_waves(flux: PiecewiseLinearFlux, v_l: float, v_r: float) -> tuple:
         sign, a, b, envelope = 1.0, v_l, v_r, convex_envelope
     else:
         sign, a, b, envelope = -1.0, v_r, v_l, concave_envelope
-    xs, ys = _restricted_nodes(flux, a, b, sign)
-    if len(xs) > 2:
-        xs, ys = envelope(flux, a, b)._nodes
+    xs, ys = envelope(flux, a, b)
     waves = [
         ((ys[k + 1] - ys[k]) / (xs[k + 1] - xs[k]), xs[k], xs[k + 1]) for k in range(len(xs) - 1)
     ]

@@ -184,7 +184,6 @@ class ShockCatalog:
     ``strength[k]``; one array per quantity.
     """
 
-    threshold: float
     index: np.ndarray
     t0: np.ndarray
     x0: np.ndarray
@@ -293,7 +292,7 @@ class FrontTrackingSolution:
         k = np.flatnonzero(strength > threshold)
         t0, x0 = self.birth_times[k], self.birth_positions[k]
         t1 = np.minimum(self.death_times[k], self.horizon)
-        return ShockCatalog(threshold, k, t0, x0, t1, x0 + self.speeds[k] * (t1 - t0), strength[k])
+        return ShockCatalog(k, t0, x0, t1, x0 + self.speeds[k] * (t1 - t0), strength[k])
 
 
 class _LiveFronts:

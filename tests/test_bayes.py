@@ -292,6 +292,12 @@ def test_ball_average_forward_constant_field():
     assert out[0] == pytest.approx(0.1, abs=1e-12)
 
 
+@pytest.mark.parametrize("radius", [0.0, -0.1, math.nan, math.inf])
+def test_ball_average_forward_rejects_a_radius_not_positive_and_finite(radius):
+    with pytest.raises(ValueError, match="radius"):
+        BallAverageForward(velocity=W, level=5, positions=(0.0,), times=(0.5,), radius=radius)
+
+
 def test_pcn_beta_zero_freezes_the_chain():
     prior = small_prior()
     obs = ObservationSet(kind="pointwise", values=[0.5], noise_std=0.1, times=(0.5,))

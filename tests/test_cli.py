@@ -258,6 +258,8 @@ MALFORMED_SYNTHETIC = {
     with_inversion(forward={"kind": "pointwise", "times": [0.5, 1.0], "positions": "ab"}),
     with_inversion(forward={"kind": "ball-average", "times": [0.5, 1.0],
                             "positions": [0.0, 0.5], "radius": -1}),
+    with_inversion(forward={"kind": "ball-average", "times": [0.5, 1.0],
+                            "positions": [0.0, 0.5], "radius": np.inf}),
     with_inversion(forward={"kind": "trajectory", "times": [0.5, 1.0, 1.5],
                             "x0": -0.5, "t0": 0.75}),
     with_inversion(forward={"kind": "pointwise", "times": [0.5, 1.0], "positions": [0.0]}),
@@ -270,7 +272,7 @@ MALFORMED_SYNTHETIC = {
                             "store_every": 0}),
     *MALFORMED_SYNTHETIC.values(),
 ], ids=["pointwise_without_positions", "viscous_without_epsilon", "chain_length_not_a_number",
-        "positions_not_numbers", "negative_radius", "t0_after_first_time",
+        "positions_not_numbers", "negative_radius", "infinite_radius", "t0_after_first_time",
         "positions_and_times_unpaired", "zero_chain_length", "beta_above_one",
         "negative_viscous_epsilon", "viscous_n_cells_too_few", "viscous_store_every_zero",
         *MALFORMED_SYNTHETIC])
@@ -278,6 +280,24 @@ def test_malformed_inversion_blocks_exit_2(tmp_path, capsys, cfg):
     path = write_cfg(tmp_path, cfg)
     assert main(["invert", "--config", path, "--out", str(tmp_path / "o")]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+FLUX_ONLY_INVERT_CFG = dict(
+    {k: v for k, v in INVERT_CFG.items() if k != "velocity"}, flux={"kind": "traffic-quadratic"}
+)
+
+
+@pytest.mark.parametrize("forward", [
+    {"kind": "trajectory", "times": [0.5, 1.0, 1.5]},
+    {"kind": "pointwise", "times": [0.5, 1.0], "positions": [0.0, 0.5]},
+    {"kind": "ball-average", "times": [0.5, 1.0], "positions": [0.0, 0.5], "radius": 0.1},
+    {"kind": "viscous-trajectory", "times": [0.5, 1.0, 1.5], "epsilon": 0.05, "n_cells": 100},
+], ids=["trajectory", "pointwise", "ball-average", "viscous-trajectory"])
+def test_forwards_without_a_velocity_spec_exit_2(tmp_path, capsys, forward):
+    cfg = dict(FLUX_ONLY_INVERT_CFG, inversion=dict(INVERT_CFG["inversion"], forward=forward))
+    path = write_cfg(tmp_path, cfg)
+    assert main(["synth", "--config", path, "--out", str(tmp_path / "o")]) == 2
+    assert "needs a velocity spec" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("cfg", MALFORMED_SYNTHETIC.values(), ids=MALFORMED_SYNTHETIC)

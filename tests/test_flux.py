@@ -163,21 +163,21 @@ def test_linearized_traffic_norm_bounded_by_true_norm():
 
 def test_convex_envelope_tent_frozen():
     f = PiecewiseLinearFlux(np.array([0.0, 0.5, 1.0]), np.array([0.0, 1.0, 0.0]))
-    env = convex_envelope(f, 0.0, 1.0)
-    assert np.array_equal(env.breakpoints, [0.0, 1.0])
-    assert np.array_equal(env.values, [0.0, 0.0])
+    xs, ys = convex_envelope(f, 0.0, 1.0)
+    assert np.array_equal(xs, [0.0, 1.0])
+    assert np.array_equal(ys, [0.0, 0.0])
 
 
 def test_concave_envelope_of_traffic_is_itself():
     g = piecewise_linearize(TrafficQuadraticFlux(1.0, 1.0), 3)
-    env = concave_envelope(g, 0.0, 1.0)
-    assert np.allclose(env.breakpoints, g.breakpoints, atol=1e-15)
-    assert np.allclose(env.values, g.values, atol=1e-15)
+    xs, ys = concave_envelope(g, 0.0, 1.0)
+    assert np.allclose(xs, g.breakpoints, atol=1e-15)
+    assert np.allclose(ys, g.values, atol=1e-15)
 
 
 def test_convex_envelope_of_convex_flux_is_itself():
     g = piecewise_linearize(BurgersQuadraticFlux(), 3)
-    env = convex_envelope(g, -0.75, 0.5)
+    env = PiecewiseLinearFlux(*convex_envelope(g, -0.75, 0.5))
     for x in np.linspace(-0.75, 0.5, 41):
         assert env(x) == pytest.approx(g(x), abs=1e-14)
 
@@ -186,9 +186,9 @@ def test_traffic_single_chord_restriction_frozen():
     # nodes of f^2 on [0.25, 1]: the chord (0.25, 0.1875) -> (1, 0) lies
     # below the interior nodes, so the convex envelope is one segment
     g = piecewise_linearize(TrafficQuadraticFlux(1.0, 1.0), 2)
-    env = convex_envelope(g, 0.25, 1.0)
-    assert np.array_equal(env.breakpoints, [0.25, 1.0])
-    assert np.array_equal(env.values, [0.1875, 0.0])
+    xs, ys = convex_envelope(g, 0.25, 1.0)
+    assert np.array_equal(xs, [0.25, 1.0])
+    assert np.array_equal(ys, [0.1875, 0.0])
 
 
 def test_envelopes_match_brute_force_on_random_fluxes():
@@ -200,8 +200,8 @@ def test_envelopes_match_brute_force_on_random_fluxes():
         a, b = sorted(rng.uniform(0, 1, 2))
         if b - a < 0.05:
             continue
-        lo_env = convex_envelope(f, a, b)
-        hi_env = concave_envelope(f, a, b)
+        lo_env = PiecewiseLinearFlux(*convex_envelope(f, a, b))
+        hi_env = PiecewiseLinearFlux(*concave_envelope(f, a, b))
         nx, ny = [], []
         for x in np.concatenate(([a], xs[(xs > a) & (xs < b)], [b])):
             nx.append(x)
@@ -259,10 +259,10 @@ def flux_and_interval(draw):
 def test_envelopes_match_all_node_walk_bit_for_bit(case):
     f, a, b = case
     for envelope, sign in ((convex_envelope, 1.0), (concave_envelope, -1.0)):
-        got = envelope(f, a, b)
-        want = all_node_envelope(f, a, b, sign)
-        assert got.breakpoints.tolist() == want.breakpoints.tolist()
-        assert got.values.tolist() == want.values.tolist()
+        got_x, got_y = envelope(f, a, b)
+        want_x, want_y = all_node_envelope(f, a, b, sign)
+        assert got_x == want_x
+        assert got_y == want_y
 
 
 @pytest.mark.parametrize("cls", [PiecewiseLinearFlux, TableVelocity], ids=lambda c: c.__name__)
@@ -349,11 +349,11 @@ def test_envelope_idempotent_and_sandwich():
     rng = np.random.default_rng(11)
     for _ in range(10):
         f = PiecewiseLinearFlux(dyadic_points(3), rng.uniform(0, 1, 9))
-        lo_env = convex_envelope(f, 0.0, 1.0)
-        hi_env = concave_envelope(f, 0.0, 1.0)
-        again = convex_envelope(lo_env, 0.0, 1.0)
-        assert np.allclose(again.breakpoints, lo_env.breakpoints, atol=1e-14)
-        assert np.allclose(again.values, lo_env.values, atol=1e-14)
+        lo_env = PiecewiseLinearFlux(*convex_envelope(f, 0.0, 1.0))
+        hi_env = PiecewiseLinearFlux(*concave_envelope(f, 0.0, 1.0))
+        again_x, again_y = convex_envelope(lo_env, 0.0, 1.0)
+        assert np.allclose(again_x, lo_env.breakpoints, atol=1e-14)
+        assert np.allclose(again_y, lo_env.values, atol=1e-14)
         for x in f.breakpoints:
             assert lo_env(x) <= f(x) + 1e-12
             assert hi_env(x) >= f(x) - 1e-12

@@ -30,6 +30,7 @@ from shockline.flux import (
     piecewise_linearize,
     traffic_flux_from_velocity,
 )
+from shockline import flux as flux_module
 from shockline.front_tracking import (
     EVENT_SPACE_TOL,
     EventCapError,
@@ -201,12 +202,10 @@ def piecewise_fluxes(draw, min_level, max_level):
 def envelope_waves(flux, v_l, v_r):
     """Riemann waves read off the public envelope, whatever its shape."""
     if v_l < v_r:
-        env = convex_envelope(flux, v_l, v_r)
-        xs, ys = env.breakpoints.tolist(), env.values.tolist()
+        xs, ys = convex_envelope(flux, v_l, v_r)
         return [((ys[k + 1] - ys[k]) / (xs[k + 1] - xs[k]), xs[k], xs[k + 1])
                 for k in range(len(xs) - 1)]
-    env = concave_envelope(flux, v_r, v_l)
-    xs, ys = env.breakpoints.tolist(), env.values.tolist()
+    xs, ys = concave_envelope(flux, v_r, v_l)
     return [((ys[k + 1] - ys[k]) / (xs[k + 1] - xs[k]), xs[k + 1], xs[k])
             for k in range(len(xs) - 2, -1, -1)]
 
@@ -237,7 +236,7 @@ def flux_and_state_pair(draw):
 
 @given(flux_and_state_pair())
 def test_riemann_waves_match_the_envelope_waves(case):
-    """The chord shortcut and the envelope path give the same waves, bit for bit."""
+    """The Riemann waves are the public envelope's waves, bit for bit."""
     flux, a, b = case
     for v_l, v_r in ((a, b), (b, a)):
         try:
@@ -300,6 +299,35 @@ def test_solve_riemann_returns_the_stored_waves():
     assert solve_riemann(flux, 0.875, 0.125) is waves
     # copy.copy starts with an empty table, so this is a fresh solve
     assert solve_riemann(copy.copy(flux), 0.875, 0.125) == waves
+
+
+def test_every_riemann_miss_calls_one_envelope_once(monkeypatch):
+    calls = []
+
+    def counting(name):
+        envelope = getattr(flux_module, name)
+
+        def wrapper(*args):
+            calls.append(name)
+            return envelope(*args)
+        return wrapper
+
+    for name in ("convex_envelope", "concave_envelope"):
+        monkeypatch.setattr(flux_module, name, counting(name))
+    burgers3 = piecewise_linearize(BurgersQuadraticFlux(), 3)
+    cases = [  # (flux, v_l, v_r, envelope, waves): chords and fans of both signs
+        (TRAFFIC3, 0.125, 0.875, "convex_envelope", 1),
+        (TRAFFIC3, 0.875, 0.125, "concave_envelope", 6),
+        (burgers3, -0.5, 0.5, "convex_envelope", 8),
+        (burgers3, 0.5, -0.5, "concave_envelope", 1),
+    ]
+    for flux, v_l, v_r, name, n_waves in cases:
+        flux = fresh_copy(flux)
+        del calls[:]
+        assert len(solve_riemann(flux, v_l, v_r)) == n_waves
+        assert calls == [name]
+        solve_riemann(flux, v_l, v_r)  # a table hit
+        assert calls == [name]
 
 
 def test_riemann_table_stays_under_its_cap_and_exact_past_it():

@@ -1,5 +1,6 @@
-"""Every name a ``shockline`` module imports is used in that module, and
-every parameter of a function is used in its body.
+"""Every name a ``shockline`` module imports is used in that module, every
+parameter of a function is used in its body, and every dataclass field is
+read somewhere in the project.
 
 ``__init__`` is left out, since its imports are the package's re-exports,
 and so is ``from __future__ import annotations``.
@@ -10,7 +11,8 @@ import pathlib
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "shockline"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "shockline"
 MODULES = sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -76,3 +78,55 @@ def test_unused_parameters_are_found():
 def test_parameters_are_used(module):
     tree = ast.parse((SRC / module).read_text(encoding="utf-8"))
     assert list(unused_parameters(tree)) == []
+
+
+def dataclass_fields(tree):
+    """(class, field) for each annotated field of each ``@dataclass`` class."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and any(
+            getattr(d.func if isinstance(d, ast.Call) else d, "id", None) == "dataclass"
+            for d in node.decorator_list
+        ):
+            for stmt in node.body:
+                if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+                    yield node.name, stmt.target.id
+
+
+def read_attributes(tree):
+    """Names read as ``obj.name`` anywhere in the tree."""
+    return {
+        node.attr for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+
+
+def test_unread_fields_are_found():
+    tree = ast.parse(
+        "from dataclasses import dataclass\n"
+        "@dataclass(frozen=True)\n"
+        "class A:\n"
+        "    kept: int\n"
+        "    unread: int = 0\n"
+        "    plain = 1\n"
+        "class B:\n"
+        "    other: int\n"
+        "def f(a):\n"
+        "    a.unread = 2\n"
+        "    return a.kept\n"
+    )
+    read = read_attributes(tree)
+    assert [(c, f) for c, f in dataclass_fields(tree) if f not in read] == [("A", "unread")]
+
+
+def test_dataclass_fields_are_read():
+    read = set()
+    for folder in ("src", "tests", "demos", "bench"):
+        for path in (ROOT / folder).rglob("*.py"):
+            read |= read_attributes(ast.parse(path.read_text(encoding="utf-8")))
+    unread = [
+        (module, cls, field)
+        for module in MODULES
+        for cls, field in dataclass_fields(ast.parse((SRC / module).read_text(encoding="utf-8")))
+        if field not in read
+    ]
+    assert unread == []
