@@ -77,14 +77,50 @@ def read_field(data: dict, key: str, convert, default=_REQUIRED, where: str = "s
         raise ConfigError(f"{where} has a bad {key!r}: {exc}") from exc
 
 
+class _Constant(str):
+    """``NaN``, ``Infinity`` or ``-Infinity`` as the JSON text spells it.
+
+    Python's JSON reader accepts these tokens, but standard JSON has no
+    such numbers; ``load_config`` parses them to this marker and rejects
+    them with the field that holds them.
+    """
+
+
+def _reject_non_numbers(node, path: tuple = ()) -> None:
+    """ConfigError at the first NaN or infinity, or null in an array, under ``node``.
+
+    ``path`` holds the keys and indices from the config root down to
+    ``node``; the error names the innermost object as the block and the
+    field in it, with any array indices.
+    """
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, value in items:
+        at = path + (key,)
+        if isinstance(value, _Constant) or (value is None and isinstance(node, list)):
+            k = max(i for i, part in enumerate(at) if isinstance(part, str))
+            block = "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in at[:k])[1:]
+            where = f"{block} block" if block else "scenario"
+            field = repr(at[k]) + "".join(f"[{p}]" for p in at[k + 1:])
+            raise ConfigError(f"bad {where}: {field} is {value or 'null'}, not a JSON number")
+        _reject_non_numbers(value, at)
+
+
 def load_config(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            data = json.load(fh, parse_constant=_Constant)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+    if isinstance(data, dict):
+        _reject_non_numbers(data)
+    return data
 
 
 def parse_scenario(data: dict) -> ScenarioConfig:

@@ -12,7 +12,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from math import copysign, isfinite
-from typing import Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -71,6 +71,15 @@ class _RiemannTable(dict):
         if self.waves + len(waves) <= RIEMANN_TABLE_WAVES:
             self[key] = waves
             self.waves += len(waves)
+
+
+class _Chain(NamedTuple):
+    """Ends and kinks of one sign of a flux, with what ``_riemann_waves`` reads off them."""
+
+    xs: list
+    ys: list
+    slopes: list
+    bad: list
 
 
 class _FluxBase:
@@ -228,7 +237,7 @@ class _NodeTable(_FluxBase):
 class PiecewiseLinearFlux(_NodeTable):
     """Continuous piecewise-linear flux given by node values.
 
-    Besides the node table it caches the kink sets the envelopes read and
+    Besides the node table it caches the envelope chains (``_chains``) and
     the table of its Riemann solutions; every copy or pickle starts without
     them.
     """
@@ -236,19 +245,33 @@ class PiecewiseLinearFlux(_NodeTable):
     kind = "piecewise-linear"
 
     @cached_property
-    def _kinks(self) -> dict:
-        """Interior nodes as (x list, y list), by envelope sign.
+    def _chains(self) -> dict:
+        """The envelope chain of each sign, built on first use with array ops.
 
-        Key 1.0 holds the convex kinks (the slope strictly increases),
-        key -1.0 the concave ones (it strictly decreases).  Computed on
-        first use.
+        Key 1.0 chains the ends and the convex kinks (the slope strictly
+        increases), key -1.0 the ends and the concave ones (it strictly
+        decreases).  Each value holds the chain's x and y lists, the slopes
+        between consecutive chain nodes (``_riemann_waves``'s difference
+        quotient), and a prefix count: ``bad[k]`` is the number of chain
+        nodes before index k that ``_hull`` would not keep as they stand,
+        because its turn test pops the node off its two chain neighbours or
+        ``_merge_collinear`` merges the two slopes at it.  Elementwise
+        float64 ``-``, ``*``, ``/`` and comparisons round as the scalar
+        operations do, so every flag is the scalar test's outcome.
         """
         s = self.slopes
-        inner_x, inner_y = self.breakpoints[1:-1], self.values[1:-1]
-        return {
-            sign: (inner_x[turn].tolist(), inner_y[turn].tolist())
-            for sign, turn in ((1.0, s[1:] > s[:-1]), (-1.0, s[1:] < s[:-1]))
-        }
+        chains = {}
+        for sign, turn in ((1.0, s[1:] > s[:-1]), (-1.0, s[1:] < s[:-1])):
+            keep = np.concatenate(([True], turn, [True]))
+            x, y = self.breakpoints[keep], self.values[keep]
+            slopes = np.diff(y) / np.diff(x)
+            pops = sign * ((y[1:-1] - y[:-2]) * (x[2:] - x[:-2])) >= sign * (
+                (y[2:] - y[:-2]) * (x[1:-1] - x[:-2])
+            )
+            merges = np.abs(np.diff(slopes)) <= COLLINEAR_TOL
+            bad = np.concatenate(([0, 0], np.cumsum(pops | merges)))
+            chains[sign] = _Chain(x.tolist(), y.tolist(), slopes.tolist(), bad.tolist())
+        return chains
 
     @cached_property
     def _riemann_table(self) -> _RiemannTable:
@@ -319,8 +342,9 @@ def _hull(flux: PiecewiseLinearFlux, a: float, b: float, sign: float) -> tuple[l
 
     A vertex of the convex minorant (concave majorant) is an end point or a
     node where the slope strictly increases (decreases), so a monotone chain
-    runs over the ends and the flux's kinks of ``sign`` strictly inside
-    (a, b); with none there, the envelope is the chord.  An end at a node
+    runs over the ends and the kinks of ``sign`` strictly inside (a, b),
+    which it bisects out of the interior of the flux's chain of that sign;
+    with none there, the envelope is the chord.  An end at a node
     takes the node's value, which is what ``np.interp`` returns there; other
     ends are interpolated.  Ends within DOMAIN_TOL outside the domain are
     clamped onto it; two that clamp onto the same end leave no interval.
@@ -335,15 +359,15 @@ def _hull(flux: PiecewiseLinearFlux, a: float, b: float, sign: float) -> tuple[l
         raise ValueError(f"a={a} and b={b} clamp onto the same end of the domain [{lo}, {hi}]")
     a = float(min(max(a, lo), hi))
     b = float(min(max(b, lo), hi))
-    kx, ky = flux._kinks[sign]
-    i = bisect_right(kx, a)
-    j = bisect_left(kx, b)
+    cx, cy, _, _ = flux._chains[sign]
+    i = bisect_right(cx, a, 1, len(cx) - 1)
+    j = bisect_left(cx, b, 1, len(cx) - 1)
     ya, yb = flux.at(a), flux.at(b)
     if i == j:
         return [a, b], [ya, yb]
     hull_x = [a]
     hull_y = [ya]
-    for x, y in zip([*kx[i:j], b], [*ky[i:j], yb]):
+    for x, y in zip([*cx[i:j], b], [*cy[i:j], yb]):
         # pop while the previous node sits on or above the new chord (below, for -1)
         while len(hull_x) >= 2:
             x0, y0 = hull_x[-2], hull_y[-2]
@@ -371,10 +395,15 @@ def _riemann_waves(flux: PiecewiseLinearFlux, v_l: float, v_r: float) -> tuple:
     """Waves of the Riemann solution, left to right: (speed, left, right).
 
     Increasing data ride the convex envelope, decreasing data the concave
-    one; either way the speeds strictly increase.  Every miss calls the
-    envelope once, through its module-level name, so a wrapper put there
-    sees every solve; each slope is the difference quotient of two
-    neighbouring envelope nodes.
+    one; either way the speeds strictly increase, and each speed is the
+    difference quotient of two neighbouring envelope nodes.
+
+    When both states are nodes of the flux's chain of that sign and no node
+    strictly between them is flagged bad, ``_hull`` would keep that run of
+    the chain as it is, so the waves are read off the cached chain slopes.
+    The outermost states are the caller's, so a signed zero survives.  Every
+    other miss calls the envelope once, through its module-level name, so a
+    wrapper put there sees each of those solves.
 
     The solution depends only on the flux and the two states, so it is kept
     in the flux's capped Riemann table and the stored tuple itself is
@@ -393,13 +422,26 @@ def _riemann_waves(flux: PiecewiseLinearFlux, v_l: float, v_r: float) -> tuple:
         sign, a, b, envelope = 1.0, v_l, v_r, convex_envelope
     else:
         sign, a, b, envelope = -1.0, v_r, v_l, concave_envelope
-    xs, ys = envelope(flux, a, b)
-    waves = [
-        ((ys[k + 1] - ys[k]) / (xs[k + 1] - xs[k]), xs[k], xs[k + 1]) for k in range(len(xs) - 1)
-    ]
-    if sign < 0:
-        waves = [(s, right, left) for s, left, right in reversed(waves)]
-    waves = tuple(waves)
+    xs, _, slopes, bad = flux._chains[sign]
+    p = bisect_left(xs, a)
+    q = bisect_left(xs, b)
+    if p < q < len(xs) and xs[p] == a and xs[q] == b and bad[q] == bad[p + 1]:
+        lefts = xs[p:q]
+        rights = xs[p + 1:q + 1]
+        lefts[0], rights[-1] = float(a), float(b)
+        if sign > 0:
+            waves = tuple(zip(slopes[p:q], lefts, rights))
+        else:
+            waves = tuple(zip(reversed(slopes[p:q]), reversed(rights), reversed(lefts)))
+    else:
+        xs, ys = envelope(flux, a, b)
+        waves = [
+            ((ys[k + 1] - ys[k]) / (xs[k + 1] - xs[k]), xs[k], xs[k + 1])
+            for k in range(len(xs) - 1)
+        ]
+        if sign < 0:
+            waves = [(s, right, left) for s, left, right in reversed(waves)]
+        waves = tuple(waves)
     table.store(key, waves)
     return waves
 

@@ -33,7 +33,11 @@ def test_traced_boundaries_exist():
 
 
 # Installs the wrappers in a fresh interpreter, since they replace module
-# attributes for the rest of the process, and prints the span count by name.
+# attributes for the rest of the process, and prints the span count by name
+# after each of two runs.  The first is a level-4 traffic solve and track:
+# its concave fan is read off the flux's chain, and its convex chord takes
+# the envelope.  The second is a fan across the inflection of a non-concave
+# rho*w(rho) flux, whose concave envelope must bridge the convex kink.
 TRACED_RUN = """
 import importlib.util, json, sys
 import numpy as np
@@ -43,11 +47,20 @@ spec.loader.exec_module(tracing)
 tracer = tracing.Tracer()
 tracing.install(tracer)
 from shockline import filippov, flux, front_tracking
+
+def counts():
+    calls = np.bincount(tracer.arrays()["name"], minlength=len(tracer.names))
+    return dict(zip(tracer.names, calls.tolist()))
+
 f = flux.piecewise_linearize(flux.TrafficQuadraticFlux(), 4)
 sol = front_tracking.evolve(front_tracking.StepFunction([0.0, 0.5], [0.75, 0.25, 0.5]), f, 1.0)
 filippov.track(sol, flux.LinearTrafficVelocity(), -0.5, 0.1)
-calls = np.bincount(tracer.arrays()["name"], minlength=len(tracer.names))
-print(json.dumps(dict(zip(tracer.names, calls.tolist()))))
+runs = [counts()]
+w = flux.TableVelocity([0.0, 0.5, 1.0], [2.0, 0.25, 0.0])
+g = flux.traffic_flux_from_velocity(w, 4)
+front_tracking.evolve(front_tracking.StepFunction([0.0], [0.75, 0.25]), g, 1.0)
+runs.append(counts())
+print(json.dumps(runs))
 """
 
 
@@ -58,7 +71,9 @@ def test_traced_boundaries_are_called():
         [sys.executable, "-c", TRACED_RUN, TRACING],
         capture_output=True, text=True, env=env, timeout=120, check=True,
     )
-    calls = json.loads(run.stdout)
+    calls, total = json.loads(run.stdout)
     assert calls["flux.envelope"] > 0
     assert calls["front_tracking.evolve"] == 1
     assert calls["filippov.track"] == 1
+    assert total["flux.envelope"] > calls["flux.envelope"]
+    assert total["front_tracking.evolve"] == 2

@@ -143,6 +143,25 @@ def test_non_finite_nodes_exit_2(tmp_path, block):
     assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
 
+@pytest.mark.parametrize("command, cfg, message", [
+    ("solve", dict(SOLVE_CFG, level=float("inf")), "bad scenario: 'level' is Infinity"),
+    ("solve", dict(SOLVE_CFG, initial={"breakpoints": [0.0, 0.5], "values": [None, 0.75, 0.375]}),
+     "bad initial block: 'values'[0] is null"),
+    ("track", dict(TRACK_CFG, particle={"x0": float("nan"), "t0": 0.1}),
+     "bad particle block: 'x0' is NaN"),
+    ("solve", dict(SOLVE_CFG, times=[1.0, -float("inf")]), "bad scenario: 'times'[1] is -Infinity"),
+], ids=["infinite_level", "null_initial_value", "nan_particle_x0", "negative_infinite_time"])
+def test_non_standard_numbers_exit_2_before_any_solve(tmp_path, capsys, monkeypatch,
+                                                      command, cfg, message):
+    def no_solve(*args):
+        raise AssertionError("evolve called on a config that should be rejected")
+
+    monkeypatch.setattr(cli, "evolve", no_solve)
+    path = write_cfg(tmp_path, cfg)
+    assert main([command, "--config", path, "--out", str(tmp_path / "o")]) == 2
+    assert f"config error: {message}, not a JSON number" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("field", [
     {"horizon": "soon"}, {"horizon": float("nan")}, {"horizon": float("inf")},
     {"times": 1.0}, {"level": None},

@@ -272,7 +272,7 @@ def test_flux_nodes_are_read_only_copies(cls):
     f = cls(xs, ys)
     f.at(0.25)  # fills the node cache
     if cls is PiecewiseLinearFlux:
-        concave_envelope(f, 0.0, 1.0)  # fills the kink cache
+        concave_envelope(f, 0.0, 1.0)  # fills the chain cache
     for g in (f, pickle.loads(pickle.dumps(f)), copy.deepcopy(f)):
         for arr in (g.breakpoints, g.values):
             with pytest.raises(ValueError):

@@ -249,6 +249,68 @@ def test_riemann_waves_match_the_envelope_waves(case):
         assert waves_hex(_riemann_waves(copy.copy(flux), v_l, v_r)) == waves_hex(want)
 
 
+@st.composite
+def kinked_fluxes(draw):
+    """A flux of ``piecewise_fluxes``, or one of random slopes whose chains
+    hold bad nodes: kink runs within COLLINEAR_TOL of collinear (merges) and
+    kinks of one sign split by the other (pops)."""
+    if draw(st.booleans()):
+        return draw(piecewise_fluxes(2, 6))[0]
+    steps = st.sampled_from([0.0, 1e-13, -1e-13, 6e-13, -6e-13, 2e-12, -2e-12, 0.25, -0.5, 1.0])
+    deltas = draw(st.lists(steps, min_size=1, max_size=12))
+    slopes = np.cumsum([draw(st.sampled_from([-1.0, 0.0, 0.5]))] + deltas)
+    lo = draw(st.sampled_from([-1.0, 0.0, 0.25]))
+    x = lo + np.arange(slopes.size + 1) / 8.0
+    y = np.concatenate(([0.0], np.cumsum(slopes / 8.0)))
+    return PiecewiseLinearFlux(x, y)
+
+
+@st.composite
+def chain_flux_and_states(draw):
+    """A flux and two states: chain nodes of either sign, other nodes, domain
+    ends, signed zeros, off-node points or points up to DOMAIN_TOL outside."""
+    flux = draw(kinked_fluxes())
+    lo, hi = flux.domain
+    chain_nodes = flux._chains[1.0].xs + flux._chains[-1.0].xs
+    state = st.one_of(
+        st.sampled_from(chain_nodes),
+        st.sampled_from(flux.breakpoints.tolist()),
+        st.sampled_from([lo, hi, 0.0, -0.0]),
+        st.floats(lo, hi),
+        st.floats(0.0, DOMAIN_TOL).map(lambda d: lo - d),
+    )
+    return flux, draw(state), draw(state)
+
+
+@given(chain_flux_and_states())
+def test_riemann_chain_runs_match_the_envelope_waves(case):
+    """Waves read off the chain, or the envelope past a bad node, are the
+    public envelope's waves bit for bit, signed zeros included."""
+    flux, a, b = case
+    for v_l, v_r in ((a, b), (b, a)):
+        try:
+            want = envelope_waves(flux, v_l, v_r)
+        except ValueError as exc:
+            with pytest.raises(type(exc), match=re.escape(str(exc))):
+                _riemann_waves(fresh_copy(flux), v_l, v_r)
+            continue
+        assert waves_hex(_riemann_waves(fresh_copy(flux), v_l, v_r)) == waves_hex(want)
+
+
+def test_chain_flags_the_nodes_the_hull_would_not_keep():
+    # slopes 0, 1, -2, 1, 1, 1 + 2e-13: the convex chain skips the concave
+    # kink at 2, so its node 1 lies above the chord from 0 to 3 (a pop), and
+    # the slopes at its node 5 differ by less than COLLINEAR_TOL (a merge)
+    flux = PiecewiseLinearFlux(np.arange(7.0), [0.0, 0.0, 1.0, -1.0, 0.0, 1.0, 2.0 + 2e-13])
+    chain = flux._chains[1.0]
+    assert chain.xs == [0.0, 1.0, 3.0, 5.0, 6.0]
+    assert chain.bad == [0, 0, 1, 1, 2]
+    for v_l, v_r, n_waves in ((0.0, 3.0, 1), (3.0, 6.0, 1), (1.0, 5.0, 2), (0.0, 6.0, 2)):
+        waves = _riemann_waves(fresh_copy(flux), v_l, v_r)
+        assert len(waves) == n_waves
+        assert waves_hex(waves) == waves_hex(envelope_waves(flux, v_l, v_r))
+
+
 @pytest.mark.parametrize("end", ["lo", "hi"])
 def test_riemann_states_clamped_to_one_end_fail_as_the_envelope_does(end):
     # both states lie within DOMAIN_TOL outside the same end and clamp onto
@@ -301,7 +363,7 @@ def test_solve_riemann_returns_the_stored_waves():
     assert solve_riemann(copy.copy(flux), 0.875, 0.125) == waves
 
 
-def test_every_riemann_miss_calls_one_envelope_once(monkeypatch):
+def test_riemann_misses_route_clean_chain_runs_past_the_envelope(monkeypatch):
     calls = []
 
     def counting(name):
@@ -315,19 +377,24 @@ def test_every_riemann_miss_calls_one_envelope_once(monkeypatch):
     for name in ("convex_envelope", "concave_envelope"):
         monkeypatch.setattr(flux_module, name, counting(name))
     burgers3 = piecewise_linearize(BurgersQuadraticFlux(), 3)
-    cases = [  # (flux, v_l, v_r, envelope, waves): chords and fans of both signs
-        (TRAFFIC3, 0.125, 0.875, "convex_envelope", 1),
-        (TRAFFIC3, 0.875, 0.125, "concave_envelope", 6),
-        (burgers3, -0.5, 0.5, "convex_envelope", 8),
-        (burgers3, 0.5, -0.5, "concave_envelope", 1),
+    # rho*w(rho) has a convex kink at 0.5: the concave chain skips it, and
+    # its neighbour 0.5625 is flagged, since the envelope bridges the dip
+    inflected = traffic_flux_from_velocity(TableVelocity([0.0, 0.5, 1.0], [2.0, 0.25, 0.0]), 4)
+    cases = [  # (flux, v_l, v_r, envelope calls, waves); clean chain runs call none
+        (TRAFFIC3, 0.125, 0.875, ["convex_envelope"], 1),  # states off the convex chain
+        (TRAFFIC3, 0.875, 0.125, [], 6),
+        (burgers3, -0.5, 0.5, [], 8),
+        (burgers3, 0.5, -0.5, ["concave_envelope"], 1),  # states off the concave chain
+        (inflected, 0.75, 0.25, ["concave_envelope"], 3),  # a bad node between chain nodes
+        (inflected, 0.375, 0.25, [], 2),
     ]
-    for flux, v_l, v_r, name, n_waves in cases:
+    for flux, v_l, v_r, names, n_waves in cases:
         flux = fresh_copy(flux)
         del calls[:]
         assert len(solve_riemann(flux, v_l, v_r)) == n_waves
-        assert calls == [name]
+        assert calls == names
         solve_riemann(flux, v_l, v_r)  # a table hit
-        assert calls == [name]
+        assert calls == names
 
 
 def test_riemann_table_stays_under_its_cap_and_exact_past_it():
