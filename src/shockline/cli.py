@@ -357,6 +357,9 @@ def cmd_invert(cfg: ScenarioConfig, args, out: str) -> int:
 def cmd_viscous(cfg: ScenarioConfig, args, out: str) -> int:
     blk = cfg.block("viscous")
     where = "viscous block"
+    times = read_field(blk, "snapshot_times", float_tuple, (), where) or list(cfg.times) or [
+        cfg.horizon
+    ]
     settings = (  # solve_viscous's arguments after the flux, in order
         read_field(blk, "epsilon", float, 0.05, where),
         cfg.horizon,
@@ -364,13 +367,11 @@ def cmd_viscous(cfg: ScenarioConfig, args, out: str) -> int:
         read_field(blk, "n_cells", int, 2000, where),
         read_field(blk, "cfl_safety", float, CFL_SAFETY, where),
         read_field(blk, "store_every", int, 1, where),
+        (*times, 0.0, cfg.horizon),  # the only levels read below
     )
     _config_checked(where, check_viscous_settings, *settings)
     epsilon = settings[0]
     fld = solve_viscous(cfg.initial, _smooth_flux(cfg), *settings)
-    times = read_field(blk, "snapshot_times", float_tuple, (), where) or list(cfg.times) or [
-        cfg.horizon
-    ]
     names = []
     for i, t in enumerate(times):
         name = f"snapshot_{i:02d}.csv"

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import ceil, inf, sqrt
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -31,35 +31,74 @@ def _eo_split(flux: FluxFunction) -> tuple[Callable, Callable]:
     """Engquist-Osher splitting f = f(0-ref) + fplus + fminus.
 
     fplus integrates max(f', 0), fminus integrates min(f', 0); both are
-    exact for the supported flux kinds.
+    exact for the supported flux kinds.  Each part is called as part(v) or
+    part(v, out); given ``out``, shaped like v, it writes its values there.
+    The quadratic parts repeat the closed forms operation by operation, so
+    both calls give the same bits and the second makes no new array.
     """
     if isinstance(flux, TrafficQuadraticFlux):
         crest = 0.5 * flux.rho_max
         f_crest = flux._values(np.asarray(crest))
+        work = [np.empty(0)]  # the clipped states, kept while v keeps its shape
 
-        def fplus(v):
-            return flux._values(np.minimum(v, crest))
+        def values(v, clip, out):
+            # flux._values(m) = m * w_max * (1.0 - m / rho_max), m = clip(v, crest)
+            if work[0].shape != v.shape:
+                work[0] = np.empty(v.shape)
+            m = clip(v, crest, out=work[0])
+            out = np.divide(m, flux.rho_max, out=out)
+            np.subtract(1.0, out, out=out)
+            np.multiply(m, flux.w_max, out=m)
+            return np.multiply(m, out, out=out)
 
-        def fminus(v):
-            return flux._values(np.maximum(v, crest)) - f_crest
+        def fplus(v, out=None):
+            return values(v, np.minimum, out)
+
+        def fminus(v, out=None):
+            part = values(v, np.maximum, out)
+            return np.subtract(part, f_crest, out=part)
 
         return fplus, fminus
     if isinstance(flux, BurgersQuadraticFlux):
-        return (
-            lambda v: 0.5 * np.maximum(v, 0.0) ** 2,
-            lambda v: 0.5 * np.minimum(v, 0.0) ** 2,
-        )
+
+        def burgers_part(clip):
+            def part(v, out=None):
+                # 0.5 * clip(v, 0.0) ** 2; numpy squares for ** 2
+                out = clip(v, 0.0, out=out)
+                np.square(out, out=out)
+                return np.multiply(0.5, out, out=out)
+
+            return part
+
+        return burgers_part(np.maximum), burgers_part(np.minimum)
     if isinstance(flux, PiecewiseLinearFlux):
         bp = flux.breakpoints
         seg = np.diff(bp)
         slopes = flux.slopes
         pos = np.concatenate(([0.0], np.cumsum(np.maximum(slopes, 0.0) * seg)))
         neg = np.concatenate(([0.0], np.cumsum(np.minimum(slopes, 0.0) * seg)))
-        return (
-            lambda v: np.interp(v, bp, pos),
-            lambda v: np.interp(v, bp, neg),
-        )
+
+        def interp_part(table):
+            def part(v, out=None):
+                vals = np.interp(v, bp, table)  # np.interp takes no out
+                if out is None:
+                    return vals
+                np.copyto(out, vals)
+                return out
+
+            return part
+
+        return interp_part(pos), interp_part(neg)
     raise TypeError(f"unsupported flux type {type(flux).__name__}")
+
+
+def _bracket(times: np.ndarray, t: float) -> int:
+    """Row k whose level pair [times[k], times[k + 1]] holds t, clamped to
+    the first and last pair; t may lie 1e-12 outside the stored range."""
+    if not times[0] - 1e-12 <= t <= times[-1] + 1e-12:
+        raise ValueError(f"time {t} outside stored range")
+    k = int(np.searchsorted(times, t, side="right")) - 1
+    return min(max(k, 0), times.size - 2)
 
 
 @dataclass
@@ -67,7 +106,11 @@ class GridField:
     """Space-time grid samples of a viscous solution.
 
     values[k] is the field at times[k] on cell centers x; queries between
-    stored levels interpolate bilinearly in (x, t).
+    stored levels interpolate bilinearly in (x, t).  A field solved with
+    ``keep_times`` holds only the levels those times read, plus the first
+    and the last: at a kept time it answers bit for bit as the full field
+    would, but elsewhere it blends the two kept levels around t, which may
+    lie many steps apart.
     """
 
     x: np.ndarray
@@ -84,10 +127,7 @@ class GridField:
         return float(self.times[-1])
 
     def _time_bracket(self, t: float) -> tuple[int, float]:
-        if not self.times[0] - 1e-12 <= t <= self.times[-1] + 1e-12:
-            raise ValueError(f"time {t} outside stored range")
-        k = int(np.searchsorted(self.times, t, side="right")) - 1
-        k = min(max(k, 0), self.times.size - 2)
+        k = _bracket(self.times, t)
         span = self.times[k + 1] - self.times[k]
         frac = 0.0 if span == 0 else (t - self.times[k]) / span
         return k, min(max(float(frac), 0.0), 1.0)
@@ -145,6 +185,7 @@ def check_viscous_settings(
     n_cells: int,
     cfl_safety: float,
     store_every: int,
+    keep_times: Optional[Sequence[float]] = None,
 ) -> None:
     """Raise ValueError unless the viscous solver settings are usable."""
     if not 0 < epsilon < inf:
@@ -159,6 +200,9 @@ def check_viscous_settings(
         raise ValueError("cfl_safety must be in (0, 1]")
     if store_every < 1:
         raise ValueError("store_every must be positive")
+    for t in () if keep_times is None else keep_times:
+        if not -1e-12 <= t <= horizon + 1e-12:
+            raise ValueError(f"time {t} outside [0, {horizon}]")
 
 
 def solve_viscous(
@@ -170,14 +214,22 @@ def solve_viscous(
     n_cells: int = 2000,
     cfl_safety: float = CFL_SAFETY,
     store_every: int = 1,
+    keep_times: Optional[Sequence[float]] = None,
 ) -> GridField:
     """March the viscous problem to ``horizon`` with far-field Dirichlet ends.
 
     The step is dt = cfl_safety / (2L/dx + 2 eps/dx^2), shrunk to land on
     the horizon, which satisfies both dt <= cfl_safety * min(dx/(2L),
     dx^2/(2 eps)) and the monotonicity bound dt * (L/dx + 2 eps/dx^2) <= 1.
+
+    The stored levels are the initial sample, every ``store_every``-th step
+    and the last step.  Given ``keep_times``, only the levels that
+    ``snapshot`` and ``mass`` read at those times are kept, with the first
+    and the last; each such query then returns the bits of the full field.
     """
-    check_viscous_settings(epsilon, horizon, window, n_cells, cfl_safety, store_every)
+    check_viscous_settings(
+        epsilon, horizon, window, n_cells, cfl_safety, store_every, keep_times
+    )
     if window is None:
         window = default_window(initial, flux, epsilon, horizon)
     x_lo, x_hi = window
@@ -188,25 +240,50 @@ def solve_viscous(
     n_steps = max(1, ceil(horizon / dt))
     dt = horizon / n_steps  # land exactly on the horizon; only shrinks dt
 
+    stored = np.arange(0, n_steps + 1, store_every)
+    if stored[-1] != n_steps:
+        stored = np.append(stored, n_steps)
+    times = stored * dt
+    if keep_times is not None:
+        rows = {0, stored.size - 1}
+        for t in keep_times:
+            k = _bracket(times, t)
+            rows.update((k, k + 1))
+        kept = sorted(rows)
+        stored, times = stored[kept], times[kept]
+
     v = np.asarray(initial.sample(x), dtype=float)  # a fresh array, updated in place
     fplus, fminus = _eo_split(flux)
     lam = dt / dx
     mu = epsilon * dt / (dx * dx)
 
-    n_rows = -(-n_steps // store_every) + 1  # the sample, then each stored step
-    values, times = np.empty((n_rows, n_cells)), np.empty(n_rows)
-    values[0], times[0], row = v, 0.0, 0
+    values = np.empty((stored.size, n_cells))
+    values[0], row = v, 1
+    # work rows made once: per step the march computes, in this order,
+    #   interface = fplus(v[:-1]) + fminus(v[1:])
+    #   diff = v[2:] - 2.0 * v[1:-1] + v[:-2]
+    #   v[1:-1] += -lam * np.diff(interface) + mu * diff
+    interface, minus = np.empty(n_cells - 1), np.empty(n_cells - 1)
+    diff, update = np.empty(n_cells - 2), np.empty(n_cells - 2)
+    inner = v[1:-1]
     boundary_account = 0.0
     for step in range(1, n_steps + 1):
-        interface = fplus(v[:-1]) + fminus(v[1:])
-        diff = v[2:] - 2.0 * v[1:-1] + v[:-2]
+        fplus(v[:-1], interface)
+        interface += fminus(v[1:], minus)
+        np.multiply(2.0, inner, out=diff)
+        np.subtract(v[2:], diff, out=diff)
+        diff += v[:-2]
         boundary_account += dt * (interface[0] - interface[-1]) + mu * dx * (
             (v[-1] - v[-2]) - (v[1] - v[0])
         )
-        v[1:-1] += -lam * np.diff(interface) + mu * diff
-        if step % store_every == 0 or step == n_steps:
+        np.subtract(interface[1:], interface[:-1], out=update)
+        update *= -lam
+        diff *= mu
+        update += diff
+        inner += update
+        if step == stored[row]:  # the last step is stored, so row stays in range
+            values[row] = v
             row += 1
-            values[row], times[row] = v, step * dt
 
     return GridField(
         x=x,

@@ -454,6 +454,28 @@ def test_viscous_window_not_numbers_exits_2(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("times, message", [
+    ({"viscous": dict(VISCOUS_CFG["viscous"], snapshot_times=[0.5, 2.0])},
+     "bad viscous block: time 2.0 outside [0, 1.0]"),
+    ({"viscous": dict(VISCOUS_CFG["viscous"], snapshot_times=[-0.5, 1.0])},
+     "bad viscous block: time -0.5 outside [0, 1.0]"),
+    # the scenario's own times, the fallback, are checked when the file loads
+    ({"viscous": {"epsilon": 0.05, "n_cells": 400}, "times": [0.5, 1.5]},
+     "output times must lie in [0, horizon]"),
+], ids=["snapshot_above_horizon", "negative_snapshot", "fallback_time_above_horizon"])
+def test_viscous_times_outside_the_horizon_exit_2_before_the_solve(tmp_path, capsys, monkeypatch,
+                                                                   times, message):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solve_viscous called on a config that should be rejected")
+
+    monkeypatch.setattr(cli, "solve_viscous", no_solve)
+    cfg = write_cfg(tmp_path, dict(VISCOUS_CFG, **times))
+    out = tmp_path / "o"
+    assert main(["viscous", "--config", cfg, "--out", str(out)]) == 2
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not (out / "summary.json").exists()
+
+
 def test_viscous_snapshots_and_mass_accounting(tmp_path):
     cfg = write_cfg(tmp_path, VISCOUS_CFG)
     out = tmp_path / "out"

@@ -207,10 +207,13 @@ def _hex(a):
     return [float(v).hex() for v in np.ravel(a)]
 
 
-# T = 0.45 on 120 cells takes 40, 53 and 49 steps: none a multiple of 3
+# T = 0.45 on 120 cells takes 40, 53, 46 and 49 steps: none a multiple of 3
 MARCH_CASES = {
     "traffic": (TRAFFIC, StepFunction([-0.5, 0.5], [0.1, 0.8, 0.3])),
     "burgers": (BurgersQuadraticFlux(), StepFunction([0.0], [0.5, -0.5])),
+    # -0.0 holds at the left end and in cells the fan leaves at zero
+    "burgers-signed-zero": (BurgersQuadraticFlux(),
+                            StepFunction([-0.25, 0.25], [-0.0, -0.5, 0.0])),
     "piecewise-linear": (PiecewiseLinearFlux([0.0, 0.25, 0.5, 1.0], [0.0, 0.5, 0.25, 0.0]),
                          StepFunction([0.0, 0.3], [0.1, 0.9, 0.4])),
 }
@@ -245,6 +248,68 @@ def test_march_holds_the_field_once():
     finally:
         tracemalloc.stop()
     assert field.values.shape[0] > 100
+    assert peak <= field.values.nbytes + 16 * field.values[0].nbytes
+
+
+@pytest.mark.parametrize("name", sorted(MARCH_CASES))
+def test_eo_parts_write_their_closed_forms_into_out_bit_for_bit(name):
+    flux = MARCH_CASES[name][0]
+    lo, hi = flux.domain
+    rng = np.random.default_rng(4)
+    v = np.concatenate([rng.uniform(lo, hi, 300), [lo, hi, 0.5 * (lo + hi), 0.0, -0.0]])
+    if isinstance(flux, TrafficQuadraticFlux):
+        crest = 0.5 * flux.rho_max
+        f_crest = flux._values(np.asarray(crest))
+        want = (flux._values(np.minimum(v, crest)), flux._values(np.maximum(v, crest)) - f_crest)
+    elif isinstance(flux, BurgersQuadraticFlux):
+        want = (0.5 * np.maximum(v, 0.0) ** 2, 0.5 * np.minimum(v, 0.0) ** 2)
+    else:
+        bp, seg = flux.breakpoints, np.diff(flux.breakpoints)
+        tables = (np.concatenate(([0.0], np.cumsum(clip(flux.slopes, 0.0) * seg)))
+                  for clip in (np.maximum, np.minimum))
+        want = tuple(np.interp(v, bp, table) for table in tables)
+    for part, expected in zip(_eo_split(flux), want):
+        out = np.full(v.shape, np.nan)
+        assert part(v, out) is out
+        assert _hex(out) == _hex(expected)
+        assert _hex(part(v)) == _hex(expected)
+
+
+@pytest.mark.parametrize("store_every", [1, 3])
+@pytest.mark.parametrize("name", sorted(MARCH_CASES))
+def test_kept_rows_answer_like_the_full_field_bit_for_bit(name, store_every):
+    flux, data = MARCH_CASES[name]
+    full = solve_viscous(data, flux, 0.05, 0.45, n_cells=120, store_every=store_every)
+    T = full.horizon
+    at = [0.0, T, 5 * full.dt, 4 * full.dt, 0.5 * (full.times[7] + full.times[8]), 1e-13,
+          T - 1e-13]
+    kept = solve_viscous(data, flux, 0.05, 0.45, n_cells=120, store_every=store_every,
+                         keep_times=at)
+    assert kept.times.size < full.times.size
+    assert set(_hex(kept.times)) <= set(_hex(full.times))
+    assert kept.times[0] == 0.0 and kept.times[-1] == full.times[-1] == kept.horizon == T
+    assert float(kept.dt).hex() == float(full.dt).hex()
+    assert float(kept.boundary_account).hex() == float(full.boundary_account).hex()
+    for t in at:
+        assert _hex(kept.snapshot(t)) == _hex(full.snapshot(t))
+        assert float(kept.mass(t)).hex() == float(full.mass(t)).hex()
+    for outside in (T + 1e-9, -1e-9, math.nan):
+        with pytest.raises(ValueError):
+            solve_viscous(data, flux, 0.05, 0.45, n_cells=120, store_every=store_every,
+                          keep_times=[0.2, outside])
+
+
+def test_kept_rows_march_holds_only_those_rows():
+    s = StepFunction([0.0], [0.2, 0.8])
+    full_rows = solve_viscous(s, TRAFFIC, 0.05, 1.0, n_cells=400).values.shape[0]
+    tracemalloc.start()
+    try:
+        field = solve_viscous(s, TRAFFIC, 0.05, 1.0, n_cells=400, keep_times=(0.25, 0.5))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert full_rows > 100
+    assert field.values.shape[0] <= 6
     assert peak <= field.values.nbytes + 16 * field.values[0].nbytes
 
 
