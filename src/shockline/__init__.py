@@ -21,7 +21,7 @@ from .bayes import (
     run_pcn,
     synth_observations,
 )
-from .config import ConfigError, ScenarioConfig, load_scenario, parse_scenario
+from .config import ConfigError, ScenarioConfig, load_scenario
 from .experiments import (
     BurgersCheck,
     LadderReport,

@@ -1,8 +1,8 @@
 """Command-line front end.
 
-Exit codes: 0 success, 2 config error, 3 solver error, 4 failed --check
-assertion.  Identical config and seed produce byte-identical outputs;
-SHOCKLINE_OUT overrides --out when set.
+Exit codes: 0 success, 2 anything raised while the config loads, 3 anything
+the command raises, 4 a failed --check assertion.  Identical config and seed
+produce byte-identical outputs; SHOCKLINE_OUT overrides --out when set.
 """
 
 from __future__ import annotations
@@ -15,64 +15,22 @@ from typing import Optional
 import numpy as np
 
 from . import config as cfgio
-from .bayes import (
-    BallAverageForward,
-    PointwiseForward,
-    TrajectoryForward,
-    VelocityTrajectoryForward,
-    ViscousTrajectoryForward,
-    check_hellinger_samples,
-    check_noise_std,
-    check_observations_fit,
-    check_pcn_settings,
-    posterior_convergence_study,
-    run_pcn,
-    synth_observations,
-)
-from .config import ConfigError, ScenarioConfig, float_tuple, read_field
+from .bayes import posterior_convergence_study, run_pcn, synth_observations
+from .config import ScenarioConfig
 from .experiments import flux_stability, initial_field_stability
 from .filippov import check_speed_inclusion, track
-from .flux import (
-    LinearTrafficVelocity,
-    PiecewiseLinearFlux,
-    TrafficQuadraticFlux,
-    piecewise_linearize,
-    traffic_flux_from_velocity,
-)
+from .flux import PiecewiseLinearFlux
 from .front_tracking import evolve, quantize_step
-from .viscous import CFL_SAFETY, check_viscous_settings, solve_viscous
-
-
-# The perturbation families each stability target knows, its default first.
-STABILITY_FAMILIES = {"initial": ("shift", "dither", "steps"),
-                      "velocity": ("scale", "tilt", "curve")}
+from .viscous import solve_viscous
 
 
 class CheckFailure(RuntimeError):
     """An embedded --check assertion did not hold."""
 
 
-def _tracking_flux(cfg: ScenarioConfig) -> PiecewiseLinearFlux:
-    """The piecewise-linear flux the event loop runs on."""
-    if cfg.velocity is not None:
-        return traffic_flux_from_velocity(cfg.velocity, cfg.level)
-    if isinstance(cfg.flux, PiecewiseLinearFlux):
-        return cfg.flux
-    return piecewise_linearize(cfg.flux, cfg.level)
-
-
-def _smooth_flux(cfg: ScenarioConfig):
-    """The flux the viscous solver runs on; smooth where one is known."""
-    if cfg.flux is not None and not isinstance(cfg.flux, PiecewiseLinearFlux):
-        return cfg.flux
-    if isinstance(cfg.velocity, LinearTrafficVelocity):
-        return TrafficQuadraticFlux(cfg.velocity.w_max, cfg.velocity.rho_max)
-    return _tracking_flux(cfg)
-
-
 def _solution(cfg: ScenarioConfig):
     rho0 = quantize_step(cfg.initial, cfg.level)
-    return rho0, evolve(rho0, _tracking_flux(cfg), cfg.horizon)
+    return rho0, evolve(rho0, cfg.tracking_flux(), cfg.horizon)
 
 
 def _conservation_window(cfg: ScenarioConfig, flux: PiecewiseLinearFlux) -> tuple[float, float]:
@@ -122,10 +80,6 @@ def cmd_solve(cfg: ScenarioConfig, args, out: str) -> int:
 
 
 def cmd_track(cfg: ScenarioConfig, args, out: str) -> int:
-    if cfg.particle is None:
-        raise ConfigError("track needs a particle block with x0 and t0")
-    if cfg.velocity is None:
-        raise ConfigError("track needs a velocity spec")
     x0, t0 = cfg.particle
     _, sol = _solution(cfg)
     traj = track(sol, cfg.velocity, x0, t0, cfg.horizon)
@@ -147,33 +101,13 @@ def cmd_track(cfg: ScenarioConfig, args, out: str) -> int:
 
 
 def cmd_stability(cfg: ScenarioConfig, args, out: str) -> int:
-    blk = cfg.block("stability")
-    where = "stability block"
-    if cfg.velocity is None:
-        raise ConfigError("stability needs a velocity spec")
-    if cfg.particle is None:
-        raise ConfigError("stability needs a particle block")
-    target = read_field(blk, "target", str, "initial", where)
-    families = STABILITY_FAMILIES.get(target)
-    if families is None:
-        raise ConfigError(f"unknown stability target {target!r}")
-    family = read_field(blk, "family", str, families[0], where)
-    if family not in families:
-        raise ConfigError(f"unknown {target} perturbation family {family!r}; one of {families}")
-    epsilons = read_field(blk, "epsilons", float_tuple, (), where)
-    if not epsilons:
-        raise ConfigError("stability block needs a nonempty epsilons ladder")
+    target, family, epsilons, window = cfg.stability
     x0, t0 = cfg.particle
+    study = (cfg.initial, cfg.velocity, x0, t0, cfg.horizon, epsilons, family, cfg.level)
     if target == "initial":
-        report = initial_field_stability(
-            cfg.initial, cfg.velocity, x0, t0, cfg.horizon, epsilons, family, cfg.level,
-            window=read_field(blk, "window", float_tuple, where=where) if "window" in blk else None,
-            seed=cfg.seed if args.seed is None else args.seed,
-        )
+        report = initial_field_stability(*study, window=window, seed=cfg.seed)
     else:
-        report = flux_stability(
-            cfg.initial, cfg.velocity, x0, t0, cfg.horizon, epsilons, family, cfg.level
-        )
+        report = flux_stability(*study)
     cfgio.write_rate_report(
         os.path.join(out, "rate_report.json"),
         os.path.join(out, "rate_report.csv"),
@@ -184,164 +118,38 @@ def cmd_stability(cfg: ScenarioConfig, args, out: str) -> int:
     return 0
 
 
-def _config_checked(where: str, fn, *args):
-    """``fn(*args)``; a ValueError it raises for a value of ``where`` is a ConfigError."""
-    try:
-        return fn(*args)
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(f"bad {where}: {exc}") from exc
-
-
-def _forward_from_block(blk: dict, cfg: ScenarioConfig):
-    """The forward map of a forward block; a value its constructor rejects is a ConfigError."""
-    return _config_checked("forward block", _forward_map, blk, cfg)
-
-
-def _forward_map(blk: dict, cfg: ScenarioConfig):
-    where = "forward block"
-    kind = read_field(blk, "kind", str, "trajectory", where)
-    level = read_field(blk, "level", int, cfg.level, where)
-    times = read_field(blk, "times", lambda ts: float_tuple(ts or cfg.times), None, where)
-    if not times:
-        raise ConfigError("forward block needs observation times")
-    if kind in ("trajectory", "viscous-trajectory", "velocity-trajectory"):
-        if "x0" in blk and "t0" in blk:
-            x0 = read_field(blk, "x0", float, where=where)
-            t0 = read_field(blk, "t0", float, where=where)
-        elif cfg.particle is not None:
-            x0, t0 = cfg.particle
-        else:
-            raise ConfigError("trajectory forward needs x0 and t0")
-        if t0 <= 0:
-            raise ConfigError("forward t0 must be positive")
-    if kind != "velocity-trajectory" and cfg.velocity is None:
-        raise ConfigError(f"{kind} forward needs a velocity spec")
-    if kind == "trajectory":
-        return TrajectoryForward(cfg.velocity, level, x0, t0, times)
-    if kind == "velocity-trajectory":
-        return VelocityTrajectoryForward(cfg.initial, level, x0, t0, times)
-    if kind == "viscous-trajectory":
-        return ViscousTrajectoryForward(
-            cfg.velocity, _smooth_flux(cfg), read_field(blk, "epsilon", float, where=where),
-            x0, t0, times,
-            n_cells=read_field(blk, "n_cells", int, 400, where),
-            store_every=read_field(blk, "store_every", int, 4, where),
-        )
-    if kind == "pointwise":
-        return PointwiseForward(
-            cfg.velocity, level, read_field(blk, "positions", float_tuple, where=where), times
-        )
-    if kind == "ball-average":
-        return BallAverageForward(
-            cfg.velocity, level, read_field(blk, "positions", float_tuple, where=where), times,
-            read_field(blk, "radius", float, where=where),
-        )
-    raise ConfigError(f"unknown forward kind {kind!r}")
-
-
-def _synthetic(blk: dict, cfg: ScenarioConfig, seed=None) -> tuple:
-    """(truth, noise_std, seed) of the inversion block's synthetic recipe, the
-    arguments of ``synth_observations`` after the forward; ``seed`` overrides
-    the recipe's seed."""
-    synth = blk["synthetic"]
-    where = "synthetic block"
-    if seed is None:
-        seed = read_field(synth, "seed", int, cfg.seed, where)
-    noise_std = read_field(synth, "noise_std", float, 0.0, where)
-    _config_checked(where, check_noise_std, noise_std)
-    prior = cfgio.prior_from_block(blk.get("prior", {}))
-    if "truth" in synth:
-        truth = read_field(synth, "truth", cfgio.StepFunction.from_spec, where=where)
-    elif "truth_latent" in synth:
-        truth = read_field(
-            synth, "truth_latent", lambda v: prior.transform(np.asarray(v, dtype=float)),
-            where=where,
-        )
-    else:
-        raise ConfigError("synthetic block needs 'truth' or 'truth_latent'")
-    return truth, noise_std, seed
-
-
 def cmd_synth(cfg: ScenarioConfig, args, out: str) -> int:
-    blk = cfg.block("inversion")
-    if blk.get("synthetic") is None:
-        raise ConfigError("synth needs an inversion.synthetic block")
-    recipe = _synthetic(blk, cfg, args.seed)
-    forward = _forward_from_block(blk.get("forward", {}), cfg)
-    obs = synth_observations(forward, *recipe)
+    recipe = (cfg.forward, *cfg.synthetic)
+    obs = synth_observations(*recipe)
     cfgio.write_observations_json(os.path.join(out, "observations.json"), obs)
-    if args.check and not np.array_equal(obs.values, synth_observations(forward, *recipe).values):
+    if args.check and not np.array_equal(obs.values, synth_observations(*recipe).values):
         raise CheckFailure("synthetic data not reproducible under its seed")
     return 0
 
 
-def _observations(blk: dict, cfg: ScenarioConfig):
-    """The inversion block's observations, or its synthetic recipe (a tuple)."""
-    if "observations_file" in blk:
-        return cfgio.read_observations_json(blk["observations_file"])
-    if "observations" in blk:
-        try:
-            return cfgio.ObservationSet.from_spec(blk["observations"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"bad observations block: {exc}") from exc
-    if "synthetic" in blk:
-        return _synthetic(blk, cfg)
-    raise ConfigError("inversion block needs observations, observations_file, "
-                      "or a synthetic recipe")
-
-
 def cmd_invert(cfg: ScenarioConfig, args, out: str) -> int:
-    blk = cfg.block("inversion")
-    # the sampler and the observations are read before any forward is built,
-    # and every block is checked before the chain runs
-    prior = cfgio.prior_from_block(blk.get("prior", {}))
-    sampler = blk.get("sampler", {})
-    chain_length = read_field(sampler, "chain_length", int, 1000, "sampler block")
-    beta = read_field(sampler, "beta", float, 0.1, "sampler block")
-    burn_in = read_field(sampler, "burn_in", int, 0, "sampler block")
-    thin = read_field(sampler, "thin", int, 1, "sampler block")
-    _config_checked("sampler block", check_pcn_settings, chain_length, beta, burn_in)
-    obs = _observations(blk, cfg)
-    forward = _forward_from_block(blk.get("forward", {}), cfg)
-    if isinstance(obs, tuple):
-        obs = synth_observations(forward, *obs)
-    _config_checked("observations", check_observations_fit, obs, forward)
-    ladder_blk = blk.get("ladder")
-    if ladder_blk:
-        where = "ladder block"
-        levels = read_field(ladder_blk, "levels", lambda ns: [int(n) for n in ns], (), where)
-        if not levels:
-            raise ConfigError("ladder block needs a nonempty levels list")
-        n_samples = read_field(ladder_blk, "n_samples", int, 500, where)
-        _config_checked(where, check_hellinger_samples, n_samples)
-
-        def forward_at(level):
-            return _forward_from_block(dict(blk.get("forward", {}), level=level), cfg)
-
-        rungs = [(n, forward_at(n)) for n in levels]
-        reference = forward_at(read_field(ladder_blk, "reference", int, 12, where))
-    seed = cfg.seed if args.seed is None else args.seed
-    run = run_pcn(prior, obs, forward, chain_length, beta, seed, burn_in=burn_in)
+    obs = cfg.observations or synth_observations(cfg.forward, *cfg.synthetic)
+    chain_length, beta, burn_in, thin = cfg.sampler
+    run = run_pcn(cfg.prior, obs, cfg.forward, chain_length, beta, cfg.seed, burn_in=burn_in)
     cfgio.write_chain_csv(os.path.join(out, "chain.csv"), run, thin=thin)
     band_lo, band_hi = run.credible_band()
     summary = {
         "acceptance_rate": run.acceptance_rate,
         "chain_length": run.chain_length,
         "beta": beta,
-        "seed": seed,
+        "seed": cfg.seed,
         "posterior_mean_values": run.mean_values,
         "credible_band_low": band_lo,
         "credible_band_high": band_hi,
-        "grid": prior.grid,
+        "grid": cfg.prior.grid,
     }
-    if ladder_blk:
+    if cfg.ladder:
+        rungs, reference, n_samples = cfg.ladder
         study = posterior_convergence_study(
-            prior, obs, rungs, reference, n_samples, seed=seed, jobs=args.jobs
+            cfg.prior, obs, rungs, reference, n_samples, seed=cfg.seed, jobs=args.jobs
         )
         summary["hellinger_table"] = [
-            {"level": n, **row.estimate.to_dict()} for n, row in zip(levels, study.rows)
+            {"level": n, **row.estimate.to_dict()} for (n, _), row in zip(rungs, study.rows)
         ]
     cfgio.write_json(os.path.join(out, "summary.json"), summary)
     if args.check:
@@ -349,29 +157,14 @@ def cmd_invert(cfg: ScenarioConfig, args, out: str) -> int:
             raise CheckFailure(
                 f"degenerate acceptance rate {run.acceptance_rate}"
             )
-        if ladder_blk and not study.monotone_nonincreasing:
+        if cfg.ladder and not study.monotone_nonincreasing:
             raise CheckFailure("Hellinger ladder is not nonincreasing")
     return 0
 
 
 def cmd_viscous(cfg: ScenarioConfig, args, out: str) -> int:
-    blk = cfg.block("viscous")
-    where = "viscous block"
-    times = read_field(blk, "snapshot_times", float_tuple, (), where) or list(cfg.times) or [
-        cfg.horizon
-    ]
-    settings = (  # solve_viscous's arguments after the flux, in order
-        read_field(blk, "epsilon", float, 0.05, where),
-        cfg.horizon,
-        read_field(blk, "window", float_tuple, where=where) if "window" in blk else None,
-        read_field(blk, "n_cells", int, 2000, where),
-        read_field(blk, "cfl_safety", float, CFL_SAFETY, where),
-        read_field(blk, "store_every", int, 1, where),
-        (*times, 0.0, cfg.horizon),  # the only levels read below
-    )
-    _config_checked(where, check_viscous_settings, *settings)
-    epsilon = settings[0]
-    fld = solve_viscous(cfg.initial, _smooth_flux(cfg), *settings)
+    times, settings = cfg.viscous
+    fld = solve_viscous(cfg.initial, cfg.smooth_flux(), *settings)
     names = []
     for i, t in enumerate(times):
         name = f"snapshot_{i:02d}.csv"
@@ -380,7 +173,7 @@ def cmd_viscous(cfg: ScenarioConfig, args, out: str) -> int:
     cfgio.write_json(
         os.path.join(out, "summary.json"),
         {
-            "epsilon": epsilon,
+            "epsilon": settings[0],
             "dx": fld.dx,
             "dt": fld.dt,
             "times": times,
@@ -446,13 +239,14 @@ def main(argv: Optional[list] = None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
-        cfg = cfgio.load_scenario(args.config)
+        cfg = cfgio.load_scenario(args.config, args.command, args.seed)
+    except Exception as exc:  # everything a config determines is checked while it loads
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    try:
         out = os.environ.get("SHOCKLINE_OUT") or args.out
         os.makedirs(out, exist_ok=True)
         return COMMANDS[args.command](cfg, args, out)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
     except CheckFailure as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return 4

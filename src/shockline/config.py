@@ -1,8 +1,12 @@
 """Scenario configuration and file output.
 
-Configs are JSON; bulk numeric series go to CSV.  Floats are written with
-repr so identical runs produce byte-identical files, and every file is
-written atomically (temp file + rename).
+Configs are JSON; bulk numeric series go to CSV.  ``load_scenario`` reads,
+for one command, the scenario core and every block that command uses,
+checks them with the solvers' own ``check_*`` functions and builds what the
+command solves with, so a config a solver would reject fails before any
+solve.  Floats are written with repr so identical runs produce
+byte-identical files, and every file is written atomically (temp file +
+rename).
 """
 
 from __future__ import annotations
@@ -10,30 +14,57 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from dataclasses import dataclass, field
+from contextlib import contextmanager
+from dataclasses import dataclass, replace
 from math import isfinite
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .bayes import ObservationSet, PosteriorRun, PriorSpec
+from .bayes import (
+    BallAverageForward,
+    ObservationSet,
+    PointwiseForward,
+    PosteriorRun,
+    PriorSpec,
+    TrajectoryForward,
+    VelocityTrajectoryForward,
+    ViscousTrajectoryForward,
+    check_hellinger_samples,
+    check_noise_std,
+    check_observations_fit,
+    check_pcn_settings,
+)
+from .experiments import check_stability_ladder
 from .filippov import Trajectory
 from .flux import (
     FluxFunction,
+    LinearTrafficVelocity,
+    PiecewiseLinearFlux,
+    TrafficQuadraticFlux,
     VelocityFunction,
     flux_from_spec,
+    piecewise_linearize,
+    traffic_flux_from_velocity,
     velocity_from_spec,
 )
-from .front_tracking import FrontTrackingSolution, StepFunction
+from .front_tracking import FrontTrackingSolution, StepFunction, check_in_domain, quantize_step
+from .viscous import CFL_SAFETY, check_viscous_settings
 
 
 class ConfigError(ValueError):
     """A scenario file is malformed or inconsistent."""
 
 
-@dataclass
+# The perturbation families each stability target knows, its default first.
+STABILITY_FAMILIES = {"initial": ("shift", "dither", "steps"),
+                      "velocity": ("scale", "tilt", "curve")}
+
+
+@dataclass(frozen=True)
 class ScenarioConfig:
-    """Parsed scenario: what to solve plus optional experiment blocks."""
+    """A scenario as one command reads it: the core, then the blocks that
+    command uses, built; the blocks it does not use keep their defaults."""
 
     flux: Optional[FluxFunction]
     velocity: Optional[VelocityFunction]
@@ -43,19 +74,59 @@ class ScenarioConfig:
     seed: int = 0
     particle: Optional[tuple[float, float]] = None  # (x0, t0)
     times: tuple = ()
-    raw: dict = field(default_factory=dict)
+    stability: Optional[tuple] = None  # (target, family, epsilons, window)
+    viscous: Optional[tuple] = None  # (snapshot times, solve_viscous's arguments after the flux)
+    # the inversion block, for synth and invert
+    prior: Optional[PriorSpec] = None
+    forward: object = None
+    observations: Optional[ObservationSet] = None  # None: synthesized from the recipe
+    synthetic: Optional[tuple] = None  # synth_observations's arguments after the forward
+    sampler: tuple = ()  # (chain_length, beta, burn_in, thin)
+    ladder: Optional[tuple] = None  # (rungs as (level, forward), reference forward, n_samples)
 
-    def block(self, name: str) -> dict:
-        blk = self.raw.get(name)
-        if blk is None:
-            raise ConfigError(f"scenario is missing the {name!r} block")
-        if not isinstance(blk, dict):
-            raise ConfigError(f"the {name!r} block must be an object")
-        return blk
+    def tracking_flux(self) -> PiecewiseLinearFlux:
+        """The piecewise-linear flux the event loop runs on."""
+        if self.velocity is not None:
+            return traffic_flux_from_velocity(self.velocity, self.level)
+        if isinstance(self.flux, PiecewiseLinearFlux):
+            return self.flux
+        return piecewise_linearize(self.flux, self.level)
+
+    def smooth_flux(self):
+        """The flux the viscous solver runs on; smooth where one is known."""
+        if self.flux is not None and not isinstance(self.flux, PiecewiseLinearFlux):
+            return self.flux
+        if isinstance(self.velocity, LinearTrafficVelocity):
+            return TrafficQuadraticFlux(self.velocity.w_max, self.velocity.rho_max)
+        return self.tracking_flux()
 
 
 def float_tuple(values) -> tuple:
     return tuple(float(v) for v in values)
+
+
+def _object(value) -> dict:
+    if not isinstance(value, dict):
+        raise TypeError("must be an object")
+    return value
+
+
+def _seed(value) -> int:
+    seed = int(value)
+    if seed < 0:
+        raise ValueError("a seed must be nonnegative")
+    return seed
+
+
+@contextmanager
+def _naming(where: str):
+    """Report an error raised inside as a ConfigError about ``where``."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except (ArithmeticError, AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"bad {where}: {exc}") from exc
 
 
 _REQUIRED = object()
@@ -64,34 +135,23 @@ _REQUIRED = object()
 def read_field(data: dict, key: str, convert, default=_REQUIRED, where: str = "scenario"):
     """``convert(data[key])``, or ``convert(default)`` when the key is absent.
 
-    A block that is not an object, a missing key without a default, or a
-    value ``convert`` rejects is a ConfigError that names the field.
+    A missing key without a default, or a value ``convert`` rejects, is a
+    ConfigError that names the field.
     """
-    if not isinstance(data, dict):
-        raise ConfigError(f"{where} must be an object")
     if key not in data and default is _REQUIRED:
         raise ConfigError(f"{where} is missing required key {key!r}")
-    try:
+    with _naming(f"{key!r} in the {where}"):
         return convert(data.get(key, default))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"{where} has a bad {key!r}: {exc}") from exc
-
-
-class _Constant(str):
-    """``NaN``, ``Infinity`` or ``-Infinity`` as the JSON text spells it.
-
-    Python's JSON reader accepts these tokens, but standard JSON has no
-    such numbers; ``load_config`` parses them to this marker and rejects
-    them with the field that holds them.
-    """
 
 
 def _reject_non_numbers(node, path: tuple = ()) -> None:
-    """ConfigError at the first NaN or infinity, or null in an array, under ``node``.
+    """ConfigError at the first non-finite number, or null in an array, under ``node``.
 
-    ``path`` holds the keys and indices from the config root down to
-    ``node``; the error names the innermost object as the block and the
-    field in it, with any array indices.
+    Python's JSON reader accepts ``NaN``, ``Infinity`` and ``-Infinity``,
+    and reads a literal such as ``1e400`` as infinity; standard JSON has no
+    such numbers.  ``path`` holds the keys and indices from the config root
+    down to ``node``; the error names the innermost object as the block and
+    the field in it, with any array indices.
     """
     if isinstance(node, dict):
         items = node.items()
@@ -101,19 +161,21 @@ def _reject_non_numbers(node, path: tuple = ()) -> None:
         return
     for key, value in items:
         at = path + (key,)
-        if isinstance(value, _Constant) or (value is None and isinstance(node, list)):
+        if (isinstance(value, float) and not isfinite(value)) or (
+            value is None and isinstance(node, list)
+        ):
             k = max(i for i, part in enumerate(at) if isinstance(part, str))
             block = "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in at[:k])[1:]
             where = f"{block} block" if block else "scenario"
             field = repr(at[k]) + "".join(f"[{p}]" for p in at[k + 1:])
-            raise ConfigError(f"bad {where}: {field} is {value or 'null'}, not a JSON number")
+            raise ConfigError(f"bad {where}: {field} is {json.dumps(value)}, not a JSON number")
         _reject_non_numbers(value, at)
 
 
 def load_config(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh, parse_constant=_Constant)
+            data = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -123,24 +185,11 @@ def load_config(path: str) -> dict:
     return data
 
 
-def parse_scenario(data: dict) -> ScenarioConfig:
-    """Validate and build a ScenarioConfig from a parsed JSON object."""
+def _core(data: dict, command: str) -> ScenarioConfig:
     if not isinstance(data, dict):
         raise ConfigError("config root must be a JSON object")
-
-    velocity = None
-    if "velocity" in data:
-        try:
-            velocity = velocity_from_spec(data["velocity"])
-        except (ValueError, KeyError, TypeError) as exc:
-            raise ConfigError(f"bad velocity spec: {exc}") from exc
-
-    flux = None
-    if "flux" in data:
-        try:
-            flux = flux_from_spec(data["flux"])
-        except (ValueError, KeyError, TypeError) as exc:
-            raise ConfigError(f"bad flux spec: {exc}") from exc
+    velocity = read_field(data, "velocity", velocity_from_spec) if "velocity" in data else None
+    flux = read_field(data, "flux", flux_from_spec) if "flux" in data else None
     if flux is None and velocity is None:
         raise ConfigError("scenario needs a flux spec or a velocity spec")
 
@@ -154,26 +203,21 @@ def parse_scenario(data: dict) -> ScenarioConfig:
 
     particle = None
     if "particle" in data:
-        blk = data["particle"]
+        blk = read_field(data, "particle", _object)
         x0 = read_field(blk, "x0", float, where="particle block")
         t0 = read_field(blk, "t0", float, where="particle block")
-        if t0 <= 0:
-            raise ConfigError("particle t0 must be positive (paths from t0 = 0 "
-                              "through a discontinuity need not be unique)")
+        if not 0 < t0 <= horizon:
+            raise ConfigError("particle t0 must be in (0, horizon]; paths from 0 may not be unique")
         particle = (x0, t0)
 
     times = read_field(data, "times", float_tuple, ())
     if any(t < 0 or t > horizon for t in times):
         raise ConfigError("output times must lie in [0, horizon]")
 
-    # traffic-specific consistency: experiment blocks assume a positive
-    # density floor, which several bound constants divide by
-    if velocity is not None and ("stability" in data or "particle" in data):
-        if initial.min_value() <= 0:
-            raise ConfigError(
-                "traffic scenarios with particles or stability blocks need "
-                "strictly positive initial densities (density floor m > 0)"
-            )
+    # front tracking runs on quantized data, the viscous solver on the data itself
+    data_q = initial if command == "viscous" else quantize_step(initial, level)
+    with _naming("initial block"):
+        check_in_domain(data_q.min_value(), data_q.max_value(), (velocity or flux).domain)
 
     return ScenarioConfig(
         flux=flux,
@@ -181,15 +225,186 @@ def parse_scenario(data: dict) -> ScenarioConfig:
         initial=initial,
         horizon=horizon,
         level=level,
-        seed=read_field(data, "seed", int, 0),
+        seed=read_field(data, "seed", _seed, 0),
         particle=particle,
         times=times,
-        raw=data,
     )
 
 
-def load_scenario(path: str) -> ScenarioConfig:
-    return parse_scenario(load_config(path))
+def _stability(blk: dict, cfg: ScenarioConfig) -> tuple:
+    where = "stability block"
+    target = read_field(blk, "target", str, "initial", where)
+    families = STABILITY_FAMILIES.get(target)
+    if families is None:
+        raise ConfigError(f"unknown stability target {target!r}")
+    family = read_field(blk, "family", str, families[0], where)
+    if family not in families:
+        raise ConfigError(f"unknown {target} perturbation family {family!r}; one of {families}")
+    epsilons = read_field(blk, "epsilons", float_tuple, (), where)
+    window = read_field(blk, "window", float_tuple, where=where) if "window" in blk else None
+    with _naming(where):
+        check_stability_ladder(cfg.initial, cfg.velocity, cfg.level, epsilons, family, window)
+    return target, family, epsilons, window
+
+
+def _viscous(blk: dict, cfg: ScenarioConfig) -> tuple:
+    where = "viscous block"
+    times = read_field(blk, "snapshot_times", float_tuple, (), where) or cfg.times or (cfg.horizon,)
+    settings = (  # solve_viscous's arguments after the flux, in order
+        read_field(blk, "epsilon", float, 0.05, where),
+        cfg.horizon,
+        read_field(blk, "window", float_tuple, where=where) if "window" in blk else None,
+        read_field(blk, "n_cells", int, 2000, where),
+        read_field(blk, "cfl_safety", float, CFL_SAFETY, where),
+        read_field(blk, "store_every", int, 1, where),
+        (*times, 0.0, cfg.horizon),  # the only levels the command reads
+    )
+    with _naming(where):
+        check_viscous_settings(*settings)
+    return times, settings
+
+
+def _forward(blk: dict, cfg: ScenarioConfig) -> tuple[type, dict]:
+    """The forward map class a forward block names, and its arguments."""
+    where = "forward block"
+    kind = read_field(blk, "kind", str, "trajectory", where)
+    if kind != "velocity-trajectory" and cfg.velocity is None:
+        raise ConfigError(f"{kind} forward needs a velocity spec")
+    args = {"times": read_field(blk, "times", lambda ts: float_tuple(ts or cfg.times), None, where)}
+    if kind in ("trajectory", "viscous-trajectory", "velocity-trajectory"):
+        if "x0" in blk or "t0" in blk:  # a car of its own needs both
+            args["x0"] = read_field(blk, "x0", float, where=where)
+            args["t0"] = read_field(blk, "t0", float, where=where)
+        elif cfg.particle is not None:
+            args["x0"], args["t0"] = cfg.particle
+        else:
+            raise ConfigError("trajectory forward needs x0 and t0")
+    if kind == "viscous-trajectory":  # the only forward without a level
+        return ViscousTrajectoryForward, dict(
+            args, velocity=cfg.velocity, flux=cfg.smooth_flux(),
+            epsilon=read_field(blk, "epsilon", float, where=where),
+            n_cells=read_field(blk, "n_cells", int, 400, where),
+            store_every=read_field(blk, "store_every", int, 4, where),
+        )
+    args["level"] = read_field(blk, "level", int, cfg.level, where)
+    if kind == "velocity-trajectory":
+        return VelocityTrajectoryForward, dict(args, initial=cfg.initial)
+    args["velocity"] = cfg.velocity
+    if kind == "trajectory":
+        return TrajectoryForward, args
+    if kind not in ("pointwise", "ball-average"):
+        raise ConfigError(f"unknown forward kind {kind!r}")
+    args["positions"] = read_field(blk, "positions", float_tuple, where=where)
+    if kind == "pointwise":
+        return PointwiseForward, args
+    return BallAverageForward, dict(args, radius=read_field(blk, "radius", float, where=where))
+
+
+def _synthetic(inv: dict, cfg: ScenarioConfig, seed: Optional[int]) -> tuple:
+    """(truth, noise_std, seed) of the inversion block's synthetic recipe, the
+    arguments of ``synth_observations`` after the forward; ``seed``
+    overrides the recipe's seed."""
+    synth = read_field(inv, "synthetic", _object, where="inversion block")
+    where = "synthetic block"
+    if seed is None:
+        seed = read_field(synth, "seed", _seed, cfg.seed, where)
+    noise_std = read_field(synth, "noise_std", float, 0.0, where)
+    with _naming(where):
+        check_noise_std(noise_std)
+    if "truth" in synth and cfg.prior.kind == "initial-field":
+        truth = read_field(synth, "truth", StepFunction.from_spec, where=where)
+        with _naming(where):
+            check_in_domain(truth.min_value(), truth.max_value(), (cfg.velocity or cfg.flux).domain)
+    elif "truth_latent" in synth:
+        truth = read_field(
+            synth, "truth_latent", lambda v: cfg.prior.transform(np.asarray(v, dtype=float)),
+            where=where,
+        )
+    else:
+        raise ConfigError("synthetic block needs 'truth_latent', or 'truth' for a field prior")
+    return truth, noise_std, seed
+
+
+def _inversion(inv: dict, cfg: ScenarioConfig, command: str, seed: Optional[int]):
+    """``cfg`` with the inversion block as ``command`` (synth or invert) reads it."""
+    cfg = replace(cfg, prior=read_field(inv, "prior", PriorSpec.from_spec, {}, "inversion block"))
+    with _naming("prior block"):
+        if cfg.prior.kind == "initial-field":  # its samples take values in (0, 1)
+            check_in_domain(0.0, 1.0, (cfg.velocity or cfg.flux).domain)
+    make, args = _forward(read_field(inv, "forward", _object, {}, "inversion block"), cfg)
+    if (cfg.prior.kind == "velocity") != (make is VelocityTrajectoryForward):
+        raise ConfigError("a velocity prior needs a velocity-trajectory forward, and only it")
+    with _naming("forward block"):
+        cfg = replace(cfg, forward=make(**args))
+    if command == "synth":
+        return replace(cfg, synthetic=_synthetic(inv, cfg, seed))
+
+    sampler = read_field(inv, "sampler", _object, {}, "inversion block")
+    where = "sampler block"
+    chain_length = read_field(sampler, "chain_length", int, 1000, where)
+    beta = read_field(sampler, "beta", float, 0.1, where)
+    burn_in = read_field(sampler, "burn_in", int, 0, where)
+    thin = read_field(sampler, "thin", int, 1, where)
+    with _naming(where):
+        check_pcn_settings(chain_length, beta, burn_in)
+    if thin < 1:
+        raise ConfigError("bad sampler block: thin must be positive")
+    cfg = replace(cfg, sampler=(chain_length, beta, burn_in, thin))
+
+    with _naming("observations"):
+        if "observations_file" in inv:
+            cfg = replace(cfg, observations=read_observations_json(str(inv["observations_file"])))
+        elif "observations" in inv:
+            cfg = replace(cfg, observations=ObservationSet.from_spec(inv["observations"]))
+        elif "synthetic" in inv:
+            cfg = replace(cfg, synthetic=_synthetic(inv, cfg, None))
+        else:
+            raise ConfigError("inversion block needs observations, observations_file, "
+                              "or a synthetic recipe")
+        if cfg.observations is not None:
+            check_observations_fit(cfg.observations, cfg.forward)
+
+    if inv.get("ladder"):
+        blk, where = read_field(inv, "ladder", _object, where="inversion block"), "ladder block"
+        levels = read_field(blk, "levels", lambda ns: [int(n) for n in ns], (), where)
+        if not levels:
+            raise ConfigError("ladder block needs a nonempty levels list")
+        if "level" not in args:
+            raise ConfigError("a ladder needs a forward with a level; viscous-trajectory has none")
+        n_samples = read_field(blk, "n_samples", int, 500, where)
+        reference = read_field(blk, "reference", int, 12, where)
+        with _naming(where):
+            check_hellinger_samples(n_samples)
+            rungs = [(n, make(**dict(args, level=n))) for n in levels]
+            cfg = replace(cfg, ladder=(rungs, make(**dict(args, level=reference)), n_samples))
+    return cfg
+
+
+def load_scenario(path: str, command: str, seed: Optional[int] = None) -> ScenarioConfig:
+    """The scenario at ``path`` as ``command`` reads it: the core and every
+    block the command uses, checked and built.
+
+    ``seed`` (the command line's ``--seed``) overrides the seed the command
+    draws from: the synthetic recipe's for ``synth``, the scenario's for the
+    other commands.
+    """
+    if seed is not None and seed < 0:
+        raise ConfigError("--seed must be nonnegative")
+    data = load_config(path)
+    cfg = _core(data, command)
+    if command in ("track", "stability") and cfg.velocity is None:
+        raise ConfigError(f"{command} needs a velocity spec")
+    if command in ("track", "stability") and cfg.particle is None:
+        raise ConfigError(f"{command} needs a particle block with x0 and t0")
+    if command == "stability":
+        cfg = replace(cfg, stability=_stability(read_field(data, "stability", _object), cfg))
+    if command == "viscous":
+        cfg = replace(cfg, viscous=_viscous(read_field(data, "viscous", _object), cfg))
+    if command in ("synth", "invert"):
+        cfg = _inversion(read_field(data, "inversion", _object), cfg, command, seed)
+    if seed is not None and command != "synth":
+        cfg = replace(cfg, seed=seed)
+    return cfg
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +509,7 @@ def write_chain_csv(path: str, run: PosteriorRun, thin: int = 1) -> None:
     header = ["step", "potential", "accepted"] + [f"v{i}" for i in range(n)]
     rows = (
         [m, run.potentials[m], float(run.accepted[m])] + list(run.latent_chain[m])
-        for m in range(0, run.chain_length, max(thin, 1))
+        for m in range(0, run.chain_length, thin)
     )
     write_csv(path, header, rows)
 
@@ -304,14 +519,4 @@ def write_observations_json(path: str, obs: ObservationSet) -> None:
 
 
 def read_observations_json(path: str) -> ObservationSet:
-    try:
-        return ObservationSet.from_spec(load_config(path))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad observation file {path}: {exc}") from exc
-
-
-def prior_from_block(blk: dict) -> PriorSpec:
-    try:
-        return PriorSpec.from_spec(blk)
-    except (ValueError, TypeError, KeyError) as exc:
-        raise ConfigError(f"bad prior spec: {exc}") from exc
+    return ObservationSet.from_spec(load_config(path))

@@ -9,6 +9,7 @@ measured quantities (Lipschitz norms, BV norms, density floors).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import inf
 from typing import Optional, Sequence
 
 import numpy as np
@@ -132,6 +133,32 @@ def _snap(value: float, level: int) -> float:
     return max(round(value * scale), 1) / scale
 
 
+def check_stability_ladder(
+    base: StepFunction,
+    velocity: VelocityFunction,
+    level: int,
+    epsilons: Sequence[float],
+    family: str,
+    window: Optional[tuple[float, float]] = None,
+) -> None:
+    """Raise ValueError unless a perturbation ladder on ``base`` can run:
+    positive finite sizes, a positive density floor after quantization to
+    ``level``, a window (when given) of positive length, and data and a
+    velocity that ``family`` can perturb by every size."""
+    if not epsilons or not all(0 < e < inf for e in epsilons):
+        raise ValueError("epsilons must be a nonempty list of positive finite numbers")
+    if quantize_step(base, level).min_value() <= 0:
+        raise ValueError("density floor must stay positive after quantization")
+    if window is not None and not (len(window) == 2 and window[0] < window[1]):
+        raise ValueError("window must be an interval (lo, hi) with lo < hi")
+    if family == "shift" and base.total_variation() == 0:
+        raise ValueError("shift family needs at least one jump")
+    if family == "dither" and base.values.size < 3:
+        raise ValueError("dither family needs at least two jumps")
+    if family == "scale" and max(epsilons) / velocity.lipschitz_norm >= 1.0:
+        raise ValueError("scale perturbation would destroy monotonicity")
+
+
 def stability_window(velocity: VelocityFunction, horizon: float) -> tuple[float, float]:
     """Perturbation-norm window (-2 L_w T, 3 L_w T) used by the stability bounds."""
     lw = velocity.lipschitz_norm * horizon
@@ -216,12 +243,11 @@ def initial_field_stability(
     """
     if not velocity.is_admissible():
         raise ValueError("velocity must be strictly decreasing with w(rho_max) = 0")
+    check_stability_ladder(base, velocity, level, epsilons, family, window)
     if window is None:
         window = stability_window(velocity, horizon)
     flux = traffic_flux_from_velocity(velocity, level)
     base_q = quantize_step(base, level)
-    if base_q.min_value() <= 0:
-        raise ValueError("density floor must stay positive after quantization")
     traj = track(evolve(base_q, flux, horizon), velocity, x0, t0, horizon)
     lw = velocity.lipschitz_norm
 
@@ -294,10 +320,9 @@ def flux_stability(
     """
     if not velocity.is_admissible():
         raise ValueError("velocity must be strictly decreasing with w(rho_max) = 0")
+    check_stability_ladder(initial, velocity, level, epsilons, family)
     rho_q = quantize_step(initial, level)
     m_rho = rho_q.min_value()
-    if m_rho <= 0:
-        raise ValueError("density floor must stay positive after quantization")
     flux = traffic_flux_from_velocity(velocity, level)
     traj = track(evolve(rho_q, flux, horizon), velocity, x0, t0, horizon)
     lw = velocity.lipschitz_norm

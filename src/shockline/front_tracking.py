@@ -48,8 +48,11 @@ class StepFunction:
             raise ValueError(
                 f"need len(values) == len(breakpoints) + 1, got {vals.size} and {bp.size}"
             )
-        if bp.size and not np.all(np.diff(bp) > 0):
-            raise ValueError("breakpoints must be strictly increasing")
+        # increasing between finite ends means finite throughout
+        if bp.size and not ((np.diff(bp) > 0).all() and isfinite(bp[0]) and isfinite(bp[-1])):
+            raise ValueError("breakpoints must be finite and strictly increasing")
+        if not np.isfinite(vals).all():
+            raise ValueError("values must be finite")
         keep = np.flatnonzero(vals[:-1] != vals[1:])
         if keep.size != bp.size:
             bp = bp[keep]
@@ -125,6 +128,12 @@ def quantize_step(v: StepFunction, level: int) -> StepFunction:
         raise ValueError("level must be >= 0")
     scale = 2.0 ** level
     return StepFunction(v.breakpoints.copy(), np.floor(v.values * scale) / scale)
+
+
+def check_in_domain(lo: float, hi: float, domain: tuple[float, float]) -> None:
+    """Raise ValueError unless values in [lo, hi] lie in the flux ``domain``, up to 1e-12."""
+    if lo < domain[0] - 1e-12 or hi > domain[1] + 1e-12:
+        raise ValueError(f"values in [{lo}, {hi}] leave the flux domain [{domain[0]}, {domain[1]}]")
 
 
 def l1_distance(a: StepFunction, b: StepFunction, window: Optional[tuple] = None) -> float:
@@ -362,11 +371,7 @@ def evolve(
         raise TypeError("front tracking needs a piecewise-linear flux; linearize first")
     if not (isfinite(horizon) and horizon > 0):
         raise ValueError("horizon must be positive and finite")
-    if not (np.all(np.isfinite(initial.values)) and np.all(np.isfinite(initial.breakpoints))):
-        raise ValueError("initial data must be finite: got a NaN or infinite value or breakpoint")
-    lo, hi = flux.domain
-    if initial.min_value() < lo - 1e-12 or initial.max_value() > hi + 1e-12:
-        raise ValueError("initial data leaves the flux domain")
+    check_in_domain(initial.min_value(), initial.max_value(), flux.domain)
 
     birth_t: list[float] = []
     birth_x: list[float] = []

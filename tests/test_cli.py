@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from shockline.bayes import PriorSpec, TrajectoryForward, hellinger_between, synth_observations
-from shockline import cli
+from shockline import cli, experiments
 from shockline.cli import main
 from shockline.config import read_slice_csv, write_slice_csv
 from shockline.flux import LinearTrafficVelocity
@@ -162,9 +162,33 @@ def test_non_standard_numbers_exit_2_before_any_solve(tmp_path, capsys, monkeypa
     assert f"config error: {message}, not a JSON number" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, cfg, message", [
+    ("solve", dict(SOLVE_CFG, level="OVERFLOW"), "bad scenario: 'level' is Infinity"),
+    ("track", dict(TRACK_CFG, particle={"x0": "OVERFLOW", "t0": 0.1}),
+     "bad particle block: 'x0' is Infinity"),
+    ("solve", dict(SOLVE_CFG, times=[1.0, "-OVERFLOW"]), "bad scenario: 'times'[1] is -Infinity"),
+], ids=["overflowing_level", "overflowing_particle_x0", "overflowing_negative_time"])
+def test_number_literals_that_overflow_exit_2_before_any_solve(tmp_path, capsys, monkeypatch,
+                                                              command, cfg, message):
+    def no_solve(*args):
+        raise AssertionError("evolve called on a config that should be rejected")
+
+    monkeypatch.setattr(cli, "evolve", no_solve)
+    path = write_cfg(tmp_path, cfg)
+    text = (tmp_path / "cfg.json").read_text().replace('"OVERFLOW"', "1e400")
+    (tmp_path / "cfg.json").write_text(text.replace('"-OVERFLOW"', "-1e400"))
+    assert main([command, "--config", path, "--out", str(tmp_path / "o")]) == 2
+    assert f"config error: {message}, not a JSON number" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("field", [
     {"horizon": "soon"}, {"horizon": float("nan")}, {"horizon": float("inf")},
     {"times": 1.0}, {"level": None},
+    {"initial": {"breakpoints": None, "values": [0.3, 0.7]}},
+    {"initial": {"breakpoints": [], "values": None}},
+    {"initial": {"breakpoints": [0.0, 0.5], "values": [-1, 0.75, 0.375]}},
+    {"velocity": dict(VELOCITY, rho_max=0.5)},
+    {"particle": {"x0": -0.5, "t0": 5.0}},
 ])
 def test_bad_scenario_fields_exit_2(tmp_path, field):
     cfg = write_cfg(tmp_path, dict(SOLVE_CFG, **field))
@@ -221,8 +245,9 @@ def test_stability_velocity_target_defaults_to_scale(tmp_path):
     {"target": "velocity", "family": "shift"},
     {"target": "bogus"},
     {"target": "initial", "window": ["a", "b"]},
+    {"target": "initial", "window": [1.0, 0.0]},
 ], ids=["initial_bogus", "velocity_bogus", "velocity_shift", "unknown_target",
-        "window_not_numbers"])
+        "window_not_numbers", "inverted_window"])
 def test_bad_stability_block_exits_2_before_any_solve(tmp_path, capsys, monkeypatch, stability):
     def no_solve(*args, **kwargs):
         raise AssertionError("a stability study ran")
@@ -233,6 +258,25 @@ def test_bad_stability_block_exits_2_before_any_solve(tmp_path, capsys, monkeypa
     cfg = write_cfg(tmp_path, dict(STABILITY_CFG, stability=block))
     assert main(["stability", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cfg", [
+    dict(STABILITY_CFG, level=0),
+    dict(STABILITY_CFG, stability=dict(STABILITY_CFG["stability"], epsilons=[0, 0.0625, 0.03125])),
+    dict(STABILITY_CFG, stability=dict(STABILITY_CFG["stability"], epsilons=[-0.125, 0.0625])),
+    dict(STABILITY_CFG, initial={"breakpoints": [], "values": [0.5]}),
+    dict(STABILITY_CFG, stability={"target": "velocity", "epsilons": [2.0, 1.0, 0.5]}),
+], ids=["density_floor_quantized_to_zero", "zero_epsilon", "negative_epsilon",
+        "shift_without_a_jump", "scale_past_the_lipschitz_norm"])
+def test_stability_ladders_no_study_can_run_exit_2_before_any_solve(tmp_path, capsys,
+                                                                   monkeypatch, cfg):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("evolve called on a config that should be rejected")
+
+    monkeypatch.setattr(experiments, "evolve", no_solve)
+    path = write_cfg(tmp_path, cfg)
+    assert main(["stability", "--config", path, "--out", str(tmp_path / "o")]) == 2
+    assert "config error: bad stability block" in capsys.readouterr().err
 
 
 def test_json_artifacts_write_booleans_as_booleans(tmp_path):
@@ -267,6 +311,9 @@ MALFORMED_SYNTHETIC = {
     "negative_noise_std": with_synthetic(noise_std=-1),
     "seed_not_a_number": with_synthetic(seed="x"),
     "truth_latent_wrong_length": with_synthetic(truth_latent=[0.1, 0.2, 0.3]),
+    "negative_seed": with_synthetic(seed=-1),
+    "truth_outside_the_flux_domain": with_synthetic(truth={"breakpoints": [0.0],
+                                                           "values": [0.3, 1.5]}),
 }
 
 
@@ -289,11 +336,24 @@ MALFORMED_SYNTHETIC = {
                             "n_cells": 2}),
     with_inversion(forward={"kind": "viscous-trajectory", "times": [0.5, 1.0], "epsilon": 0.05,
                             "store_every": 0}),
+    with_inversion(forward={"kind": "trajectory", "times": [0.5, 1.0, 1.5], "x0": 0.25}),
+    with_inversion(sampler={"chain_length": 150, "beta": 0.2, "thin": -1}),
+    with_inversion(sampler={"chain_length": 150, "beta": 0.2, "thin": 0}),
+    dict(INVERT_CFG, seed=-1),
+    dict(INVERT_CFG, velocity=dict(VELOCITY, rho_max=0.8)),
+    with_inversion(prior={"kind": "velocity", "n": 16, "window": [0.0, 1.0]}),
+    with_inversion(forward={"kind": "viscous-trajectory", "times": [0.5, 1.0, 1.5],
+                            "epsilon": 0.05, "n_cells": 100},
+                   sampler={"chain_length": 5, "beta": 0.2},
+                   ladder={"levels": [3, 4], "reference": 6, "n_samples": 20}),
     *MALFORMED_SYNTHETIC.values(),
 ], ids=["pointwise_without_positions", "viscous_without_epsilon", "chain_length_not_a_number",
         "positions_not_numbers", "negative_radius", "infinite_radius", "t0_after_first_time",
         "positions_and_times_unpaired", "zero_chain_length", "beta_above_one",
         "negative_viscous_epsilon", "viscous_n_cells_too_few", "viscous_store_every_zero",
+        "forward_x0_without_t0", "negative_thin", "zero_thin", "negative_scenario_seed",
+        "prior_range_outside_the_flux_domain", "velocity_prior_on_a_field_forward",
+        "ladder_of_a_forward_without_a_level",
         *MALFORMED_SYNTHETIC])
 def test_malformed_inversion_blocks_exit_2(tmp_path, capsys, cfg):
     path = write_cfg(tmp_path, cfg)
@@ -324,6 +384,15 @@ def test_malformed_synthetic_blocks_exit_2_in_synth(tmp_path, capsys, cfg):
     path = write_cfg(tmp_path, cfg)
     assert main(["synth", "--config", path, "--out", str(tmp_path / "o")]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, cfg", [
+    ("synth", INVERT_CFG), ("invert", INVERT_CFG), ("stability", STABILITY_CFG),
+])
+def test_negative_seed_flag_exits_2(tmp_path, capsys, command, cfg):
+    path = write_cfg(tmp_path, cfg)
+    assert main([command, "--config", path, "--out", str(tmp_path / "o"), "--seed", "-1"]) == 2
+    assert "config error: --seed must be nonnegative" in capsys.readouterr().err
 
 
 def test_synth_is_seed_deterministic(tmp_path):
@@ -516,3 +585,51 @@ def test_solve_restart_matches_direct_run(tmp_path):
     final_direct = read_slice_csv(str(out_a / "slice_01.csv"))
     final_restart = read_slice_csv(str(out_b / "slice_00.csv"))
     assert l1_distance(final_direct, final_restart, (-4.0, 5.0)) <= 1e-10
+
+
+# Every run of a single-field mutation of the configs above exits 0, 2 or 4,
+# except these runs, which fail for a reason only the run can find.
+RUNTIME_FAILURES = {
+    # x0 = true reads as a car at x0 = 1.0, a valid start that no perturbation
+    # of the ladder reaches, so the rate fit gets no usable rung
+    ("stability", "particle.x0", "true"),
+}
+MUTATED_CONFIGS = [("solve", SOLVE_CFG), ("track", TRACK_CFG), ("stability", STABILITY_CFG),
+                   ("viscous", VISCOUS_CFG), ("invert", INVERT_CFG), ("invert", LADDER_CFG)]
+MUTATIONS = [-1, 0, 0.5, "x", None, [], {}, float("nan"), float("inf"), True]
+
+
+def leaf_paths(node, path=()):
+    """Paths to the leaves of a config, and to the first element of each list."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from leaf_paths(value, path + (key,))
+        return
+    yield path
+    if isinstance(node, list) and node:
+        yield path + (0,)
+
+
+def mutated(cfg, path, value):
+    cfg = json.loads(json.dumps(cfg))
+    node = cfg
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return cfg
+
+
+def test_single_field_mutations_exit_3_only_for_runtime_failures(tmp_path, capsys):
+    path, runs, exit_3 = tmp_path / "cfg.json", 0, set()
+    for command, base in MUTATED_CONFIGS:
+        for at in leaf_paths(base):
+            for value in MUTATIONS:
+                path.write_text(json.dumps(mutated(base, at, value)))
+                code = main([command, "--config", str(path), "--out", str(tmp_path / f"o{runs}")])
+                assert code in (0, 2, 3, 4)
+                if code == 3:
+                    exit_3.add((command, ".".join(map(str, at)), json.dumps(value)))
+                runs += 1
+    capsys.readouterr()
+    assert runs == 1110
+    assert exit_3 == RUNTIME_FAILURES

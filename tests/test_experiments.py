@@ -177,6 +177,31 @@ STUDIES = {
 }
 
 
+@pytest.mark.parametrize("epsilons", [[0.125, 0.0, 0.03125], [-0.125, 0.0625, 0.03125], []],
+                         ids=["zero", "negative", "empty"])
+@pytest.mark.parametrize("study, family", [(initial_field_stability, "shift"),
+                                           (flux_stability, "tilt")])
+def test_stability_studies_need_positive_finite_sizes(study, family, epsilons):
+    with pytest.raises(ValueError, match="positive finite"):
+        study(TWO_JUMPS, W, -0.3, 0.1, 2.0, epsilons, family, 8)
+
+
+@pytest.mark.parametrize("study, base, family, epsilons, message", [
+    (initial_field_stability, StepFunction.constant(0.5), "shift", LADDER, "at least one jump"),
+    (initial_field_stability, StepFunction([0.0], [0.5, 0.75]), "dither", LADDER,
+     "at least two jumps"),
+    (flux_stability, TWO_JUMPS, "scale", [2.0, 1.0, 0.5], "destroy monotonicity"),
+], ids=["shift_without_a_jump", "dither_with_one_jump", "scale_past_the_lipschitz_norm"])
+def test_stability_studies_reject_a_family_before_any_solve(monkeypatch, study, base, family,
+                                                            epsilons, message):
+    def no_solve(*args):
+        raise AssertionError("evolve called on a ladder that cannot run")
+
+    monkeypatch.setattr(experiments, "evolve", no_solve)
+    with pytest.raises(ValueError, match=message):
+        study(base, W, -0.3, 0.1, 2.0, epsilons, family, 8)
+
+
 @pytest.mark.parametrize("study", STUDIES)
 def test_rate_ladder_report_arithmetic(study):
     report = STUDIES[study]()

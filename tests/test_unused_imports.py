@@ -1,6 +1,7 @@
 """Every name a ``shockline`` module imports is used in that module, every
 parameter of a function is used in its body, and every dataclass field is
-read somewhere in the project.
+read somewhere in the project.  ``cli`` raises no ``ConfigError`` and
+catches no ``ValueError``: whether a config is valid is ``config``'s call.
 
 ``__init__`` is left out, since its imports are the package's re-exports,
 and so is ``from __future__ import annotations``.
@@ -130,3 +131,38 @@ def test_dataclass_fields_are_read():
         if field not in read
     ]
     assert unread == []
+
+
+def config_decisions(tree):
+    """Lines that raise a ``ConfigError`` or catch a ``ValueError`` or ``ConfigError``."""
+    def names(node):
+        nodes = node.elts if isinstance(node, ast.Tuple) else [node]
+        return {getattr(n, "attr", getattr(n, "id", None)) for n in nodes}
+
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if "ConfigError" in names(exc):
+                yield node.lineno
+        elif isinstance(node, ast.ExceptHandler) and node.type is not None:
+            if names(node.type) & {"ValueError", "ConfigError"}:
+                yield node.lineno
+
+
+def test_config_decisions_are_found():
+    tree = ast.parse(
+        "try:\n"
+        "    f()\n"
+        "except (KeyError, ValueError):\n"
+        "    raise cfgio.ConfigError('bad')\n"
+        "except ConfigError:\n"
+        "    raise\n"
+        "except Exception as exc:\n"
+        "    raise RuntimeError(exc)\n"
+    )
+    assert sorted(config_decisions(tree)) == [3, 4, 5]
+
+
+def test_cli_leaves_config_validity_to_config():
+    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    assert list(config_decisions(tree)) == []
