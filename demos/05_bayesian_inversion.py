@@ -8,11 +8,12 @@ well inside the noise level, and the posterior itself moves continuously
 (in Hellinger distance) when the data are perturbed.
 """
 
+from dataclasses import replace
+
 import numpy as np
 
 from shockline import (
     LinearTrafficVelocity,
-    ObservationSet,
     PriorSpec,
     TrajectoryForward,
     hellinger_between,
@@ -47,9 +48,7 @@ for x in xs:
 
 print("\nposterior continuity in the data:")
 for delta in (0.1 * GAMMA, 0.01 * GAMMA):
-    spec = obs.to_spec()
-    spec["values"] = [v + delta for v in spec["values"]]
     est = hellinger_between(prior, obs, forward, forward, n_samples=300,
-                            seed=0, obs_b=ObservationSet.from_spec(spec))
+                            seed=0, obs_b=replace(obs, values=obs.values + delta))
     print(f"  data shift {delta:7.4f}   Hellinger distance {est.value:.4f} "
           f"(+/- {est.stderr:.4f})")

@@ -70,7 +70,7 @@ invert_cfg = {
         "forward": {"kind": "trajectory", "times": [0.5, 1.0, 1.5]},
         "synthetic": {"noise_std": 0.05, "seed": 5,
                       "truth_latent": truth_latent},
-        "sampler": {"chain_length": 400, "beta": 0.2, "seed": 1, "burn_in": 100},
+        "sampler": {"chain_length": 400, "beta": 0.2, "burn_in": 100},
     },
 }
 main(["synth", "--config", write_config("synth.json", invert_cfg),

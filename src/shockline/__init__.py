@@ -55,11 +55,9 @@ from .flux import (
     concave_envelope,
     convex_envelope,
     dyadic_points,
-    flux_from_spec,
     lipschitz_distance,
     piecewise_linearize,
     traffic_flux_from_velocity,
-    velocity_from_spec,
 )
 from .front_tracking import (
     EventCapError,

@@ -143,29 +143,6 @@ class PriorSpec:
             return StepFunction(0.5 * (x[:-1] + x[1:]), values)
         return TableVelocity(self.grid, values)
 
-    def to_spec(self) -> dict:
-        return {
-            "kind": self.kind,
-            "n": self.n,
-            "length_scale": self.length_scale,
-            "amplitude": self.amplitude,
-            "window": [float(self.window[0]), float(self.window[1])],
-            "mean": self.mean,
-            "w_max": self.w_max,
-        }
-
-    @classmethod
-    def from_spec(cls, spec: dict) -> "PriorSpec":
-        return cls(
-            kind=spec.get("kind", "initial-field"),
-            n=int(spec.get("n", 64)),
-            length_scale=float(spec.get("length_scale", 0.5)),
-            amplitude=float(spec.get("amplitude", 1.0)),
-            window=tuple(spec.get("window", (-1.0, 2.0))),
-            mean=float(spec.get("mean", 0.0)),
-            w_max=float(spec.get("w_max", 1.0)),
-        )
-
 
 @dataclass
 class ObservationSet:
@@ -198,34 +175,6 @@ class ObservationSet:
                 raise ValueError("observation positions must be finite")
         if self.radius is not None and not (isfinite(self.radius) and self.radius > 0):
             raise ValueError("radius must be positive and finite")
-
-    def to_spec(self) -> dict:
-        out = {
-            "kind": self.kind,
-            "values": [float(v) for v in self.values],
-            "noise_std": self.noise_std,
-            "times": [float(t) for t in self.times],
-            "meta": self.meta,
-        }
-        if self.positions is not None:
-            out["positions"] = [float(x) for x in self.positions]
-        if self.radius is not None:
-            out["radius"] = self.radius
-        return out
-
-    @classmethod
-    def from_spec(cls, spec: dict) -> "ObservationSet":
-        return cls(
-            kind=spec["kind"],
-            values=np.asarray(spec["values"], dtype=float),
-            noise_std=float(spec["noise_std"]),
-            times=np.asarray(spec["times"], dtype=float),
-            positions=(
-                np.asarray(spec["positions"], dtype=float) if "positions" in spec else None
-            ),
-            radius=spec.get("radius"),
-            meta=spec.get("meta", {}),
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -607,8 +556,7 @@ def _common_latents(prior: PriorSpec, n_samples: int, seed: int) -> np.ndarray:
 
 
 def _forward_batch(args):
-    forward, prior_spec, latents = args
-    prior = PriorSpec.from_spec(prior_spec)
+    forward, prior, latents = args
     return np.stack([forward(prior.transform(v)) for v in latents])
 
 
@@ -622,9 +570,8 @@ def evaluate_forward_on_samples(
     if jobs <= 1 or latents.shape[0] < 4 * jobs:
         return np.stack([forward(prior.transform(v)) for v in latents])
     chunks = np.array_split(latents, jobs)
-    spec = prior.to_spec()
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        parts = list(pool.map(_forward_batch, [(forward, spec, c) for c in chunks]))
+        parts = list(pool.map(_forward_batch, [(forward, prior, c) for c in chunks]))
     return np.concatenate(parts)
 
 

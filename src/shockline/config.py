@@ -1,12 +1,14 @@
 """Scenario configuration and file output.
 
-Configs are JSON; bulk numeric series go to CSV.  ``load_scenario`` reads,
-for one command, the scenario core and every block that command uses,
-checks them with the solvers' own ``check_*`` functions and builds what the
-command solves with, so a config a solver would reject fails before any
-solve.  Floats are written with repr so identical runs produce
-byte-identical files, and every file is written atomically (temp file +
-rename).
+Configs are JSON; bulk numeric series go to CSV.  This module alone reads
+the scenario format, ``FORMAT``: JSON numbers only, integers where a field
+needs one, and no key a block does not know.  ``load_scenario`` reads a
+whole file in that format, then, for one command, checks the scenario core
+and every block that command uses with the solvers' own ``check_*``
+functions and builds what the command solves with, so a config a solver
+would reject fails before any solve.  Floats are written with repr so
+identical runs produce byte-identical files, and every file is written
+atomically (temp file + rename).
 """
 
 from __future__ import annotations
@@ -38,15 +40,16 @@ from .bayes import (
 from .experiments import check_stability_ladder
 from .filippov import Trajectory
 from .flux import (
+    BurgersQuadraticFlux,
     FluxFunction,
     LinearTrafficVelocity,
     PiecewiseLinearFlux,
+    TableVelocity,
     TrafficQuadraticFlux,
     VelocityFunction,
-    flux_from_spec,
+    check_level,
     piecewise_linearize,
     traffic_flux_from_velocity,
-    velocity_from_spec,
 )
 from .front_tracking import FrontTrackingSolution, StepFunction, check_in_domain, quantize_step
 from .viscous import CFL_SAFETY, check_viscous_settings
@@ -59,6 +62,15 @@ class ConfigError(ValueError):
 # The perturbation families each stability target knows, its default first.
 STABILITY_FAMILIES = {"initial": ("shift", "dither", "steps"),
                       "velocity": ("scale", "tilt", "curve")}
+
+# The flux and velocity kinds a scenario can name, and the class each builds
+# from the other keys of its block.
+LAW_KINDS = {
+    "flux": {"traffic-quadratic": TrafficQuadraticFlux,
+             "burgers-quadratic": BurgersQuadraticFlux,
+             "piecewise-linear": PiecewiseLinearFlux},
+    "velocity": {"linear-traffic": LinearTrafficVelocity, "table": TableVelocity},
+}
 
 
 @dataclass(frozen=True)
@@ -101,23 +113,6 @@ class ScenarioConfig:
         return self.tracking_flux()
 
 
-def float_tuple(values) -> tuple:
-    return tuple(float(v) for v in values)
-
-
-def _object(value) -> dict:
-    if not isinstance(value, dict):
-        raise TypeError("must be an object")
-    return value
-
-
-def _seed(value) -> int:
-    seed = int(value)
-    if seed < 0:
-        raise ValueError("a seed must be nonnegative")
-    return seed
-
-
 @contextmanager
 def _naming(where: str):
     """Report an error raised inside as a ConfigError about ``where``."""
@@ -129,19 +124,133 @@ def _naming(where: str):
         raise ConfigError(f"bad {where}: {exc}") from exc
 
 
-_REQUIRED = object()
+# ---------------------------------------------------------------------------
+# the scenario format
+
+_JSON_TYPES = {bool: "a boolean", str: "a string", list: "an array", dict: "an object",
+               type(None): "null"}
 
 
-def read_field(data: dict, key: str, convert, default=_REQUIRED, where: str = "scenario"):
-    """``convert(data[key])``, or ``convert(default)`` when the key is absent.
+def _describe(value) -> str:
+    """A JSON value as an error names it: its type, or the number itself."""
+    return _JSON_TYPES.get(type(value), repr(value))
 
-    A missing key without a default, or a value ``convert`` rejects, is a
-    ConfigError that names the field.
+
+def _number(value) -> float:
+    """A JSON number, as a float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"must be a number, not {_describe(value)}")
+    return float(value)
+
+
+def _integer(value) -> int:
+    """A JSON number with an integral value, such as 8 or 8.0, as an int."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"must be an integer, not {_describe(value)}")
+    return value
+
+
+def _level(value) -> int:
+    level = _integer(value)
+    check_level(level)
+    return level
+
+
+def _seed(value) -> int:
+    seed = _integer(value)
+    if seed < 0:
+        raise ValueError("a seed must be nonnegative")
+    return seed
+
+
+def _instance(kind: type, name: str):
+    """Converter that passes a JSON value of type ``kind`` through."""
+    def read(value):
+        if not isinstance(value, kind):
+            raise TypeError(f"must be {name}, not {_describe(value)}")
+        return value
+    return read
+
+
+def _array(item):
+    """Converter of a JSON array, each element read by ``item``, to a tuple."""
+    def read(value) -> tuple:
+        if not isinstance(value, list):
+            raise TypeError(f"must be an array, not {_describe(value)}")
+        return tuple(map(item, value))
+    return read
+
+
+_text, _object = _instance(str, "a string"), _instance(dict, "an object")
+_numbers = _array(_number)
+_NODES = {"breakpoints": _numbers, "values": _numbers}
+_LAW = {"kind": _text, "w_max": _number, "rho_max": _number, **_NODES}
+
+# The scenario format: the keys of each block and how each value reads, a
+# string naming the format of a nested block.  "scenario" is the root.
+# Every block of a file keeps to it, also the blocks the command does not
+# build.  An observations file holds one observations block; its "meta" is
+# free-form.
+FORMAT = {
+    "scenario": {"velocity": "velocity", "flux": "flux", "initial": "initial",
+                 "horizon": _number, "level": _level, "seed": _seed, "particle": "particle",
+                 "times": _numbers, "stability": "stability", "viscous": "viscous",
+                 "inversion": "inversion"},
+    "velocity": _LAW,
+    "flux": _LAW,
+    "initial": _NODES,
+    "particle": {"x0": _number, "t0": _number},
+    "stability": {"target": _text, "family": _text, "epsilons": _numbers, "window": _numbers},
+    "viscous": {"epsilon": _number, "window": _numbers, "n_cells": _integer,
+                "cfl_safety": _number, "store_every": _integer, "snapshot_times": _numbers},
+    "inversion": {"prior": "prior", "forward": "forward", "synthetic": "synthetic",
+                  "sampler": "sampler", "observations": "observations",
+                  "observations_file": _text, "ladder": "ladder"},
+    "prior": {"kind": _text, "n": _integer, "length_scale": _number, "amplitude": _number,
+              "window": _numbers, "mean": _number, "w_max": _number},
+    "forward": {"kind": _text, "times": _numbers, "x0": _number, "t0": _number,
+                "level": _level, "positions": _numbers, "radius": _number,
+                "epsilon": _number, "n_cells": _integer, "store_every": _integer},
+    "synthetic": {"truth": "truth", "truth_latent": _numbers, "noise_std": _number,
+                  "seed": _seed},
+    "truth": _NODES,
+    "sampler": {"chain_length": _integer, "beta": _number, "burn_in": _integer,
+                "thin": _integer},
+    "observations": {"kind": _text, "values": _numbers, "noise_std": _number,
+                     "times": _numbers, "positions": _numbers, "radius": _number,
+                     "meta": _object},
+    "ladder": {"levels": _array(_level), "reference": _level, "n_samples": _integer},
+}
+
+
+def _read_block(data, name: str) -> dict:
+    """``data`` as block ``name``: every key read by its FORMAT converter.
+
+    A value of the wrong JSON type or range, or a key the block does not
+    know, is a ConfigError that names the block and the field.
     """
-    if key not in data and default is _REQUIRED:
+    where = "scenario" if name == "scenario" else f"{name} block"
+    if not isinstance(data, dict):
+        raise ConfigError(f"{where} must be a JSON object, not {_describe(data)}")
+    fmt = FORMAT[name]
+    unknown = data.keys() - fmt
+    if unknown:
+        raise ConfigError(f"bad {where}: unknown key {min(unknown)!r}; it knows {', '.join(fmt)}")
+    fields = {}
+    for key, value in data.items():
+        with _naming(f"{key!r} in the {where}"):
+            read = fmt[key]
+            fields[key] = _read_block(value, read) if isinstance(read, str) else read(value)
+    return fields
+
+
+def _need(fields: dict, key: str, where: str):
+    """``fields[key]``, or a ConfigError when the ``where`` block lacks it."""
+    if key not in fields:
         raise ConfigError(f"{where} is missing required key {key!r}")
-    with _naming(f"{key!r} in the {where}"):
-        return convert(data.get(key, default))
+    return fields[key]
 
 
 def _reject_non_numbers(node, path: tuple = ()) -> None:
@@ -185,38 +294,48 @@ def load_config(path: str) -> dict:
     return data
 
 
-def _core(data: dict, command: str) -> ScenarioConfig:
-    if not isinstance(data, dict):
-        raise ConfigError("config root must be a JSON object")
-    velocity = read_field(data, "velocity", velocity_from_spec) if "velocity" in data else None
-    flux = read_field(data, "flux", flux_from_spec) if "flux" in data else None
+# ---------------------------------------------------------------------------
+# building what a command runs on
+
+
+def _law(top: dict, key: str):
+    """The flux or velocity that the scenario's ``key`` block names, or None."""
+    if key not in top:
+        return None
+    args, kinds = dict(top[key]), LAW_KINDS[key]
+    kind = args.pop("kind", None)
+    if kind not in kinds:
+        raise ConfigError(f"bad {key} block: kind {kind!r} is not one of {', '.join(kinds)}")
+    with _naming(f"{key} block"):
+        return kinds[kind](**args)
+
+
+def _core(top: dict, command: str) -> ScenarioConfig:
+    velocity, flux = _law(top, "velocity"), _law(top, "flux")
     if flux is None and velocity is None:
         raise ConfigError("scenario needs a flux spec or a velocity spec")
 
-    initial = read_field(data, "initial", StepFunction.from_spec)
-    horizon = read_field(data, "horizon", float)
+    with _naming("initial block"):
+        initial = StepFunction(**_need(top, "initial", "scenario"))
+    horizon = _need(top, "horizon", "scenario")
     if not (isfinite(horizon) and horizon > 0):
         raise ConfigError("horizon must be positive and finite")
-    level = read_field(data, "level", int, 8)
-    if level < 0:
-        raise ConfigError("level must be nonnegative")
+    level = top.get("level", 8)
 
     particle = None
-    if "particle" in data:
-        blk = read_field(data, "particle", _object)
-        x0 = read_field(blk, "x0", float, where="particle block")
-        t0 = read_field(blk, "t0", float, where="particle block")
+    if "particle" in top:
+        x0, t0 = (_need(top["particle"], key, "particle block") for key in ("x0", "t0"))
         if not 0 < t0 <= horizon:
             raise ConfigError("particle t0 must be in (0, horizon]; paths from 0 may not be unique")
         particle = (x0, t0)
 
-    times = read_field(data, "times", float_tuple, ())
+    times = top.get("times", ())
     if any(t < 0 or t > horizon for t in times):
         raise ConfigError("output times must lie in [0, horizon]")
 
-    # front tracking runs on quantized data, the viscous solver on the data itself
-    data_q = initial if command == "viscous" else quantize_step(initial, level)
     with _naming("initial block"):
+        # front tracking runs on quantized data, the viscous solver on the data itself
+        data_q = initial if command == "viscous" else quantize_step(initial, level)
         check_in_domain(data_q.min_value(), data_q.max_value(), (velocity or flux).domain)
 
     return ScenarioConfig(
@@ -225,68 +344,62 @@ def _core(data: dict, command: str) -> ScenarioConfig:
         initial=initial,
         horizon=horizon,
         level=level,
-        seed=read_field(data, "seed", _seed, 0),
+        seed=top.get("seed", 0),
         particle=particle,
         times=times,
     )
 
 
 def _stability(blk: dict, cfg: ScenarioConfig) -> tuple:
-    where = "stability block"
-    target = read_field(blk, "target", str, "initial", where)
+    target = blk.get("target", "initial")
     families = STABILITY_FAMILIES.get(target)
     if families is None:
         raise ConfigError(f"unknown stability target {target!r}")
-    family = read_field(blk, "family", str, families[0], where)
+    family = blk.get("family", families[0])
     if family not in families:
         raise ConfigError(f"unknown {target} perturbation family {family!r}; one of {families}")
-    epsilons = read_field(blk, "epsilons", float_tuple, (), where)
-    window = read_field(blk, "window", float_tuple, where=where) if "window" in blk else None
-    with _naming(where):
+    epsilons, window = blk.get("epsilons", ()), blk.get("window")
+    with _naming("stability block"):
         check_stability_ladder(cfg.initial, cfg.velocity, cfg.level, epsilons, family, window)
     return target, family, epsilons, window
 
 
 def _viscous(blk: dict, cfg: ScenarioConfig) -> tuple:
-    where = "viscous block"
-    times = read_field(blk, "snapshot_times", float_tuple, (), where) or cfg.times or (cfg.horizon,)
+    times = blk.get("snapshot_times") or cfg.times or (cfg.horizon,)
     settings = (  # solve_viscous's arguments after the flux, in order
-        read_field(blk, "epsilon", float, 0.05, where),
+        blk.get("epsilon", 0.05),
         cfg.horizon,
-        read_field(blk, "window", float_tuple, where=where) if "window" in blk else None,
-        read_field(blk, "n_cells", int, 2000, where),
-        read_field(blk, "cfl_safety", float, CFL_SAFETY, where),
-        read_field(blk, "store_every", int, 1, where),
+        blk.get("window"),
+        blk.get("n_cells", 2000),
+        blk.get("cfl_safety", CFL_SAFETY),
+        blk.get("store_every", 1),
         (*times, 0.0, cfg.horizon),  # the only levels the command reads
     )
-    with _naming(where):
+    with _naming("viscous block"):
         check_viscous_settings(*settings)
     return times, settings
 
 
 def _forward(blk: dict, cfg: ScenarioConfig) -> tuple[type, dict]:
     """The forward map class a forward block names, and its arguments."""
-    where = "forward block"
-    kind = read_field(blk, "kind", str, "trajectory", where)
+    kind = blk.get("kind", "trajectory")
     if kind != "velocity-trajectory" and cfg.velocity is None:
         raise ConfigError(f"{kind} forward needs a velocity spec")
-    args = {"times": read_field(blk, "times", lambda ts: float_tuple(ts or cfg.times), None, where)}
+    args = {"times": blk.get("times") or cfg.times}
     if kind in ("trajectory", "viscous-trajectory", "velocity-trajectory"):
         if "x0" in blk or "t0" in blk:  # a car of its own needs both
-            args["x0"] = read_field(blk, "x0", float, where=where)
-            args["t0"] = read_field(blk, "t0", float, where=where)
+            args["x0"], args["t0"] = (_need(blk, key, "forward block") for key in ("x0", "t0"))
         elif cfg.particle is not None:
             args["x0"], args["t0"] = cfg.particle
         else:
             raise ConfigError("trajectory forward needs x0 and t0")
     if kind == "viscous-trajectory":  # the only forward without a level
+        sizes = {key: blk[key] for key in ("n_cells", "store_every") if key in blk}
         return ViscousTrajectoryForward, dict(
             args, velocity=cfg.velocity, flux=cfg.smooth_flux(),
-            epsilon=read_field(blk, "epsilon", float, where=where),
-            n_cells=read_field(blk, "n_cells", int, 400, where),
-            store_every=read_field(blk, "store_every", int, 4, where),
+            epsilon=_need(blk, "epsilon", "forward block"), **sizes,
         )
-    args["level"] = read_field(blk, "level", int, cfg.level, where)
+    args["level"] = blk.get("level", cfg.level)
     if kind == "velocity-trajectory":
         return VelocityTrajectoryForward, dict(args, initial=cfg.initial)
     args["velocity"] = cfg.velocity
@@ -294,32 +407,29 @@ def _forward(blk: dict, cfg: ScenarioConfig) -> tuple[type, dict]:
         return TrajectoryForward, args
     if kind not in ("pointwise", "ball-average"):
         raise ConfigError(f"unknown forward kind {kind!r}")
-    args["positions"] = read_field(blk, "positions", float_tuple, where=where)
+    args["positions"] = _need(blk, "positions", "forward block")
     if kind == "pointwise":
         return PointwiseForward, args
-    return BallAverageForward, dict(args, radius=read_field(blk, "radius", float, where=where))
+    return BallAverageForward, dict(args, radius=_need(blk, "radius", "forward block"))
 
 
 def _synthetic(inv: dict, cfg: ScenarioConfig, seed: Optional[int]) -> tuple:
     """(truth, noise_std, seed) of the inversion block's synthetic recipe, the
     arguments of ``synth_observations`` after the forward; ``seed``
     overrides the recipe's seed."""
-    synth = read_field(inv, "synthetic", _object, where="inversion block")
-    where = "synthetic block"
+    synth = _need(inv, "synthetic", "inversion block")
     if seed is None:
-        seed = read_field(synth, "seed", _seed, cfg.seed, where)
-    noise_std = read_field(synth, "noise_std", float, 0.0, where)
-    with _naming(where):
+        seed = synth.get("seed", cfg.seed)
+    noise_std = synth.get("noise_std", 0.0)
+    with _naming("synthetic block"):
         check_noise_std(noise_std)
     if "truth" in synth and cfg.prior.kind == "initial-field":
-        truth = read_field(synth, "truth", StepFunction.from_spec, where=where)
-        with _naming(where):
+        with _naming("truth block"):
+            truth = StepFunction(**synth["truth"])
             check_in_domain(truth.min_value(), truth.max_value(), (cfg.velocity or cfg.flux).domain)
     elif "truth_latent" in synth:
-        truth = read_field(
-            synth, "truth_latent", lambda v: cfg.prior.transform(np.asarray(v, dtype=float)),
-            where=where,
-        )
+        with _naming("'truth_latent' in the synthetic block"):
+            truth = cfg.prior.transform(np.asarray(synth["truth_latent"]))
     else:
         raise ConfigError("synthetic block needs 'truth_latent', or 'truth' for a field prior")
     return truth, noise_std, seed
@@ -327,11 +437,11 @@ def _synthetic(inv: dict, cfg: ScenarioConfig, seed: Optional[int]) -> tuple:
 
 def _inversion(inv: dict, cfg: ScenarioConfig, command: str, seed: Optional[int]):
     """``cfg`` with the inversion block as ``command`` (synth or invert) reads it."""
-    cfg = replace(cfg, prior=read_field(inv, "prior", PriorSpec.from_spec, {}, "inversion block"))
     with _naming("prior block"):
+        cfg = replace(cfg, prior=PriorSpec(**inv.get("prior", {})))
         if cfg.prior.kind == "initial-field":  # its samples take values in (0, 1)
             check_in_domain(0.0, 1.0, (cfg.velocity or cfg.flux).domain)
-    make, args = _forward(read_field(inv, "forward", _object, {}, "inversion block"), cfg)
+    make, args = _forward(inv.get("forward", {}), cfg)
     if (cfg.prior.kind == "velocity") != (make is VelocityTrajectoryForward):
         raise ConfigError("a velocity prior needs a velocity-trajectory forward, and only it")
     with _naming("forward block"):
@@ -339,23 +449,20 @@ def _inversion(inv: dict, cfg: ScenarioConfig, command: str, seed: Optional[int]
     if command == "synth":
         return replace(cfg, synthetic=_synthetic(inv, cfg, seed))
 
-    sampler = read_field(inv, "sampler", _object, {}, "inversion block")
-    where = "sampler block"
-    chain_length = read_field(sampler, "chain_length", int, 1000, where)
-    beta = read_field(sampler, "beta", float, 0.1, where)
-    burn_in = read_field(sampler, "burn_in", int, 0, where)
-    thin = read_field(sampler, "thin", int, 1, where)
-    with _naming(where):
+    sampler = inv.get("sampler", {})
+    chain_length, beta = sampler.get("chain_length", 1000), sampler.get("beta", 0.1)
+    burn_in, thin = sampler.get("burn_in", 0), sampler.get("thin", 1)
+    with _naming("sampler block"):
         check_pcn_settings(chain_length, beta, burn_in)
     if thin < 1:
         raise ConfigError("bad sampler block: thin must be positive")
     cfg = replace(cfg, sampler=(chain_length, beta, burn_in, thin))
 
-    with _naming("observations"):
+    with _naming("observations block"):
         if "observations_file" in inv:
-            cfg = replace(cfg, observations=read_observations_json(str(inv["observations_file"])))
+            cfg = replace(cfg, observations=read_observations_json(inv["observations_file"]))
         elif "observations" in inv:
-            cfg = replace(cfg, observations=ObservationSet.from_spec(inv["observations"]))
+            cfg = replace(cfg, observations=ObservationSet(**inv["observations"]))
         elif "synthetic" in inv:
             cfg = replace(cfg, synthetic=_synthetic(inv, cfg, None))
         else:
@@ -364,16 +471,15 @@ def _inversion(inv: dict, cfg: ScenarioConfig, command: str, seed: Optional[int]
         if cfg.observations is not None:
             check_observations_fit(cfg.observations, cfg.forward)
 
-    if inv.get("ladder"):
-        blk, where = read_field(inv, "ladder", _object, where="inversion block"), "ladder block"
-        levels = read_field(blk, "levels", lambda ns: [int(n) for n in ns], (), where)
+    if "ladder" in inv:
+        blk = inv["ladder"]
+        levels = blk.get("levels", ())
         if not levels:
             raise ConfigError("ladder block needs a nonempty levels list")
         if "level" not in args:
             raise ConfigError("a ladder needs a forward with a level; viscous-trajectory has none")
-        n_samples = read_field(blk, "n_samples", int, 500, where)
-        reference = read_field(blk, "reference", int, 12, where)
-        with _naming(where):
+        n_samples, reference = blk.get("n_samples", 500), blk.get("reference", 12)
+        with _naming("ladder block"):
             check_hellinger_samples(n_samples)
             rungs = [(n, make(**dict(args, level=n))) for n in levels]
             cfg = replace(cfg, ladder=(rungs, make(**dict(args, level=reference)), n_samples))
@@ -381,8 +487,9 @@ def _inversion(inv: dict, cfg: ScenarioConfig, command: str, seed: Optional[int]
 
 
 def load_scenario(path: str, command: str, seed: Optional[int] = None) -> ScenarioConfig:
-    """The scenario at ``path`` as ``command`` reads it: the core and every
-    block the command uses, checked and built.
+    """The scenario at ``path`` as ``command`` reads it: the whole file read
+    in the scenario format, then the core and every block the command uses
+    checked and built.
 
     ``seed`` (the command line's ``--seed``) overrides the seed the command
     draws from: the synthetic recipe's for ``synth``, the scenario's for the
@@ -390,18 +497,18 @@ def load_scenario(path: str, command: str, seed: Optional[int] = None) -> Scenar
     """
     if seed is not None and seed < 0:
         raise ConfigError("--seed must be nonnegative")
-    data = load_config(path)
-    cfg = _core(data, command)
+    top = _read_block(load_config(path), "scenario")
+    cfg = _core(top, command)
     if command in ("track", "stability") and cfg.velocity is None:
         raise ConfigError(f"{command} needs a velocity spec")
     if command in ("track", "stability") and cfg.particle is None:
         raise ConfigError(f"{command} needs a particle block with x0 and t0")
     if command == "stability":
-        cfg = replace(cfg, stability=_stability(read_field(data, "stability", _object), cfg))
+        cfg = replace(cfg, stability=_stability(_need(top, "stability", "scenario"), cfg))
     if command == "viscous":
-        cfg = replace(cfg, viscous=_viscous(read_field(data, "viscous", _object), cfg))
+        cfg = replace(cfg, viscous=_viscous(_need(top, "viscous", "scenario"), cfg))
     if command in ("synth", "invert"):
-        cfg = _inversion(read_field(data, "inversion", _object), cfg, command, seed)
+        cfg = _inversion(_need(top, "inversion", "scenario"), cfg, command, seed)
     if seed is not None and command != "synth":
         cfg = replace(cfg, seed=seed)
     return cfg
@@ -515,8 +622,9 @@ def write_chain_csv(path: str, run: PosteriorRun, thin: int = 1) -> None:
 
 
 def write_observations_json(path: str, obs: ObservationSet) -> None:
-    write_json(path, obs.to_spec())
+    """``obs`` as an observations block: its fields, those that are set."""
+    write_json(path, {key: value for key, value in vars(obs).items() if value is not None})
 
 
 def read_observations_json(path: str) -> ObservationSet:
-    return ObservationSet.from_spec(load_config(path))
+    return ObservationSet(**_read_block(load_config(path), "observations"))

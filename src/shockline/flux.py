@@ -23,14 +23,23 @@ DOMAIN_TOL = 1e-9
 # Most waves the Riemann table of one piecewise-linear flux holds; once a
 # solution no longer fits, it is still solved but not stored.
 RIEMANN_TABLE_WAVES = 4096
+# Finest dyadic level: 2**20 + 1 = 1,048,577 grid points (8 MB per float
+# array) on each unit of a domain.  Every level doubles that, so a level
+# of 30 would ask for about 8.6 GB per node array.
+MAX_LEVEL = 20
 
 ArrayLike = Union[float, Sequence[float], np.ndarray]
 
 
+def check_level(level: int) -> None:
+    """Raise ValueError unless ``level`` is a dyadic level from 0 to MAX_LEVEL."""
+    if not 0 <= level <= MAX_LEVEL:
+        raise ValueError(f"level must be in [0, {MAX_LEVEL}], got {level}")
+
+
 def dyadic_points(level: int, lo: float = 0.0, hi: float = 1.0) -> np.ndarray:
     """Grid j/2**level intersected with [lo, hi], endpoints included."""
-    if level < 0:
-        raise ValueError(f"level must be >= 0, got {level}")
+    check_level(level)
     step = 2.0 ** (-level)
     j_lo = int(np.ceil(lo / step - 1e-12))
     j_hi = int(np.floor(hi / step + 1e-12))
@@ -123,9 +132,6 @@ class TrafficQuadraticFlux(_FluxBase):
 
     deriv_left = deriv_right
 
-    def to_spec(self) -> dict:
-        return {"kind": "traffic-quadratic", "w_max": self.w_max, "rho_max": self.rho_max}
-
 
 @dataclass(frozen=True)
 class BurgersQuadraticFlux(_FluxBase):
@@ -147,9 +153,6 @@ class BurgersQuadraticFlux(_FluxBase):
 
     deriv_left = deriv_right
 
-    def to_spec(self) -> dict:
-        return {"kind": "burgers-quadratic"}
-
 
 @dataclass(frozen=True)
 class _NodeTable(_FluxBase):
@@ -159,13 +162,11 @@ class _NodeTable(_FluxBase):
     entries, and values finite.  Both node arrays are read-only copies of
     the caller's, so nothing derived from them can drift from the stored
     geometry: the slopes, the Lipschitz norm (the largest absolute slope)
-    and the cached node lists.  ``kind`` names the table in ``to_spec``.
+    and the cached node lists.
     """
 
     breakpoints: np.ndarray
     values: np.ndarray
-
-    kind = ""
 
     def __post_init__(self):
         bp = np.array(self.breakpoints, dtype=float)
@@ -225,13 +226,6 @@ class _NodeTable(_FluxBase):
         x0, x1, y0, y1 = bx[k - 1], bx[k], by[k - 1], by[k]
         return (y1 - y0) / (x1 - x0) * (x - x0) + y0
 
-    def to_spec(self) -> dict:
-        return {
-            "kind": self.kind,
-            "breakpoints": [float(x) for x in self.breakpoints],
-            "values": [float(y) for y in self.values],
-        }
-
 
 @dataclass(frozen=True)
 class PiecewiseLinearFlux(_NodeTable):
@@ -241,8 +235,6 @@ class PiecewiseLinearFlux(_NodeTable):
     the table of its Riemann solutions; every copy or pickle starts without
     them.
     """
-
-    kind = "piecewise-linear"
 
     @cached_property
     def _chains(self) -> dict:
@@ -290,23 +282,6 @@ class PiecewiseLinearFlux(_NodeTable):
 
 
 FluxFunction = Union[TrafficQuadraticFlux, BurgersQuadraticFlux, PiecewiseLinearFlux]
-
-
-def flux_from_spec(spec: dict) -> FluxFunction:
-    """Rebuild a flux from its JSON form (inverse of to_spec)."""
-    kind = spec.get("kind")
-    if kind == "traffic-quadratic":
-        return TrafficQuadraticFlux(
-            w_max=float(spec.get("w_max", 1.0)), rho_max=float(spec.get("rho_max", 1.0))
-        )
-    if kind == "burgers-quadratic":
-        return BurgersQuadraticFlux()
-    if kind == "piecewise-linear":
-        return PiecewiseLinearFlux(
-            np.asarray(spec["breakpoints"], dtype=float),
-            np.asarray(spec["values"], dtype=float),
-        )
-    raise ValueError(f"unknown flux kind: {kind!r}")
 
 
 def piecewise_linearize(flux: FluxFunction, level: int) -> PiecewiseLinearFlux:
@@ -508,15 +483,10 @@ class LinearTrafficVelocity:
         """Strictly decreasing, vanishing at rho_max, finite Lipschitz norm."""
         return True
 
-    def to_spec(self) -> dict:
-        return {"kind": "linear-traffic", "w_max": self.w_max, "rho_max": self.rho_max}
-
 
 @dataclass(frozen=True)
 class TableVelocity(_NodeTable):
     """Piecewise-linear velocity given by node values on [0, rho_max]."""
-
-    kind = "table"
 
     def is_admissible(self) -> bool:
         """Strictly decreasing with w(rho_max) = 0 (within 1e-14)."""
@@ -524,20 +494,6 @@ class TableVelocity(_NodeTable):
 
 
 VelocityFunction = Union[LinearTrafficVelocity, TableVelocity]
-
-
-def velocity_from_spec(spec: dict) -> VelocityFunction:
-    kind = spec.get("kind")
-    if kind == "linear-traffic":
-        return LinearTrafficVelocity(
-            w_max=float(spec.get("w_max", 1.0)), rho_max=float(spec.get("rho_max", 1.0))
-        )
-    if kind == "table":
-        return TableVelocity(
-            np.asarray(spec["breakpoints"], dtype=float),
-            np.asarray(spec["values"], dtype=float),
-        )
-    raise ValueError(f"unknown velocity kind: {kind!r}")
 
 
 def traffic_flux_from_velocity(w: VelocityFunction, level: int) -> PiecewiseLinearFlux:

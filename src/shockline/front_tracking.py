@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .flux import PiecewiseLinearFlux, _riemann_waves
+from .flux import PiecewiseLinearFlux, _riemann_waves, check_level
 
 # Fronts within this distance of a collision point at the collision time
 # join it as one multi-front collision; slices merge fronts this close into
@@ -108,24 +108,10 @@ class StepFunction:
     def translate(self, dx: float) -> "StepFunction":
         return StepFunction(self.breakpoints + dx, self.values.copy())
 
-    def to_spec(self) -> dict:
-        return {
-            "breakpoints": [float(x) for x in self.breakpoints],
-            "values": [float(v) for v in self.values],
-        }
-
-    @classmethod
-    def from_spec(cls, spec: dict) -> "StepFunction":
-        return cls(
-            np.asarray(spec["breakpoints"], dtype=float),
-            np.asarray(spec["values"], dtype=float),
-        )
-
 
 def quantize_step(v: StepFunction, level: int) -> StepFunction:
     """Snap values down to the grid j/2**level (floor rule)."""
-    if level < 0:
-        raise ValueError("level must be >= 0")
+    check_level(level)
     scale = 2.0 ** level
     return StepFunction(v.breakpoints.copy(), np.floor(v.values * scale) / scale)
 

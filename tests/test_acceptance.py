@@ -7,12 +7,12 @@ a failed criterion shows up as the test failure itself.
 
 import json
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from shockline.bayes import (
-    ObservationSet,
     PriorSpec,
     TrajectoryForward,
     hellinger_between,
@@ -387,9 +387,7 @@ def test_criterion_17_data_perturbation_continuity(report):
     obs = synth_observations(forward, truth, gamma, seed=2)
     values = []
     for delta in (0.1 * gamma, 0.01 * gamma, 0.001 * gamma):
-        spec = obs.to_spec()
-        spec["values"] = [v + delta for v in spec["values"]]
-        shifted = ObservationSet.from_spec(spec)
+        shifted = replace(obs, values=obs.values + delta)
         est = hellinger_between(prior, obs, forward, forward, n_samples=500,
                                 seed=0, obs_b=shifted)
         values.append(est.value)

@@ -28,6 +28,7 @@ from shockline.bayes import (
     shock_containment_fraction,
     synth_observations,
 )
+from shockline.config import read_observations_json, write_observations_json
 from shockline.flux import (
     LinearTrafficVelocity,
     TableVelocity,
@@ -152,26 +153,23 @@ def test_non_psd_covariance_is_rejected():
         prior.factor
 
 
-def test_prior_spec_round_trip():
-    prior = PriorSpec(kind="velocity", n=12, length_scale=0.3, amplitude=0.7,
-                      window=(0.0, 1.0), mean=0.1, w_max=0.9)
-    again = PriorSpec.from_spec(prior.to_spec())
-    assert again == prior
-
-
-def test_observation_set_round_trip_and_validation():
+def test_observation_set_round_trip_and_validation(tmp_path):
+    path = str(tmp_path / "observations.json")
     obs = ObservationSet(
         kind="pointwise", values=[0.1, 0.2], noise_std=0.05,
-        times=[0.5, 1.0], positions=[0.0, 0.3],
+        times=[0.5, 1.0], positions=[0.0, 0.3], meta={"any": {"free": [1, "form"]}},
     )
-    again = ObservationSet.from_spec(obs.to_spec())
+    write_observations_json(path, obs)
+    again = read_observations_json(path)
     assert np.array_equal(again.values, obs.values)
     assert np.array_equal(again.positions, obs.positions)
+    assert again.radius is None and again.meta == obs.meta
     ball = ObservationSet(
         kind="ball-average", values=[0.1], noise_std=0.05, times=[0.5], positions=[0.2],
         radius=0.1,
     )
-    assert ObservationSet.from_spec(ball.to_spec()).radius == 0.1
+    write_observations_json(path, ball)
+    assert read_observations_json(path).radius == 0.1
     for bad in (
         dict(noise_std=0.0),
         dict(noise_std=np.nan),
@@ -236,15 +234,14 @@ def test_observations_fit_only_the_geometry_they_were_made_for(make):
     prior, fwd = make()
     obs = synth_observations(fwd, prior.transform(np.zeros(prior.n)), 0.0)
     check_observations_fit(obs, fwd)
-    spec = obs.to_spec()
     other_kind = "trajectory" if obs.kind != "trajectory" else "pointwise"
-    changes = [{"kind": other_kind}, {"times": [t + 0.125 for t in spec["times"]]},
-               {"positions": [0.25] * len(spec["times"])}, {"radius": 0.5}]
-    if "positions" in spec:
-        changes.append({"positions": [x + 1.0 for x in spec["positions"]]})
+    changes = [{"kind": other_kind}, {"times": obs.times + 0.125},
+               {"positions": [0.25] * obs.times.size}, {"radius": 0.5}]
+    if obs.positions is not None:
+        changes.append({"positions": obs.positions + 1.0})
     for change in changes:
         with pytest.raises(ValueError, match=f"observation {next(iter(change))} "):
-            check_observations_fit(ObservationSet.from_spec(dict(spec, **change)), fwd)
+            check_observations_fit(replace(obs, **change), fwd)
 
 
 def test_viscous_forward_rejects_unusable_solver_settings():

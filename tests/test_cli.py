@@ -5,12 +5,21 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from shockline.bayes import PriorSpec, TrajectoryForward, hellinger_between, synth_observations
 from shockline import cli, experiments
 from shockline.cli import main
-from shockline.config import read_slice_csv, write_slice_csv
-from shockline.flux import LinearTrafficVelocity
+from shockline.config import ConfigError, load_scenario, read_slice_csv, write_slice_csv
+from shockline.flux import (
+    MAX_LEVEL,
+    BurgersQuadraticFlux,
+    LinearTrafficVelocity,
+    PiecewiseLinearFlux,
+    TableVelocity,
+    TrafficQuadraticFlux,
+)
 from shockline.front_tracking import StepFunction, l1_distance
 
 VELOCITY = {"kind": "linear-traffic", "w_max": 1.0, "rho_max": 1.0}
@@ -306,6 +315,77 @@ def with_synthetic(**fields):
     return with_inversion(synthetic=dict(INVERT_CFG["inversion"]["synthetic"], **fields))
 
 
+def with_prior(**fields):
+    return with_inversion(prior=dict(INVERT_CFG["inversion"]["prior"], **fields))
+
+
+def with_sampler(**fields):
+    return with_inversion(sampler=dict(INVERT_CFG["inversion"]["sampler"], **fields))
+
+
+@pytest.mark.parametrize("command, cfg, message", [
+    ("solve", dict(SOLVE_CFG, level=6.99), "bad 'level' in the scenario: must be an integer, "
+                                           "not 6.99"),
+    ("solve", dict(SOLVE_CFG, level=True), "bad 'level' in the scenario: must be an integer, "
+                                           "not a boolean"),
+    ("solve", dict(SOLVE_CFG, level="7"), "bad 'level' in the scenario: must be an integer, "
+                                          "not a string"),
+    ("solve", dict(SOLVE_CFG, horizon="1.5"), "bad 'horizon' in the scenario: must be a number, "
+                                              "not a string"),
+    ("solve", dict(SOLVE_CFG, initial={"breakpoints": [0.0], "values": ["0.3", True]}),
+     "bad 'values' in the initial block: must be a number, not a string"),
+    ("solve", dict(SOLVE_CFG, initial={"breakpoints": [0.0], "values": [0.3, True]}),
+     "bad 'values' in the initial block: must be a number, not a boolean"),
+    ("solve", dict(SOLVE_CFG, velocity=dict(VELOCITY, w_max="2")),
+     "bad 'w_max' in the velocity block: must be a number, not a string"),
+    ("viscous", dict(VISCOUS_CFG, viscous=dict(VISCOUS_CFG["viscous"], n_cells=400.5)),
+     "bad 'n_cells' in the viscous block: must be an integer, not 400.5"),
+    ("invert", with_prior(lenght_scale=0.5), "bad prior block: unknown key 'lenght_scale'"),
+    ("invert", with_sampler(chain_lenght=10), "bad sampler block: unknown key 'chain_lenght'"),
+    ("invert", with_sampler(seed=1), "bad sampler block: unknown key 'seed'"),
+    ("solve", dict(SOLVE_CFG, horizn=2.0), "bad scenario: unknown key 'horizn'"),
+    ("solve", dict(SOLVE_CFG, velocity=dict(VELOCITY, kind="linear")),
+     "bad velocity block: kind 'linear' is not one of linear-traffic, table"),
+    ("solve", dict(SOLVE_CFG, velocity=dict(VELOCITY, breakpoints=[0.0, 1.0])),
+     "bad velocity block: LinearTrafficVelocity.__init__() got an unexpected keyword "
+     "argument 'breakpoints'"),
+    ("solve", dict(SOLVE_CFG, level=MAX_LEVEL + 1),
+     f"bad 'level' in the scenario: level must be in [0, {MAX_LEVEL}], got {MAX_LEVEL + 1}"),
+    ("invert", with_inversion(forward=dict(INVERT_CFG["inversion"]["forward"],
+                                           level=MAX_LEVEL + 1)),
+     "bad 'level' in the forward block: level must be in"),
+    ("invert", with_inversion(sampler={"chain_length": 20, "beta": 0.2},
+                              ladder={"levels": [3, MAX_LEVEL + 1]}),
+     "bad 'levels' in the ladder block: level must be in"),
+    ("invert", with_inversion(sampler={"chain_length": 20, "beta": 0.2},
+                              ladder={"levels": [3], "reference": MAX_LEVEL + 1}),
+     "bad 'reference' in the ladder block: level must be in"),
+], ids=["fractional_level", "boolean_level", "string_level", "string_horizon",
+        "string_initial_value", "boolean_initial_value", "string_w_max", "fractional_n_cells",
+        "misspelt_prior_key", "misspelt_sampler_key", "sampler_seed", "misspelt_scenario_key",
+        "unknown_velocity_kind", "key_of_another_velocity_kind", "level_past_the_bound",
+        "forward_level_past_the_bound", "ladder_level_past_the_bound",
+        "reference_level_past_the_bound"])
+def test_malformed_fields_exit_2_before_any_solve_naming_block_and_field(
+        tmp_path, capsys, monkeypatch, command, cfg, message):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a solver ran on a config that should be rejected")
+
+    for name in ("evolve", "solve_viscous", "run_pcn", "synth_observations"):
+        monkeypatch.setattr(cli, name, no_solve)
+    path = write_cfg(tmp_path, cfg)
+    assert main([command, "--config", path, "--out", str(tmp_path / "o")]) == 2
+    assert f"config error: {message}" in capsys.readouterr().err
+
+
+def test_a_scenario_shared_by_every_command_keeps_its_other_blocks(tmp_path):
+    shared = dict(STABILITY_CFG, viscous=VISCOUS_CFG["viscous"],
+                  inversion=LADDER_CFG["inversion"])
+    path = write_cfg(tmp_path, shared)
+    for command in cli.COMMANDS:
+        assert load_scenario(path, command).horizon == 2.0
+
+
 MALFORMED_SYNTHETIC = {
     "noise_std_not_a_number": with_synthetic(noise_std="x"),
     "negative_noise_std": with_synthetic(noise_std=-1),
@@ -429,7 +509,7 @@ def test_invert_ladder_rows_match_pairwise_estimates(tmp_path):
     assert main(["invert", "--config", cfg, "--out", str(out)]) == 0
     summary = json.loads((out / "summary.json").read_text())
     inv = LADDER_CFG["inversion"]
-    prior = PriorSpec.from_spec(inv["prior"])
+    prior = PriorSpec(kind="initial-field", n=16, window=(-1.0, 1.5))
     w = LinearTrafficVelocity(1.0, 1.0)
     times = tuple(inv["forward"]["times"])
 
@@ -587,13 +667,9 @@ def test_solve_restart_matches_direct_run(tmp_path):
     assert l1_distance(final_direct, final_restart, (-4.0, 5.0)) <= 1e-10
 
 
-# Every run of a single-field mutation of the configs above exits 0, 2 or 4,
-# except these runs, which fail for a reason only the run can find.
-RUNTIME_FAILURES = {
-    # x0 = true reads as a car at x0 = 1.0, a valid start that no perturbation
-    # of the ladder reaches, so the rate fit gets no usable rung
-    ("stability", "particle.x0", "true"),
-}
+# Runs of a single-field mutation of the configs above that fail for a
+# reason only the run can find (exit 3): none; every run exits 0, 2 or 4.
+RUNTIME_FAILURES = set()
 MUTATED_CONFIGS = [("solve", SOLVE_CFG), ("track", TRACK_CFG), ("stability", STABILITY_CFG),
                    ("viscous", VISCOUS_CFG), ("invert", INVERT_CFG), ("invert", LADDER_CFG)]
 MUTATIONS = [-1, 0, 0.5, "x", None, [], {}, float("nan"), float("inf"), True]
@@ -633,3 +709,87 @@ def test_single_field_mutations_exit_3_only_for_runtime_failures(tmp_path, capsy
     capsys.readouterr()
     assert runs == 1110
     assert exit_3 == RUNTIME_FAILURES
+
+
+def test_flux_blocks_build_their_flux(tmp_path):
+    base = {k: v for k, v in SOLVE_CFG.items() if k != "velocity"}
+    for spec, want in [
+        ({"kind": "traffic-quadratic"}, TrafficQuadraticFlux(1.0, 1.0)),
+        ({"kind": "traffic-quadratic", "w_max": 2, "rho_max": 1.0}, TrafficQuadraticFlux(2.0)),
+        ({"kind": "burgers-quadratic"}, BurgersQuadraticFlux()),
+        ({"kind": "piecewise-linear", "breakpoints": [0.0, 0.5, 1.0], "values": [0, 1, 0]},
+         PiecewiseLinearFlux(np.array([0.0, 0.5, 1.0]), np.array([0.0, 1.0, 0.0]))),
+    ]:
+        flux = load_scenario(write_cfg(tmp_path, dict(base, flux=spec)), "solve").flux
+        assert type(flux) is type(want)
+        for x in np.linspace(*want.domain, 17):
+            assert flux(x) == want(x)
+    with pytest.raises(ConfigError, match="kind 'cubic' is not one of"):
+        load_scenario(write_cfg(tmp_path, dict(base, flux={"kind": "cubic"})), "solve")
+
+
+def test_velocity_blocks_build_their_velocity(tmp_path):
+    for spec, want in [
+        ({"kind": "linear-traffic", "w_max": 0.8}, LinearTrafficVelocity(0.8, 1.0)),
+        ({"kind": "table", "breakpoints": [0.0, 0.5, 1.0], "values": [1.0, 0.4, 0.0]},
+         TableVelocity(np.array([0.0, 0.5, 1.0]), np.array([1.0, 0.4, 0.0]))),
+    ]:
+        w = load_scenario(write_cfg(tmp_path, dict(SOLVE_CFG, velocity=spec)), "solve").velocity
+        assert type(w) is type(want)
+        for r in np.linspace(0, 1, 17):
+            assert w(r) == want(r)
+
+
+def test_prior_block_builds_its_prior(tmp_path):
+    prior = {"kind": "velocity", "n": 12, "length_scale": 0.3, "amplitude": 0.7,
+             "window": [0, 1], "mean": 0.1, "w_max": 0.9}
+    cfg = dict(INVERT_CFG, inversion={
+        "prior": prior, "forward": {"kind": "velocity-trajectory", "times": [0.5, 1.0]},
+        "synthetic": {"truth_latent": [0.0] * 12}})
+    got = load_scenario(write_cfg(tmp_path, cfg), "synth").prior
+    assert got == PriorSpec(kind="velocity", n=12, length_scale=0.3, amplitude=0.7,
+                            window=(0.0, 1.0), mean=0.1, w_max=0.9)
+    truth = {"truth": {"breakpoints": [0.0], "values": [0.3, 0.7]}}
+    cfg = with_inversion(prior={}, synthetic=truth)
+    assert load_scenario(write_cfg(tmp_path, cfg), "synth").prior == PriorSpec()
+
+
+def field_paths(node, path=()):
+    """Paths to every field of a config, blocks included, and to the first
+    element of each list."""
+    if path:
+        yield path
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from field_paths(value, path + (key,))
+    elif isinstance(node, list) and node:
+        yield path + (0,)
+
+
+REPLACED_FIELDS = [(command, base, at) for command, base in MUTATED_CONFIGS
+                   for at in field_paths(base)]
+# JSON values of every type; integers, integral floats among them, stay
+# within the level bound, so no replacement asks for an outsized grid
+SMALL_INTEGERS = st.integers(-MAX_LEVEL, MAX_LEVEL)
+JSON_SCALARS = st.one_of(
+    SMALL_INTEGERS, SMALL_INTEGERS.map(float), st.floats().filter(lambda x: not x.is_integer()),
+    st.booleans(), SMALL_INTEGERS.map(str), st.sampled_from(["0.5", "-1e3", "NaN"]),
+    st.text(max_size=4), st.none(),
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=2),
+    max_leaves=4,
+)
+
+
+@given(st.sampled_from(REPLACED_FIELDS), JSON_VALUES)
+def test_single_field_replacements_load_or_raise_config_error(tmp_path_factory, field, value):
+    command, base, at = field
+    path = tmp_path_factory.getbasetemp() / "replaced.json"
+    path.write_text(json.dumps(mutated(base, at, value)))
+    try:
+        load_scenario(str(path), command)
+    except ConfigError:
+        pass

@@ -15,6 +15,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from shockline.flux import (
+    MAX_LEVEL,
     BurgersQuadraticFlux,
     LinearTrafficVelocity,
     PiecewiseLinearFlux,
@@ -22,14 +23,14 @@ from shockline.flux import (
     TrafficQuadraticFlux,
     concave_envelope,
     convex_envelope,
+    check_level,
     dyadic_points,
-    flux_from_spec,
     lipschitz_distance,
     piecewise_linearize,
     traffic_flux_from_velocity,
-    velocity_from_spec,
     _merge_collinear,
 )
+from shockline.front_tracking import StepFunction, quantize_step
 
 
 def hull_value_oracle(xs, ys, x, lower=True):
@@ -284,9 +285,7 @@ def test_flux_nodes_are_read_only_copies(cls):
     assert f.at(0.5) == 0.25
 
 
-@pytest.mark.parametrize("from_spec, kind", [
-    (flux_from_spec, "piecewise-linear"), (velocity_from_spec, "table"),
-], ids=["flux", "velocity"])
+@pytest.mark.parametrize("make", [PiecewiseLinearFlux, TableVelocity], ids=["flux", "velocity"])
 @pytest.mark.parametrize("breakpoints, values", [
     ([0.0, 1.0], [1.0]),
     ([[0.0, 1.0]], [[1.0, 0.0]]),
@@ -299,10 +298,28 @@ def test_flux_nodes_are_read_only_copies(cls):
     ([-np.inf, 0.5, 1.0], [1.0, 0.5, 0.0]),
 ], ids=["short-values", "2-d", "one-node", "repeated-node", "nan-value", "inf-value",
         "inf-breakpoint", "nan-breakpoint", "minus-inf-breakpoint"])
-def test_node_tables_reject_bad_nodes(from_spec, kind, breakpoints, values):
-    spec = {"kind": kind, "breakpoints": breakpoints, "values": values}
+def test_node_tables_reject_bad_nodes(make, breakpoints, values):
     with pytest.raises(ValueError):
-        from_spec(spec)
+        make(breakpoints, values)
+
+
+def test_levels_past_the_bound_raise_before_any_array_is_built(monkeypatch):
+    check_level(0)
+    check_level(MAX_LEVEL)
+    step = StepFunction([0.0], [0.25, 0.5])
+
+    def no_array(*args, **kwargs):
+        raise AssertionError("an array was built")
+
+    for name in ("arange", "floor", "asarray", "array", "concatenate"):
+        monkeypatch.setattr(np, name, no_array)
+    calls = [check_level, dyadic_points, lambda n: quantize_step(step, n),
+             lambda n: piecewise_linearize(TrafficQuadraticFlux(), n),
+             lambda n: traffic_flux_from_velocity(LinearTrafficVelocity(), n)]
+    for call in calls:
+        for level in (MAX_LEVEL + 1, -1):
+            with pytest.raises(ValueError, match=rf"level must be in \[0, {MAX_LEVEL}\]"):
+                call(level)
 
 
 @st.composite
@@ -396,19 +413,6 @@ def test_lipschitz_distance_matches_pair_oracle():
         )
 
 
-def test_flux_spec_round_trip():
-    for f in (
-        TrafficQuadraticFlux(1.0, 1.0),
-        BurgersQuadraticFlux(),
-        PiecewiseLinearFlux(np.array([0.0, 0.5, 1.0]), np.array([0.0, 1.0, 0.0])),
-    ):
-        g = flux_from_spec(f.to_spec())
-        for x in np.linspace(*f.domain, 17):
-            assert g(x) == pytest.approx(f(x), abs=1e-15)
-    with pytest.raises(ValueError):
-        flux_from_spec({"kind": "cubic"})
-
-
 def test_linear_velocity_is_admissible():
     w = LinearTrafficVelocity(1.0, 1.0)
     assert w.is_admissible()
@@ -424,16 +428,6 @@ def test_table_velocity_admissibility_flag():
     assert not flat.is_admissible()
     nonzero_end = TableVelocity(np.array([0.0, 1.0]), np.array([1.0, 0.1]))
     assert not nonzero_end.is_admissible()
-
-
-def test_velocity_spec_round_trip():
-    for w in (
-        LinearTrafficVelocity(0.8, 1.0),
-        TableVelocity(np.array([0.0, 0.5, 1.0]), np.array([1.0, 0.4, 0.0])),
-    ):
-        back = velocity_from_spec(w.to_spec())
-        for r in np.linspace(0, 1, 17):
-            assert back(r) == pytest.approx(w(r), abs=1e-15)
 
 
 def test_traffic_flux_from_linear_velocity_matches_quadratic():

@@ -2,6 +2,8 @@
 parameter of a function is used in its body, and every dataclass field is
 read somewhere in the project.  ``cli`` raises no ``ConfigError`` and
 catches no ``ValueError``: whether a config is valid is ``config``'s call.
+No module but ``config`` reads JSON or defines a spec reader or writer:
+the scenario format is ``config``'s alone.
 
 ``__init__`` is left out, since its imports are the package's re-exports,
 and so is ``from __future__ import annotations``.
@@ -166,3 +168,40 @@ def test_config_decisions_are_found():
 def test_cli_leaves_config_validity_to_config():
     tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
     assert list(config_decisions(tree)) == []
+
+
+def format_code(tree):
+    """Lines that define ``to_spec``, ``from_spec`` or ``*_from_spec``, or
+    call or import ``json.load`` or ``json.loads``."""
+    readers = {"load", "loads"}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if node.name in ("to_spec", "from_spec") or node.name.endswith("_from_spec"):
+                yield node.lineno
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            if node.func.attr in readers and getattr(node.func.value, "id", None) == "json":
+                yield node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module == "json":
+            if readers & {alias.name for alias in node.names}:
+                yield node.lineno
+
+
+def test_format_code_is_found():
+    tree = ast.parse(
+        "import json\n"
+        "from json import loads\n"
+        "class A:\n"
+        "    def to_spec(self): return json.dumps({})\n"
+        "    @classmethod\n"
+        "    def from_spec(cls, s): return json.load(s)\n"
+        "def flux_from_spec(s): return s\n"
+        "def spec(s): return json.loads(s)\n"
+    )
+    assert sorted(format_code(tree)) == [2, 4, 6, 6, 7, 8]
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")
+                                    if p.name != "config.py"))
+def test_only_config_reads_and_writes_the_scenario_format(module):
+    tree = ast.parse((SRC / module).read_text(encoding="utf-8"))
+    assert list(format_code(tree)) == []
