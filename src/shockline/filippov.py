@@ -5,7 +5,7 @@ front it either crosses (the downstream flow carries it away) or sticks
 (the front speed lies between the one-sided flow speeds), in which case it
 travels with the front until the front dies in a collision.
 
-The tracker reads the solution's front arrays and replays its event log
+The tracker reads the solution's front lists and replays its event log
 once through the same live-front list that ``evolve`` keeps, maintaining
 the two fronts bracketing the particle, so its cost is linear in the
 number of events plus crossings.
@@ -109,11 +109,7 @@ def track(
     T = min(T, solution.horizon)
 
     w = velocity.at
-    bt = solution.birth_times.tolist()
-    bx = solution.birth_positions.tolist()
-    spd = solution.speeds.tolist()
-    lv = solution.left_values.tolist()
-    rv = solution.right_values.tolist()
+    bt, bx, spd, lv, rv, _ = solution.front_lists
     far_left = solution.initial.far_left
 
     live = _LiveFronts()

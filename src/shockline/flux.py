@@ -376,9 +376,13 @@ def _riemann_waves(flux: PiecewiseLinearFlux, v_l: float, v_r: float) -> tuple:
     When both states are nodes of the flux's chain of that sign and no node
     strictly between them is flagged bad, ``_hull`` would keep that run of
     the chain as it is, so the waves are read off the cached chain slopes.
-    The outermost states are the caller's, so a signed zero survives.  Every
-    other miss calls the envelope once, through its module-level name, so a
-    wrapper put there sees each of those solves.
+    The outermost states are the caller's, so a signed zero survives.
+
+    When both states lie in the domain and no chain node lies strictly
+    between them, the envelope is their chord, as in ``_hull``'s chord
+    branch: one wave whose speed is the difference quotient of ``at`` at the
+    two states.  Every other miss calls the envelope once, through its
+    module-level name, so a wrapper put there sees each of those solves.
 
     The solution depends only on the flux and the two states, so it is kept
     in the flux's capped Riemann table and the stored tuple itself is
@@ -408,6 +412,10 @@ def _riemann_waves(flux: PiecewiseLinearFlux, v_l: float, v_r: float) -> tuple:
             waves = tuple(zip(slopes[p:q], lefts, rights))
         else:
             waves = tuple(zip(reversed(slopes[p:q]), reversed(rights), reversed(lefts)))
+    elif xs[0] <= a < b <= xs[-1] and q == p + (xs[p] == a):
+        a, b = float(a), float(b)
+        speed = (flux.at(b) - flux.at(a)) / (b - a)
+        waves = ((speed, a, b),) if sign > 0 else ((speed, b, a),)
     else:
         xs, ys = envelope(flux, a, b)
         waves = [

@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from heapq import heappush, heappop
 from math import inf, isfinite
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -209,33 +210,78 @@ class ShockCatalog:
         return self.min_distance(x, t) <= delta
 
 
+class FrontLists(NamedTuple):
+    """The six front columns of a solution as float lists, indexed by front number."""
+
+    birth_times: list
+    birth_positions: list
+    speeds: list
+    left_values: list
+    right_values: list
+    death_times: list
+
+
+def _column_array(index: int) -> cached_property:
+    """Front list ``index`` as a read-only float array, built on first access and cached."""
+
+    def column(solution) -> np.ndarray:
+        array = np.array(solution.front_lists[index], dtype=float)
+        array.setflags(write=False)
+        return array
+
+    return cached_property(column)
+
+
 class FrontTrackingSolution:
     """Event-complete front-tracking solution on [0, horizon].
 
-    Fronts are stored once, one float array per quantity and indexed by
-    front number: ``birth_times``, ``birth_positions``, ``speeds``,
-    ``left_values``, ``right_values`` and ``death_times`` (inf while the
-    front lives to the horizon).
+    Fronts are stored once, as ``front_lists``: one float list per quantity,
+    indexed by front number (``birth_times``, ``birth_positions``,
+    ``speeds``, ``left_values``, ``right_values`` and ``death_times``, inf
+    while the front lives to the horizon).  The attributes of those names
+    are read-only float arrays of the lists, built on first access.  The
+    constructor converts any six 1-D columns of equal length to float lists
+    once; ``evolve`` hands over its own lists.
     """
+
+    birth_times = _column_array(0)
+    birth_positions = _column_array(1)
+    speeds = _column_array(2)
+    left_values = _column_array(3)
+    right_values = _column_array(4)
+    death_times = _column_array(5)
 
     def __init__(
         self, initial, flux, horizon, events, *,
         birth_times, birth_positions, speeds, left_values, right_values, death_times,
     ):
+        columns = [
+            np.asarray(c, dtype=float)
+            for c in (birth_times, birth_positions, speeds, left_values, right_values, death_times)
+        ]
+        if any(c.ndim != 1 for c in columns):
+            raise ValueError("front columns must be 1-D")
+        self._store(initial, flux, horizon, events, FrontLists(*(c.tolist() for c in columns)))
+
+    @classmethod
+    def _of_lists(cls, initial, flux, horizon, events, front_lists: FrontLists):
+        """A solution that keeps ``front_lists`` as its store, without a copy."""
+        solution = cls.__new__(cls)
+        solution._store(initial, flux, horizon, events, front_lists)
+        return solution
+
+    def _store(self, initial, flux, horizon, events, front_lists: FrontLists) -> None:
+        if len({len(c) for c in front_lists}) > 1:
+            raise ValueError(f"front columns differ in length: {[len(c) for c in front_lists]}")
         self.initial: StepFunction = initial
         self.flux: PiecewiseLinearFlux = flux
         self.horizon: float = horizon
         self.events: list[FrontEvent] = events
-        self.birth_times = np.asarray(birth_times, dtype=float)
-        self.birth_positions = np.asarray(birth_positions, dtype=float)
-        self.speeds = np.asarray(speeds, dtype=float)
-        self.left_values = np.asarray(left_values, dtype=float)
-        self.right_values = np.asarray(right_values, dtype=float)
-        self.death_times = np.asarray(death_times, dtype=float)
+        self.front_lists = front_lists
 
     @property
     def front_count(self) -> int:
-        return self.speeds.size
+        return len(self.front_lists.speeds)
 
     @property
     def collision_count(self) -> int:
@@ -447,8 +493,6 @@ def evolve(
                 "raise event_cap or coarsen the flux level"
             )
 
-    return FrontTrackingSolution(
-        initial, flux, horizon, events,
-        birth_times=birth_t, birth_positions=birth_x, speeds=spd,
-        left_values=lv, right_values=rv, death_times=death,
+    return FrontTrackingSolution._of_lists(
+        initial, flux, horizon, events, FrontLists(birth_t, birth_x, spd, lv, rv, death)
     )

@@ -35,9 +35,10 @@ def test_traced_boundaries_exist():
 # Installs the wrappers in a fresh interpreter, since they replace module
 # attributes for the rest of the process, and prints the span count by name
 # after each of two runs.  The first is a level-4 traffic solve and track:
-# its concave fan is read off the flux's chain, and its convex chord takes
-# the envelope.  The second is a fan across the inflection of a non-concave
-# rho*w(rho) flux, whose concave envelope must bridge the convex kink.
+# its concave fan is read off the flux's chain and its convex chord off the
+# chain's two ends, so it calls no envelope.  The second is a fan across the
+# inflection of a non-concave rho*w(rho) flux, whose concave envelope must
+# bridge the convex kink.
 TRACED_RUN = """
 import importlib.util, json, sys
 import numpy as np
@@ -72,7 +73,7 @@ def test_traced_boundaries_are_called():
         capture_output=True, text=True, env=env, timeout=120, check=True,
     )
     calls, total = json.loads(run.stdout)
-    assert calls["flux.envelope"] > 0
+    assert calls["flux.envelope"] == 0
     assert calls["front_tracking.evolve"] == 1
     assert calls["filippov.track"] == 1
     assert total["flux.envelope"] > calls["flux.envelope"]

@@ -31,10 +31,12 @@ from shockline.flux import (
     traffic_flux_from_velocity,
 )
 from shockline import flux as flux_module
+from shockline.filippov import track
 from shockline.front_tracking import (
     EVENT_SPACE_TOL,
     EventCapError,
     FrontEvent,
+    FrontLists,
     FrontTrackingSolution,
     _LiveFronts,
     StepFunction,
@@ -380,11 +382,16 @@ def test_riemann_misses_route_clean_chain_runs_past_the_envelope(monkeypatch):
     # rho*w(rho) has a convex kink at 0.5: the concave chain skips it, and
     # its neighbour 0.5625 is flagged, since the envelope bridges the dip
     inflected = traffic_flux_from_velocity(TableVelocity([0.0, 0.5, 1.0], [2.0, 0.25, 0.0]), 4)
-    cases = [  # (flux, v_l, v_r, envelope calls, waves); clean chain runs call none
-        (TRAFFIC3, 0.125, 0.875, ["convex_envelope"], 1),  # states off the convex chain
+    below = -0.5 * DOMAIN_TOL
+    cases = [  # (flux, v_l, v_r, envelope calls, waves); clean chain runs and chords call none
+        (TRAFFIC3, 0.125, 0.875, [], 1),  # a chord: no convex chain node between the states
         (TRAFFIC3, 0.875, 0.125, [], 6),
         (burgers3, -0.5, 0.5, [], 8),
-        (burgers3, 0.5, -0.5, ["concave_envelope"], 1),  # states off the concave chain
+        (burgers3, 0.5, -0.5, [], 1),  # a chord: no concave chain node between the states
+        (TRAFFIC3, 0.0, 1.0, [], 1),  # chords from end to end of the domain
+        (burgers3, 1.0, -1.0, [], 1),
+        (TRAFFIC3, -0.0, 0.5, [], 1),  # a signed zero at the domain end
+        (TRAFFIC3, below, 0.5, ["convex_envelope"], 1),  # clamped onto the domain
         (inflected, 0.75, 0.25, ["concave_envelope"], 3),  # a bad node between chain nodes
         (inflected, 0.375, 0.25, [], 2),
     ]
@@ -395,6 +402,14 @@ def test_riemann_misses_route_clean_chain_runs_past_the_envelope(monkeypatch):
         assert calls == names
         solve_riemann(flux, v_l, v_r)  # a table hit
         assert calls == names
+    # a chord answers with the envelope's floats and keeps the caller's signed zero
+    for flux, v_l, v_r in ((TRAFFIC3, -0.0, 0.5), (burgers3, 0.5, -0.0), (TRAFFIC3, 0.3, 0.7)):
+        (wave,) = solve_riemann(fresh_copy(flux), v_l, v_r)
+        xs, ys = flux_module._hull(flux, min(v_l, v_r), max(v_l, v_r), 1.0 if v_l < v_r else -1.0)
+        speed = (ys[1] - ys[0]) / (xs[1] - xs[0])
+        assert waves_hex([wave]) == waves_hex([(speed, v_l, v_r)])
+    (wave,) = solve_riemann(fresh_copy(TRAFFIC3), below, 0.5)
+    assert wave[1] == 0.0  # the envelope's clamped state
 
 
 def test_riemann_table_stays_under_its_cap_and_exact_past_it():
@@ -632,6 +647,64 @@ def test_shock_catalog_zero_length_segment():
     assert catalog.min_distance(-0.25, 0.0) == 0.5
     # strengths 0.5, 0.5 and 0.25: a threshold equal to a strength drops it
     assert len(sol.shock_catalog(0.25)) == 2 and len(sol.shock_catalog(0.5)) == 0
+
+
+def list_store_cases():
+    """Solutions with a velocity to track in them: traffic data at levels 3-12,
+    Burgers data full of 0.0 and -0.0, and non-concave rho*w(rho) fluxes."""
+    rng = np.random.default_rng(22)
+    linear = LinearTrafficVelocity()
+    for level in range(3, 13):
+        data = random_step(rng, max_jumps=8, level=level)
+        yield evolve(data, traffic_flux_from_velocity(linear, level), 2.0), linear
+    burgers = piecewise_linearize(BurgersQuadraticFlux(), 4)
+    for _ in range(6):
+        bps = np.sort(rng.choice(np.arange(-16, 17) / 8.0, 6, replace=False))
+        values = rng.choice([0.0, -0.0, 0.25, -0.5, 0.75], 7).tolist()
+        yield evolve(StepFunction(bps, values), burgers, 2.0), linear
+    for level in (4, 6, 8):
+        w = TableVelocity([0.0, 0.5, 1.0], [2.0, rng.uniform(0.1, 1.0), 0.0])
+        yield evolve(random_step(rng, max_jumps=8, level=level), traffic_flux_from_velocity(w, level), 2.0), w
+
+
+def path_hex(traj):
+    return [[x.hex() for x in a.tolist()] for a in (traj.times, traj.positions, traj.speeds)], traj.sticking
+
+
+def test_front_arrays_are_read_only_views_of_the_front_lists():
+    rng = np.random.default_rng(7)
+    for sol, velocity in list_store_cases():
+        assert sol.front_count == len(sol.front_lists.speeds) > 0
+        # the arrays equal the lists bit for bit, and refuse writes
+        for name, column in zip(FrontLists._fields, sol.front_lists):
+            array = getattr(sol, name)
+            assert array is getattr(sol, name)  # built once
+            assert array.dtype == float and [x.hex() for x in array.tolist()] == [x.hex() for x in column]
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.5
+        # a solution rebuilt from the arrays tracks the same paths
+        rebuilt = FrontTrackingSolution(
+            sol.initial, sol.flux, sol.horizon, sol.events,
+            **{name: getattr(sol, name) for name in FrontLists._fields},
+        )
+        assert as_hex(rebuilt) == as_hex(sol)
+        for x0, t0 in zip(rng.uniform(-2.0, 1.0, 3), (0.01, 0.3, 1.1)):
+            assert path_hex(track(sol, velocity, x0, t0)) == path_hex(track(rebuilt, velocity, x0, t0))
+
+
+def test_front_columns_of_unequal_length_are_rejected():
+    columns = dict(
+        birth_times=[0.0, 0.0, 0.0], birth_positions=[-1.0, 0.0, 1.0], speeds=[0.5, 0.0, -0.5],
+        left_values=[0.0, 0.25, 0.5], right_values=[0.25, 0.5, 0.75], death_times=[np.inf] * 3,
+    )
+    sol = FrontTrackingSolution(StepFunction.constant(0.0), None, 1.0, [], **columns)
+    assert sol.front_count == 3 and sol.slice(0.5).breakpoints.size == 3
+    # a one-element column must not broadcast, nor a short one fail only inside slice
+    for name, column in (("death_times", [np.inf]), ("speeds", [0.5, 0.0])):
+        with pytest.raises(ValueError, match="differ in length"):
+            FrontTrackingSolution(StepFunction.constant(0.0), None, 1.0, [], **{**columns, name: column})
+    with pytest.raises(ValueError, match="1-D"):
+        FrontTrackingSolution(StepFunction.constant(0.0), None, 1.0, [], **{**columns, "death_times": np.inf})
 
 
 def test_event_cap_raises():
