@@ -51,6 +51,11 @@ def latent_to_unit_interval(v):
     return out
 
 
+# Most latent points of a prior: its covariance and its factor are n x n
+# floats, 32 MB each at 2048 points, and eigh needs a few more of that size.
+MAX_PRIOR_N = 2048
+
+
 @dataclass(frozen=True)
 class PriorSpec:
     """Gaussian latent prior and its push-forward.
@@ -77,6 +82,8 @@ class PriorSpec:
             raise ValueError(f"unknown prior kind {self.kind!r}")
         if self.n < 2:
             raise ValueError("need n >= 2 latent points")
+        if self.n > MAX_PRIOR_N:
+            raise ValueError(f"n must be at most {MAX_PRIOR_N} latent points, got {self.n}")
         floats = (self.length_scale, self.amplitude, *self.window, self.mean, self.w_max)
         if not all(map(isfinite, floats)):
             raise ValueError("prior parameters must be finite")
@@ -421,12 +428,19 @@ class PosteriorRun:
         return np.quantile(vals, 0.05, axis=0), np.quantile(vals, 0.95, axis=0)
 
 
+# Longest pCN chain: it keeps every state, chain_length x n floats, which is
+# 8 MB per latent point at 10**6 states.
+MAX_CHAIN_LENGTH = 10 ** 6
+
+
 def check_pcn_settings(chain_length: int, beta: float, burn_in: int) -> None:
     """Raise ValueError unless the pCN chain settings are usable."""
     if not 0.0 <= beta <= 1.0:
         raise ValueError("beta must lie in [0, 1]")
     if chain_length < 1:
         raise ValueError("chain_length must be positive")
+    if chain_length > MAX_CHAIN_LENGTH:
+        raise ValueError(f"chain_length must be at most {MAX_CHAIN_LENGTH}, got {chain_length}")
     if not 0 <= burn_in < chain_length:
         raise ValueError("burn_in must be in [0, chain_length)")
 
@@ -543,10 +557,17 @@ def _hellinger_from_potentials(phi_a: np.ndarray, phi_b: np.ndarray) -> Hellinge
     return HellingerEstimate(value, stderr, m, log_za, log_zb)
 
 
+# Most prior samples of a Hellinger comparison: their latents are
+# n_samples x n floats, 8 MB per latent point at 10**6 samples.
+MAX_HELLINGER_SAMPLES = 10 ** 6
+
+
 def check_hellinger_samples(n_samples: int) -> None:
     """Raise ValueError unless ``n_samples`` fills every batch-means batch twice."""
     if n_samples < 2 * HELLINGER_BATCHES:
         raise ValueError("n_samples too small for batch-means error bars")
+    if n_samples > MAX_HELLINGER_SAMPLES:
+        raise ValueError(f"n_samples must be at most {MAX_HELLINGER_SAMPLES}, got {n_samples}")
 
 
 def _common_latents(prior: PriorSpec, n_samples: int, seed: int) -> np.ndarray:

@@ -120,27 +120,20 @@ def track(
         live.apply(events[ei])
         ei += 1
 
-    def pos(k: int, t: float) -> float:
-        return bx[k] + spd[k] * (t - bt[k])
-
     # locate the particle among the alive fronts at t0; afterwards its two
     # neighbours are only ever read off the live-front links
     left_id, right_id = -1, live.head
-    while right_id != -1 and pos(right_id, t0) < x0:
+    while right_id != -1 and bx[right_id] + spd[right_id] * (t0 - bt[right_id]) < x0:
         left_id = right_id
         right_id = nxt[right_id]
 
+    # the path's nodes; t_cur and z_cur hold the last one
     nodes_t = [t0]
     nodes_z = [x0]
     seg_speed: list[float] = []
+    t_cur, z_cur = t0, x0
     sticking: list[tuple[float, float, int]] = []
     stick, stick_start = -1, t0  # the front the particle rides, -1 while free
-
-    def append_node(t_new: float, s_used: float) -> None:
-        if t_new > nodes_t[-1]:
-            nodes_z.append(nodes_z[-1] + s_used * (t_new - nodes_t[-1]))
-            nodes_t.append(t_new)
-            seg_speed.append(s_used)
 
     def end_stick(t: float) -> None:
         nonlocal stick
@@ -150,40 +143,12 @@ def track(
 
     # starting exactly on a front: same crossing/sticking rule as a contact,
     # so a tie w(rv) == s crosses
-    if right_id != -1 and pos(right_id, t0) == x0:
+    if right_id != -1 and bx[right_id] + spd[right_id] * (t0 - bt[right_id]) == x0:
         f = right_id
         if w(rv[f]) >= spd[f]:
             left_id, right_id = f, nxt[f]
         elif w(lv[f]) > spd[f]:
             stick = f
-
-    def advance_to(t_end: float) -> None:
-        nonlocal left_id, right_id, stick, stick_start
-        while nodes_t[-1] < t_end:
-            if stick != -1:
-                append_node(t_end, spd[stick])
-                return
-            t_cur = nodes_t[-1]
-            z = nodes_z[-1]
-            s_p = w(rv[left_id] if left_id != -1 else lv[right_id] if right_id != -1 else far_left)
-            tau, hit = t_end, -1
-            if right_id != -1 and s_p > spd[right_id]:
-                cand = t_cur + (pos(right_id, t_cur) - z) / (s_p - spd[right_id])
-                if cand <= tau:
-                    tau, hit = cand, right_id
-            if left_id != -1 and spd[left_id] > s_p:
-                cand = t_cur + (z - pos(left_id, t_cur)) / (spd[left_id] - s_p)
-                if cand < tau:
-                    tau, hit = cand, left_id
-            append_node(tau, s_p)
-            if tau >= t_end:  # also when nothing is hit, since then tau == t_end
-                return
-            if hit == right_id and w(rv[hit]) >= spd[hit]:
-                left_id, right_id = hit, nxt[hit]
-            elif hit == left_id and w(lv[hit]) <= spd[hit]:
-                left_id, right_id = prv[hit], hit
-            else:
-                stick, stick_start = hit, tau
 
     def reanchor(e) -> None:
         """Re-anchor the particle sitting at an event point among the outgoing fan."""
@@ -201,9 +166,51 @@ def track(
                 return
         left_id, right_id = e.outgoing[-1], nxt[e.outgoing[-1]]
 
-    while ei < len(events) and events[ei].time <= T:
-        e = events[ei]
-        advance_to(e.time)
+    # advance to each event time up to T, then replay the event; last, to T
+    n_events = len(events)
+    while True:
+        if ei < n_events and events[ei].time <= T:
+            e = events[ei]
+            t_end = e.time
+        else:
+            e, t_end = None, T
+        while t_cur < t_end:
+            if stick != -1:  # ride the front to t_end
+                s_p = spd[stick]
+                z_cur = z_cur + s_p * (t_end - t_cur)
+                t_cur = t_end
+                nodes_t.append(t_cur)
+                nodes_z.append(z_cur)
+                seg_speed.append(s_p)
+                break
+            s_p = w(rv[left_id] if left_id != -1 else lv[right_id] if right_id != -1 else far_left)
+            tau, hit = t_end, -1
+            if right_id != -1 and s_p > spd[right_id]:
+                s = spd[right_id]
+                cand = t_cur + (bx[right_id] + s * (t_cur - bt[right_id]) - z_cur) / (s_p - s)
+                if cand <= tau:
+                    tau, hit = cand, right_id
+            if left_id != -1 and spd[left_id] > s_p:
+                s = spd[left_id]
+                cand = t_cur + (z_cur - (bx[left_id] + s * (t_cur - bt[left_id]))) / (s - s_p)
+                if cand < tau:
+                    tau, hit = cand, left_id
+            if tau > t_cur:
+                z_cur = z_cur + s_p * (tau - t_cur)
+                t_cur = tau
+                nodes_t.append(t_cur)
+                nodes_z.append(z_cur)
+                seg_speed.append(s_p)
+            if tau >= t_end:  # also when nothing is hit, since then tau == t_end
+                break
+            if hit == right_id and w(rv[hit]) >= spd[hit]:
+                left_id, right_id = hit, nxt[hit]
+            elif hit == left_id and w(lv[hit]) <= spd[hit]:
+                left_id, right_id = prv[hit], hit
+            else:
+                stick, stick_start = hit, tau
+        if e is None:
+            break
         live.apply(e)
         ei += 1
         if stick != -1:
@@ -217,7 +224,6 @@ def track(
         elif right_id in e.incoming:
             right_id = nxt[left_id] if left_id != -1 else live.head
 
-    advance_to(T)
     end_stick(T)
     return Trajectory(
         np.asarray(nodes_t), np.asarray(nodes_z), np.asarray(seg_speed), sticking

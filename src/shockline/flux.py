@@ -64,10 +64,12 @@ def _check_domain(v: np.ndarray, lo: float, hi: float) -> None:
 
 
 class _RiemannTable(dict):
-    """Riemann wave tuples of one flux by state-pair key, RIEMANN_TABLE_WAVES at most.
+    """Riemann solutions of one flux by state-pair key, RIEMANN_TABLE_WAVES waves at most.
 
+    Each value is one solution's ``(speeds, lefts, rights)`` columns.
     ``_riemann_waves`` picks the keys and computes the waves; the table only
-    keeps count, so a long-lived flux cannot grow without bound.
+    counts them, by column length, so a long-lived flux cannot grow without
+    bound.
     """
 
     __slots__ = ("waves",)
@@ -76,10 +78,11 @@ class _RiemannTable(dict):
         super().__init__()
         self.waves = 0
 
-    def store(self, key: tuple, waves: tuple) -> None:
-        if self.waves + len(waves) <= RIEMANN_TABLE_WAVES:
-            self[key] = waves
-            self.waves += len(waves)
+    def store(self, key: tuple, columns: tuple) -> None:
+        n = len(columns[0])
+        if self.waves + n <= RIEMANN_TABLE_WAVES:
+            self[key] = columns
+            self.waves += n
 
 
 class _Chain(NamedTuple):
@@ -267,7 +270,7 @@ class PiecewiseLinearFlux(_NodeTable):
 
     @cached_property
     def _riemann_table(self) -> _RiemannTable:
-        """Riemann wave tuples that ``_riemann_waves`` stores for this flux."""
+        """Riemann solutions, as columns, that ``_riemann_waves`` stores for this flux."""
         return _RiemannTable()
 
     def deriv_right(self, x: float) -> float:
@@ -366,8 +369,18 @@ def concave_envelope(flux: PiecewiseLinearFlux, a: float, b: float) -> tuple[lis
     return _hull(flux, a, b, -1.0)
 
 
+def _columns(speeds: list, lefts: list, rights: list, sign: float) -> tuple:
+    """Waves listed by increasing state as ``(speeds, lefts, rights)`` tuples
+    in wave order: as they are for sign 1, reversed with the two states
+    swapped for -1."""
+    if sign > 0:
+        return tuple(speeds), tuple(lefts), tuple(rights)
+    return tuple(reversed(speeds)), tuple(reversed(rights)), tuple(reversed(lefts))
+
+
 def _riemann_waves(flux: PiecewiseLinearFlux, v_l: float, v_r: float) -> tuple:
-    """Waves of the Riemann solution, left to right: (speed, left, right).
+    """Waves of the Riemann solution, left to right, as three columns:
+    ``(speeds, lefts, rights)``, tuples of equal length.
 
     Increasing data ride the convex envelope, decreasing data the concave
     one; either way the speeds strictly increase, and each speed is the
@@ -375,8 +388,9 @@ def _riemann_waves(flux: PiecewiseLinearFlux, v_l: float, v_r: float) -> tuple:
 
     When both states are nodes of the flux's chain of that sign and no node
     strictly between them is flagged bad, ``_hull`` would keep that run of
-    the chain as it is, so the waves are read off the cached chain slopes.
-    The outermost states are the caller's, so a signed zero survives.
+    the chain as it is, so the columns are slices of the cached chain
+    lists, reversed for the concave sign.  The outermost states are the
+    caller's, so a signed zero survives.
 
     When both states lie in the domain and no chain node lies strictly
     between them, the envelope is their chord, as in ``_hull``'s chord
@@ -385,9 +399,9 @@ def _riemann_waves(flux: PiecewiseLinearFlux, v_l: float, v_r: float) -> tuple:
     module-level name, so a wrapper put there sees each of those solves.
 
     The solution depends only on the flux and the two states, so it is kept
-    in the flux's capped Riemann table and the stored tuple itself is
-    returned.  A zero state is keyed with its sign too: ``0.0 == -0.0``, but
-    the sign reaches the wave states.
+    in the flux's capped Riemann table and the stored columns themselves
+    are returned.  A zero state is keyed with its sign too: ``0.0 == -0.0``,
+    but the sign reaches the wave states.
     """
     if v_l and v_r:
         key = (v_l, v_r)
@@ -408,23 +422,15 @@ def _riemann_waves(flux: PiecewiseLinearFlux, v_l: float, v_r: float) -> tuple:
         lefts = xs[p:q]
         rights = xs[p + 1:q + 1]
         lefts[0], rights[-1] = float(a), float(b)
-        if sign > 0:
-            waves = tuple(zip(slopes[p:q], lefts, rights))
-        else:
-            waves = tuple(zip(reversed(slopes[p:q]), reversed(rights), reversed(lefts)))
+        waves = _columns(slopes[p:q], lefts, rights, sign)
     elif xs[0] <= a < b <= xs[-1] and q == p + (xs[p] == a):
         a, b = float(a), float(b)
         speed = (flux.at(b) - flux.at(a)) / (b - a)
-        waves = ((speed, a, b),) if sign > 0 else ((speed, b, a),)
+        waves = ((speed,), (a,), (b,)) if sign > 0 else ((speed,), (b,), (a,))
     else:
         xs, ys = envelope(flux, a, b)
-        waves = [
-            ((ys[k + 1] - ys[k]) / (xs[k + 1] - xs[k]), xs[k], xs[k + 1])
-            for k in range(len(xs) - 1)
-        ]
-        if sign < 0:
-            waves = [(s, right, left) for s, left, right in reversed(waves)]
-        waves = tuple(waves)
+        speeds = [(ys[k + 1] - ys[k]) / (xs[k + 1] - xs[k]) for k in range(len(xs) - 1)]
+        waves = _columns(speeds, xs[:-1], xs[1:], sign)
     table.store(key, waves)
     return waves
 

@@ -8,11 +8,12 @@ states, so the evolution is exact up to floating-point rounding.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from heapq import heappush, heappop
+from itertools import compress, count
 from math import inf, isfinite
+from operator import sub
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -146,9 +147,12 @@ def l1_distance(a: StepFunction, b: StepFunction, window: Optional[tuple] = None
     return float(np.sum(np.diff(edges) * np.abs(a.sample(mids) - b.sample(mids))))
 
 
-@dataclass(frozen=True)
-class FrontEvent:
-    """Fan emission (no incoming) or collision, in causal order."""
+class FrontEvent(NamedTuple):
+    """Fan emission (no incoming) or collision, in causal order.
+
+    A named tuple: its fields cannot be reassigned, and it compares equal
+    to a plain tuple of the same four values.
+    """
 
     time: float
     position: float
@@ -157,10 +161,11 @@ class FrontEvent:
 
 
 def solve_riemann(flux: PiecewiseLinearFlux, v_left: float, v_right: float) -> tuple:
-    """Waves emitted by a single jump, left to right: ``(speed, left, right)``.
+    """Waves emitted by a single jump, left to right: ``(speed, left, right)`` rows.
 
-    This is the flux's stored Riemann solution, the one ``evolve`` emits;
-    it is an immutable tuple, so a caller cannot change the stored waves.
+    The rows are the flux's stored Riemann solution, the one ``evolve``
+    emits, read row by row out of its ``(speeds, lefts, rights)`` columns
+    into a new tuple of tuples.
     """
     if not isinstance(flux, PiecewiseLinearFlux):
         raise TypeError("front tracking needs a piecewise-linear flux; linearize first")
@@ -168,7 +173,7 @@ def solve_riemann(flux: PiecewiseLinearFlux, v_left: float, v_right: float) -> t
         raise ValueError(f"Riemann states must be finite, got {v_left} and {v_right}")
     if v_left == v_right:
         raise ValueError("degenerate Riemann datum: left and right states are equal")
-    return _riemann_waves(flux, v_left, v_right)
+    return tuple(zip(*_riemann_waves(flux, v_left, v_right)))
 
 
 @dataclass
@@ -225,7 +230,8 @@ def _column_array(index: int) -> cached_property:
     """Front list ``index`` as a read-only float array, built on first access and cached."""
 
     def column(solution) -> np.ndarray:
-        array = np.array(solution.front_lists[index], dtype=float)
+        values = solution.front_lists[index]
+        array = np.fromiter(values, dtype=float, count=len(values))
         array.setflags(write=False)
         return array
 
@@ -358,21 +364,22 @@ class _LiveFronts:
 
         A t = 0 fan has no incoming fronts and goes after the tail, since
         fans are emitted left to right.  Outgoing fronts are the newest,
-        numbered consecutively after every front seen so far, so their
-        links are two runs of consecutive ids with the ends fixed up.
+        numbered consecutively after every front seen so far, so each one's
+        links are its neighbours in ``outgoing``, or the outer neighbours
+        at the two ends.
         """
         nxt, prv = self.nxt, self.prv
-        if event.incoming:
-            lo, hi = prv[event.incoming[0]], nxt[event.incoming[-1]]
+        _, _, incoming, outgoing = event
+        if incoming:
+            lo, hi = prv[incoming[0]], nxt[incoming[-1]]
         else:
             lo, hi = self.tail, -1
-        first = len(nxt)
-        last = first + len(event.outgoing) - 1
-        if event.outgoing:
-            nxt.extend(range(first + 1, last + 2))
-            prv.extend(range(first - 1, last))
-            prv[first] = lo
-            nxt[last] = hi
+        if outgoing:
+            first, last = outgoing[0], outgoing[-1]
+            prv.append(lo)
+            prv.extend(outgoing[:-1])
+            nxt.extend(outgoing[1:])
+            nxt.append(hi)
         else:  # nothing comes out: the outer neighbours meet
             first, last = hi, lo
         if lo == -1:
@@ -410,15 +417,9 @@ def evolve(
     spd: list[float] = []
     lv: list[float] = []
     rv: list[float] = []
-    death: list[float] = []
-    live = _LiveFronts()
-    nxt, prv = live.nxt, live.prv
     events: list[FrontEvent] = []
     heap: list = []
-    counter = itertools.count()
-
-    def pos_at(k: int, t: float) -> float:
-        return birth_x[k] + spd[k] * (t - birth_t[k])
+    counter = count()
 
     def push_pair(i: int, j: int, now: float) -> None:
         si, sj = spd[i], spd[j]
@@ -433,38 +434,25 @@ def evolve(
             return
         heappush(heap, (tc, ci + si * tc, next(counter), i, j))
 
-    def emit(t: float, x: float, incoming: tuple, waves) -> None:
-        """Record an event whose outgoing fronts are ``waves`` (speed, left, right).
-
-        The new fronts go into the columns and the live list, and the pairs
-        they form with the outer neighbours (or, when nothing comes out, the
-        neighbours with each other) become collision candidates, left first.
-        """
-        k = len(spd)
-        for s, a, b in waves:
-            birth_t.append(t)
-            birth_x.append(x)
-            spd.append(s)
-            lv.append(a)
-            rv.append(b)
-            death.append(inf)
-        ids = tuple(range(k, len(spd)))
-        events.append(FrontEvent(t, x, incoming, ids))
-        live.apply(events[-1])
-        if ids:
-            last = ids[-1]
-            if prv[k] != -1:
-                push_pair(prv[k], k, t)
-            if nxt[last] != -1:
-                push_pair(last, nxt[last], t)
-        else:  # the stale links of the dead incoming fronts name the neighbours
-            left_outer, right_outer = prv[incoming[0]], nxt[incoming[-1]]
-            if left_outer != -1 and right_outer != -1:
-                push_pair(left_outer, right_outer, t)
-
-    # the t = 0 fans, jump by jump, left to right, keep every wave
+    # the t = 0 fans, jump by jump, left to right, keep every wave; each
+    # fan's columns extend the front lists, and its first front is a
+    # candidate with the last front of the fan before
     for x0, a, b in initial.jumps():
-        emit(0.0, x0, (), _riemann_waves(flux, a, b))
+        speeds, lefts, rights = _riemann_waves(flux, a, b)
+        k = len(spd)
+        spd.extend(speeds)
+        lv.extend(lefts)
+        rv.extend(rights)
+        birth_t.extend((0.0,) * len(speeds))
+        birth_x.extend((x0,) * len(speeds))
+        events.append(FrontEvent(0.0, x0, (), tuple(range(k, len(spd)))))
+        if k:
+            push_pair(k - 1, k, 0.0)
+    death = [inf] * len(spd)
+    # the fans lie left to right in id order, so one run of ids links them all
+    live = _LiveFronts()
+    live.apply(FrontEvent(0.0, 0.0, (), tuple(range(len(spd)))))
+    nxt, prv = live.nxt, live.prv
 
     while heap:
         t, x, _, i, j = heappop(heap)
@@ -473,20 +461,48 @@ def evolve(
         if death[i] != inf or death[j] != inf or nxt[i] != j:
             continue  # stale candidate
         group = [i, j]
-        while prv[group[0]] != -1 and abs(pos_at(prv[group[0]], t) - x) <= EVENT_SPACE_TOL:
-            group.insert(0, prv[group[0]])
-        while nxt[group[-1]] != -1 and abs(pos_at(nxt[group[-1]], t) - x) <= EVENT_SPACE_TOL:
-            group.append(nxt[group[-1]])
+        m = prv[i]
+        while m != -1 and abs(birth_x[m] + spd[m] * (t - birth_t[m]) - x) <= EVENT_SPACE_TOL:
+            group.insert(0, m)
+            m = prv[m]
+        m = nxt[j]
+        while m != -1 and abs(birth_x[m] + spd[m] * (t - birth_t[m]) - x) <= EVENT_SPACE_TOL:
+            group.append(m)
+            m = nxt[m]
         v_l = lv[group[0]]
         v_r = rv[group[-1]]
         for k in group:
             death[k] = t
-        waves = []
+        k = len(spd)
         if abs(v_l - v_r) > ZERO_STRENGTH_TOL:
-            waves = [
-                w for w in _riemann_waves(flux, v_l, v_r) if abs(w[1] - w[2]) > ZERO_STRENGTH_TOL
-            ]
-        emit(t, x, tuple(group), waves)
+            speeds, lefts, rights = _riemann_waves(flux, v_l, v_r)
+            if min(map(abs, map(sub, lefts, rights))) <= ZERO_STRENGTH_TOL:
+                strong = [abs(a - b) > ZERO_STRENGTH_TOL for a, b in zip(lefts, rights)]
+                speeds, lefts, rights = (list(compress(c, strong)) for c in (speeds, lefts, rights))
+            n = len(speeds)
+            spd.extend(speeds)
+            lv.extend(lefts)
+            rv.extend(rights)
+            birth_t.extend((t,) * n)
+            birth_x.extend((x,) * n)
+            death.extend((inf,) * n)
+        incoming = tuple(group)
+        event = FrontEvent(t, x, incoming, tuple(range(k, len(spd))))
+        events.append(event)
+        live.apply(event)
+        # the new fronts pair with the outer neighbours, left first; when
+        # nothing comes out, the stale links of the dead incoming fronts
+        # name the neighbours, which now meet
+        if k < len(spd):
+            last = len(spd) - 1
+            if prv[k] != -1:
+                push_pair(prv[k], k, t)
+            if nxt[last] != -1:
+                push_pair(last, nxt[last], t)
+        else:
+            left_outer, right_outer = prv[incoming[0]], nxt[incoming[-1]]
+            if left_outer != -1 and right_outer != -1:
+                push_pair(left_outer, right_outer, t)
         if len(events) > event_cap:
             raise EventCapError(
                 f"more than {event_cap} events before t={t:.6g}; "

@@ -25,6 +25,9 @@ from .front_tracking import StepFunction
 
 # the solver's default safety factor on the stable time step
 CFL_SAFETY = 0.9
+# Most cells of a viscous grid: each float row of 2**20 cells is 8 MB, and
+# the march holds several work rows besides every level it stores.
+MAX_CELLS = 2 ** 20
 
 
 def _eo_split(flux: FluxFunction) -> tuple[Callable, Callable]:
@@ -196,6 +199,8 @@ def check_viscous_settings(
         raise ValueError("window must be a finite interval (lo, hi) with lo < hi")
     if n_cells < 4:
         raise ValueError("need at least 4 cells")
+    if n_cells > MAX_CELLS:
+        raise ValueError(f"n_cells must be at most {MAX_CELLS}, got {n_cells}")
     if not 0 < cfl_safety <= 1:
         raise ValueError("cfl_safety must be in (0, 1]")
     if store_every < 1:

@@ -8,7 +8,18 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from shockline.bayes import PriorSpec, TrajectoryForward, hellinger_between, synth_observations
+from shockline import bayes
+from shockline.bayes import (
+    MAX_CHAIN_LENGTH,
+    MAX_HELLINGER_SAMPLES,
+    MAX_PRIOR_N,
+    PriorSpec,
+    TrajectoryForward,
+    ViscousTrajectoryForward,
+    hellinger_between,
+    run_pcn,
+    synth_observations,
+)
 from shockline import cli, experiments
 from shockline.cli import main
 from shockline.config import ConfigError, load_scenario, read_slice_csv, write_slice_csv
@@ -21,6 +32,7 @@ from shockline.flux import (
     TrafficQuadraticFlux,
 )
 from shockline.front_tracking import StepFunction, l1_distance
+from shockline.viscous import MAX_CELLS, solve_viscous
 
 VELOCITY = {"kind": "linear-traffic", "w_max": 1.0, "rho_max": 1.0}
 
@@ -439,6 +451,67 @@ def test_malformed_inversion_blocks_exit_2(tmp_path, capsys, cfg):
     path = write_cfg(tmp_path, cfg)
     assert main(["invert", "--config", path, "--out", str(tmp_path / "o")]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+def with_size(cfg, block, key, value):
+    """``cfg`` with ``key`` of the viscous block or of an inversion block set to ``value``."""
+    if block == "viscous":
+        return dict(cfg, viscous=dict(cfg["viscous"], **{key: value}))
+    inv = cfg["inversion"]
+    return dict(cfg, inversion=dict(inv, **{block: dict(inv.get(block, {}), **{key: value})}))
+
+
+VISCOUS_FORWARD = {"kind": "viscous-trajectory", "times": [0.5, 1.0, 1.5], "epsilon": 0.05}
+SIZE_FIELDS = [  # (command, config, block, key, bound)
+    ("viscous", VISCOUS_CFG, "viscous", "n_cells", MAX_CELLS),
+    ("invert", with_inversion(forward=VISCOUS_FORWARD), "forward", "n_cells", MAX_CELLS),
+    ("invert", INVERT_CFG, "prior", "n", MAX_PRIOR_N),
+    ("invert", INVERT_CFG, "sampler", "chain_length", MAX_CHAIN_LENGTH),
+    ("invert", LADDER_CFG, "ladder", "n_samples", MAX_HELLINGER_SAMPLES),
+]
+
+
+@pytest.mark.parametrize("command, cfg, block, key, bound", SIZE_FIELDS,
+                         ids=[f"{block}.{key}" for _, _, block, key, _ in SIZE_FIELDS])
+def test_size_fields_past_their_bound_exit_2(tmp_path, capsys, command, cfg, block, key, bound):
+    for value in (bound + 1, 10 ** 12):
+        path = write_cfg(tmp_path, with_size(cfg, block, key, value))
+        assert main([command, "--config", path, "--out", str(tmp_path / "o")]) == 2
+        assert f"must be at most {bound}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+
+def test_sizes_past_their_bound_raise_before_any_array_is_built(monkeypatch):
+    step = StepFunction([0.0], [0.25, 0.5])
+    flux, velocity = TrafficQuadraticFlux(), LinearTrafficVelocity()
+    prior = PriorSpec(kind="initial-field", n=16, window=(-1.0, 1.5))
+    forward = TrajectoryForward(velocity=velocity, level=4, x0=-0.5, t0=0.01, times=(0.5, 1.0))
+    obs = synth_observations(forward, prior.transform(np.zeros(16)), 0.05, seed=1)
+    # the bounds themselves pass the checks
+    bayes.check_pcn_settings(MAX_CHAIN_LENGTH, 0.1, 0)
+    bayes.check_hellinger_samples(MAX_HELLINGER_SAMPLES)
+    PriorSpec(n=MAX_PRIOR_N)
+    ViscousTrajectoryForward(velocity, flux, 0.05, -0.5, 0.01, (0.5,), n_cells=MAX_CELLS)
+
+    def no_array(*args, **kwargs):
+        raise AssertionError("an array was built")
+
+    for name in ("empty", "zeros", "full", "arange", "linspace", "array", "asarray",
+                 "concatenate", "stack"):
+        monkeypatch.setattr(np, name, no_array)
+    monkeypatch.setattr(np.random, "default_rng", no_array)
+    calls = [
+        (lambda: solve_viscous(step, flux, 0.05, 1.0, n_cells=MAX_CELLS + 1), MAX_CELLS),
+        (lambda: ViscousTrajectoryForward(velocity, flux, 0.05, -0.5, 0.01, (0.5,),
+                                          n_cells=MAX_CELLS + 1), MAX_CELLS),
+        (lambda: PriorSpec(n=MAX_PRIOR_N + 1), MAX_PRIOR_N),
+        (lambda: run_pcn(prior, obs, forward, MAX_CHAIN_LENGTH + 1, 0.1, 0), MAX_CHAIN_LENGTH),
+        (lambda: hellinger_between(prior, obs, forward, forward, MAX_HELLINGER_SAMPLES + 1),
+         MAX_HELLINGER_SAMPLES),
+    ]
+    for call, bound in calls:
+        with pytest.raises(ValueError, match=f"must be at most {bound}"):
+            call()
 
 
 FLUX_ONLY_INVERT_CFG = dict(

@@ -216,6 +216,14 @@ def waves_hex(waves):
     return [tuple(v.hex() for v in wave) for wave in waves]
 
 
+def rows(columns):
+    """``_riemann_waves``'s ``(speeds, lefts, rights)`` columns, checked to be
+    three tuples of equal length, as ``(speed, left, right)`` rows."""
+    assert len(columns) == 3 and all(isinstance(c, tuple) for c in columns)
+    assert len({len(c) for c in columns}) == 1
+    return list(zip(*columns))
+
+
 @st.composite
 def flux_and_state_pair(draw):
     """A flux and two states: at nodes, off nodes, or up to DOMAIN_TOL outside."""
@@ -248,7 +256,7 @@ def test_riemann_waves_match_the_envelope_waves(case):
                 _riemann_waves(copy.copy(flux), v_l, v_r)
             continue
         # a copy starts with an empty Riemann table, so this is a fresh solve
-        assert waves_hex(_riemann_waves(copy.copy(flux), v_l, v_r)) == waves_hex(want)
+        assert waves_hex(rows(_riemann_waves(copy.copy(flux), v_l, v_r))) == waves_hex(want)
 
 
 @st.composite
@@ -296,7 +304,7 @@ def test_riemann_chain_runs_match_the_envelope_waves(case):
             with pytest.raises(type(exc), match=re.escape(str(exc))):
                 _riemann_waves(fresh_copy(flux), v_l, v_r)
             continue
-        assert waves_hex(_riemann_waves(fresh_copy(flux), v_l, v_r)) == waves_hex(want)
+        assert waves_hex(rows(_riemann_waves(fresh_copy(flux), v_l, v_r))) == waves_hex(want)
 
 
 def test_chain_flags_the_nodes_the_hull_would_not_keep():
@@ -308,7 +316,7 @@ def test_chain_flags_the_nodes_the_hull_would_not_keep():
     assert chain.xs == [0.0, 1.0, 3.0, 5.0, 6.0]
     assert chain.bad == [0, 0, 1, 1, 2]
     for v_l, v_r, n_waves in ((0.0, 3.0, 1), (3.0, 6.0, 1), (1.0, 5.0, 2), (0.0, 6.0, 2)):
-        waves = _riemann_waves(fresh_copy(flux), v_l, v_r)
+        waves = rows(_riemann_waves(fresh_copy(flux), v_l, v_r))
         assert len(waves) == n_waves
         assert waves_hex(waves) == waves_hex(envelope_waves(flux, v_l, v_r))
 
@@ -357,10 +365,12 @@ def as_hex(sol):
 def test_solve_riemann_returns_the_stored_waves():
     flux = fresh_copy(TRAFFIC3)
     waves = solve_riemann(flux, 0.875, 0.125)
-    # the stored tuple itself, immutable all the way down
-    assert waves is flux._riemann_table[(0.875, 0.125)]
+    # the stored columns, read as rows, immutable all the way down
+    stored = flux._riemann_table[(0.875, 0.125)]
+    assert _riemann_waves(flux, 0.875, 0.125) is stored
+    assert waves_hex(waves) == waves_hex(rows(stored))
     assert isinstance(waves, tuple) and all(isinstance(w, tuple) for w in waves)
-    assert solve_riemann(flux, 0.875, 0.125) is waves
+    assert solve_riemann(flux, 0.875, 0.125) == waves
     # copy.copy starts with an empty table, so this is a fresh solve
     assert solve_riemann(copy.copy(flux), 0.875, 0.125) == waves
 
@@ -418,7 +428,10 @@ def test_riemann_table_stays_under_its_cap_and_exact_past_it():
     fans = StepFunction([-0.5, 0.0, 0.5, 1.0, 1.5], [0.875, 0.125, 0.75, 0.25, 0.625, 0.375])
     evolve(fans, flux, 2.0)
     table = flux._riemann_table
-    assert table.waves == sum(len(waves) for waves in table.values())
+    # each entry is three equal-length columns, counted by their length
+    for columns in table.values():
+        rows(columns)
+    assert table.waves == sum(len(speeds) for speeds, _, _ in table.values())
     assert 0 < table.waves <= RIEMANN_TABLE_WAVES
     assert (0.875, 0.125) in table and (0.75, 0.25) not in table  # the second fan did not fit
     rng = np.random.default_rng(12)
@@ -494,6 +507,16 @@ def test_two_shock_merge_hand_solved():
     assert np.array_equal(final.values, [0.125, 0.875])
     # pre-merge slice has more jumps than post-merge
     assert sol.slice(0.5).breakpoints.size > final.breakpoints.size
+
+
+def test_front_events_are_named_tuples_whose_fields_cannot_be_assigned():
+    sol = evolve(StepFunction([0.0, 0.5], [0.125, 0.5, 0.875]), TRAFFIC3, 2.0)
+    event = sol.events[-1]
+    assert event == (event.time, event.position, event.incoming, event.outgoing)
+    for name in ("time", "position", "incoming", "outgoing"):
+        with pytest.raises(AttributeError):
+            setattr(event, name, getattr(event, name))
+    assert sol.events[-1] is event and event.incoming == (0, 1)
 
 
 def test_annihilation_between_live_neighbours_hand_solved():
