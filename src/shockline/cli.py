@@ -164,7 +164,7 @@ def cmd_invert(cfg: ScenarioConfig, args, out: str) -> int:
 
 def cmd_viscous(cfg: ScenarioConfig, args, out: str) -> int:
     times, settings = cfg.viscous
-    fld = solve_viscous(cfg.initial, cfg.smooth_flux(), *settings)
+    fld = solve_viscous(cfg.initial, cfg.smooth_flux(), **settings)
     names = []
     for i, t in enumerate(times):
         name = f"snapshot_{i:02d}.csv"
@@ -173,7 +173,7 @@ def cmd_viscous(cfg: ScenarioConfig, args, out: str) -> int:
     cfgio.write_json(
         os.path.join(out, "summary.json"),
         {
-            "epsilon": settings[0],
+            "epsilon": settings["epsilon"],
             "dx": fld.dx,
             "dt": fld.dt,
             "times": times,

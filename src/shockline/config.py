@@ -52,7 +52,7 @@ from .flux import (
     traffic_flux_from_velocity,
 )
 from .front_tracking import FrontTrackingSolution, StepFunction, check_in_domain, quantize_step
-from .viscous import CFL_SAFETY, check_viscous_settings
+from .viscous import march_grid
 
 
 class ConfigError(ValueError):
@@ -87,7 +87,7 @@ class ScenarioConfig:
     particle: Optional[tuple[float, float]] = None  # (x0, t0)
     times: tuple = ()
     stability: Optional[tuple] = None  # (target, family, epsilons, window)
-    viscous: Optional[tuple] = None  # (snapshot times, solve_viscous's arguments after the flux)
+    viscous: Optional[tuple] = None  # (snapshot times, solve_viscous's arguments by name)
     # the inversion block, for synth and invert
     prior: Optional[PriorSpec] = None
     forward: object = None
@@ -366,17 +366,14 @@ def _stability(blk: dict, cfg: ScenarioConfig) -> tuple:
 
 def _viscous(blk: dict, cfg: ScenarioConfig) -> tuple:
     times = blk.get("snapshot_times") or cfg.times or (cfg.horizon,)
-    settings = (  # solve_viscous's arguments after the flux, in order
-        blk.get("epsilon", 0.05),
-        cfg.horizon,
-        blk.get("window"),
-        blk.get("n_cells", 2000),
-        blk.get("cfl_safety", CFL_SAFETY),
-        blk.get("store_every", 1),
-        (*times, 0.0, cfg.horizon),  # the only levels the command reads
-    )
+    # solve_viscous's arguments after the flux, by name; a size the block
+    # leaves out takes the solver's default
+    settings = {key: blk[key] for key in ("window", "n_cells", "cfl_safety", "store_every")
+                if key in blk}
+    settings.update(epsilon=blk.get("epsilon", 0.05), horizon=cfg.horizon,
+                    keep_times=(*times, 0.0, cfg.horizon))  # the only levels the command reads
     with _naming("viscous block"):
-        check_viscous_settings(*settings)
+        march_grid(cfg.initial, cfg.smooth_flux(), **settings)
     return times, settings
 
 

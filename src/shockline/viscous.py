@@ -23,57 +23,68 @@ from .flux import (
 )
 from .front_tracking import StepFunction
 
-# the solver's default safety factor on the stable time step
+# the solver's defaults: the safety factor on the stable time step, the
+# number of cells and the stride of the stored levels
 CFL_SAFETY = 0.9
+N_CELLS = 2000
+STORE_EVERY = 1
 # Most cells of a viscous grid: each float row of 2**20 cells is 8 MB, and
 # the march holds several work rows besides every level it stores.
 MAX_CELLS = 2 ** 20
+# Most time steps of one march: the stored-step index alone holds
+# n_steps + 1 int64 (32 MB here), and a step makes 11 to 16 numpy calls,
+# about 8 us even on four cells (20 us on 2,000; 2-core x86_64 VM), so a
+# march at the bound takes over half a minute on any grid.
+MAX_STEPS = 2 ** 22
 
 
-def _eo_split(flux: FluxFunction) -> tuple[Callable, Callable]:
-    """Engquist-Osher splitting f = f(0-ref) + fplus + fminus.
+def _eo_interface(flux: FluxFunction, v: np.ndarray, interface: np.ndarray) -> Callable[[], None]:
+    """Writer of the Engquist-Osher interface fluxes of ``v`` into ``interface``.
 
-    fplus integrates max(f', 0), fminus integrates min(f', 0); both are
-    exact for the supported flux kinds.  Each part is called as part(v) or
-    part(v, out); given ``out``, shaped like v, it writes its values there.
-    The quadratic parts repeat the closed forms operation by operation, so
-    both calls give the same bits and the second makes no new array.
+    With the splitting f = f(0-ref) + fplus + fminus, where fplus integrates
+    max(f', 0) and fminus integrates min(f', 0), each call writes
+    fplus(v[:-1]) + fminus(v[1:]) into ``interface`` (one entry shorter
+    than v) from the values v holds at that call.  Both parts are exact for
+    the supported flux kinds.  The quadratic parts repeat their closed
+    forms operation by operation, over one stacked array whose two rows are
+    the two clipped states, so each call gives the bits of the plain
+    expressions and makes no new array.
     """
+    left, right = v[:-1], v[1:]
     if isinstance(flux, TrafficQuadraticFlux):
-        crest = 0.5 * flux.rho_max
-        f_crest = flux._values(np.asarray(crest))
-        work = [np.empty(0)]  # the clipped states, kept while v keeps its shape
+        # flux._values(m) = m * w_max * (1.0 - m / rho_max), with m = min(v, crest)
+        # for fplus and m = max(v, crest) for fminus, which subtracts f(crest)
+        crest, one, rho_max, w_max = map(np.asarray, (0.5 * flux.rho_max, 1.0, flux.rho_max,
+                                                       flux.w_max))
+        f_crest = np.asarray(flux._values(crest))
+        m, vals = np.empty((2, interface.size)), np.empty((2, interface.size))
+        (m_plus, m_minus), (plus, minus) = m, vals
 
-        def values(v, clip, out):
-            # flux._values(m) = m * w_max * (1.0 - m / rho_max), m = clip(v, crest)
-            if work[0].shape != v.shape:
-                work[0] = np.empty(v.shape)
-            m = clip(v, crest, out=work[0])
-            out = np.divide(m, flux.rho_max, out=out)
-            np.subtract(1.0, out, out=out)
-            np.multiply(m, flux.w_max, out=m)
-            return np.multiply(m, out, out=out)
+        def write() -> None:
+            np.minimum(left, crest, out=m_plus)
+            np.maximum(right, crest, out=m_minus)
+            np.divide(m, rho_max, out=vals)
+            np.subtract(one, vals, out=vals)
+            np.multiply(m, w_max, out=m)
+            np.multiply(m, vals, out=vals)
+            np.subtract(minus, f_crest, out=minus)
+            np.add(plus, minus, out=interface)
 
-        def fplus(v, out=None):
-            return values(v, np.minimum, out)
-
-        def fminus(v, out=None):
-            part = values(v, np.maximum, out)
-            return np.subtract(part, f_crest, out=part)
-
-        return fplus, fminus
+        return write
     if isinstance(flux, BurgersQuadraticFlux):
+        # 0.5 * max(v, 0.0) ** 2 and 0.5 * min(v, 0.0) ** 2; numpy squares for ** 2
+        zero, half = np.asarray(0.0), np.asarray(0.5)
+        parts = np.empty((2, interface.size))
+        plus, minus = parts
 
-        def burgers_part(clip):
-            def part(v, out=None):
-                # 0.5 * clip(v, 0.0) ** 2; numpy squares for ** 2
-                out = clip(v, 0.0, out=out)
-                np.square(out, out=out)
-                return np.multiply(0.5, out, out=out)
+        def write() -> None:
+            np.maximum(left, zero, out=plus)
+            np.minimum(right, zero, out=minus)
+            np.square(parts, out=parts)
+            np.multiply(half, parts, out=parts)
+            np.add(plus, minus, out=interface)
 
-            return part
-
-        return burgers_part(np.maximum), burgers_part(np.minimum)
+        return write
     if isinstance(flux, PiecewiseLinearFlux):
         bp = flux.breakpoints
         seg = np.diff(bp)
@@ -81,17 +92,10 @@ def _eo_split(flux: FluxFunction) -> tuple[Callable, Callable]:
         pos = np.concatenate(([0.0], np.cumsum(np.maximum(slopes, 0.0) * seg)))
         neg = np.concatenate(([0.0], np.cumsum(np.minimum(slopes, 0.0) * seg)))
 
-        def interp_part(table):
-            def part(v, out=None):
-                vals = np.interp(v, bp, table)  # np.interp takes no out
-                if out is None:
-                    return vals
-                np.copyto(out, vals)
-                return out
+        def write() -> None:
+            np.add(np.interp(left, bp, pos), np.interp(right, bp, neg), out=interface)
 
-            return part
-
-        return interp_part(pos), interp_part(neg)
+        return write
     raise TypeError(f"unsupported flux type {type(flux).__name__}")
 
 
@@ -210,27 +214,24 @@ def check_viscous_settings(
             raise ValueError(f"time {t} outside [0, {horizon}]")
 
 
-def solve_viscous(
+def march_grid(
     initial: StepFunction,
     flux: FluxFunction,
     epsilon: float,
     horizon: float,
     window: Optional[tuple[float, float]] = None,
-    n_cells: int = 2000,
+    n_cells: int = N_CELLS,
     cfl_safety: float = CFL_SAFETY,
-    store_every: int = 1,
+    store_every: int = STORE_EVERY,
     keep_times: Optional[Sequence[float]] = None,
-) -> GridField:
-    """March the viscous problem to ``horizon`` with far-field Dirichlet ends.
+) -> tuple[float, float, float, int]:
+    """(x_lo, dx, dt, n_steps) of the march ``solve_viscous`` makes with
+    these arguments, which it checks first; ValueError also when the march
+    would take more than MAX_STEPS steps.  Builds no array.
 
     The step is dt = cfl_safety / (2L/dx + 2 eps/dx^2), shrunk to land on
     the horizon, which satisfies both dt <= cfl_safety * min(dx/(2L),
     dx^2/(2 eps)) and the monotonicity bound dt * (L/dx + 2 eps/dx^2) <= 1.
-
-    The stored levels are the initial sample, every ``store_every``-th step
-    and the last step.  Given ``keep_times``, only the levels that
-    ``snapshot`` and ``mass`` read at those times are kept, with the first
-    and the last; each such query then returns the bits of the full field.
     """
     check_viscous_settings(
         epsilon, horizon, window, n_cells, cfl_safety, store_every, keep_times
@@ -238,12 +239,37 @@ def solve_viscous(
     if window is None:
         window = default_window(initial, flux, epsilon, horizon)
     x_lo, x_hi = window
-    lip = flux.lipschitz_norm
     dx = (x_hi - x_lo) / n_cells
-    x = x_lo + dx * (np.arange(n_cells) + 0.5)
-    dt = cfl_safety / (2.0 * lip / dx + 2.0 * epsilon / (dx * dx))
+    dt = cfl_safety / (2.0 * flux.lipschitz_norm / dx + 2.0 * epsilon / (dx * dx))
     n_steps = max(1, ceil(horizon / dt))
-    dt = horizon / n_steps  # land exactly on the horizon; only shrinks dt
+    if n_steps > MAX_STEPS:
+        raise ValueError(f"time steps must be at most {MAX_STEPS}, got {n_steps}")
+    return x_lo, dx, horizon / n_steps, n_steps  # dt lands on the horizon; it only shrinks
+
+
+def solve_viscous(
+    initial: StepFunction,
+    flux: FluxFunction,
+    epsilon: float,
+    horizon: float,
+    window: Optional[tuple[float, float]] = None,
+    n_cells: int = N_CELLS,
+    cfl_safety: float = CFL_SAFETY,
+    store_every: int = STORE_EVERY,
+    keep_times: Optional[Sequence[float]] = None,
+) -> GridField:
+    """March the viscous problem to ``horizon`` with far-field Dirichlet ends,
+    in the steps ``march_grid`` sets.
+
+    The stored levels are the initial sample, every ``store_every``-th step
+    and the last step.  Given ``keep_times``, only the levels that
+    ``snapshot`` and ``mass`` read at those times are kept, with the first
+    and the last; each such query then returns the bits of the full field.
+    """
+    x_lo, dx, dt, n_steps = march_grid(
+        initial, flux, epsilon, horizon, window, n_cells, cfl_safety, store_every, keep_times
+    )
+    x = x_lo + dx * (np.arange(n_cells) + 0.5)
 
     stored = np.arange(0, n_steps + 1, store_every)
     if stored[-1] != n_steps:
@@ -258,37 +284,43 @@ def solve_viscous(
         stored, times = stored[kept], times[kept]
 
     v = np.asarray(initial.sample(x), dtype=float)  # a fresh array, updated in place
-    fplus, fminus = _eo_split(flux)
     lam = dt / dx
     mu = epsilon * dt / (dx * dx)
 
     values = np.empty((stored.size, n_cells))
-    values[0], row = v, 1
-    # work rows made once: per step the march computes, in this order,
+    values[0], row, due = v, 1, int(stored[1])
+    # Work rows, views and constants are made once.  Per step the march
+    # computes, in this order,
     #   interface = fplus(v[:-1]) + fminus(v[1:])
     #   diff = v[2:] - 2.0 * v[1:-1] + v[:-2]
     #   v[1:-1] += -lam * np.diff(interface) + mu * diff
-    interface, minus = np.empty(n_cells - 1), np.empty(n_cells - 1)
+    # The Dirichlet ends v[0] and v[-1] never change.
+    interface = np.empty(n_cells - 1)
+    write_interface = _eo_interface(flux, v, interface)
     diff, update = np.empty(n_cells - 2), np.empty(n_cells - 2)
-    inner = v[1:-1]
+    inner, ahead, behind = v[1:-1], v[2:], v[:-2]
+    upper, lower = interface[1:], interface[:-1]
+    two, neg_lam, mu_ = np.asarray(2.0), np.asarray(-lam), np.asarray(mu)
+    v_first, v_last, mu_dx = v.item(0), v.item(-1), mu * dx
     boundary_account = 0.0
     for step in range(1, n_steps + 1):
-        fplus(v[:-1], interface)
-        interface += fminus(v[1:], minus)
-        np.multiply(2.0, inner, out=diff)
-        np.subtract(v[2:], diff, out=diff)
-        diff += v[:-2]
-        boundary_account += dt * (interface[0] - interface[-1]) + mu * dx * (
-            (v[-1] - v[-2]) - (v[1] - v[0])
+        write_interface()
+        np.multiply(two, inner, out=diff)
+        np.subtract(ahead, diff, out=diff)
+        np.add(diff, behind, out=diff)
+        boundary_account += dt * (interface.item(0) - interface.item(-1)) + mu_dx * (
+            (v_last - v.item(-2)) - (v.item(1) - v_first)
         )
-        np.subtract(interface[1:], interface[:-1], out=update)
-        update *= -lam
-        diff *= mu
-        update += diff
-        inner += update
-        if step == stored[row]:  # the last step is stored, so row stays in range
+        np.subtract(upper, lower, out=update)
+        np.multiply(update, neg_lam, out=update)
+        np.multiply(diff, mu_, out=diff)
+        np.add(update, diff, out=update)
+        np.add(inner, update, out=inner)
+        if step == due:
             values[row] = v
             row += 1
+            if row < stored.size:
+                due = int(stored[row])
 
     return GridField(
         x=x,

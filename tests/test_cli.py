@@ -32,7 +32,7 @@ from shockline.flux import (
     TrafficQuadraticFlux,
 )
 from shockline.front_tracking import StepFunction, l1_distance
-from shockline.viscous import MAX_CELLS, solve_viscous
+from shockline.viscous import CFL_SAFETY, MAX_CELLS, MAX_STEPS, march_grid, solve_viscous
 
 VELOCITY = {"kind": "linear-traffic", "w_max": 1.0, "rho_max": 1.0}
 
@@ -492,6 +492,12 @@ def test_sizes_past_their_bound_raise_before_any_array_is_built(monkeypatch):
     bayes.check_hellinger_samples(MAX_HELLINGER_SAMPLES)
     PriorSpec(n=MAX_PRIOR_N)
     ViscousTrajectoryForward(velocity, flux, 0.05, -0.5, 0.01, (0.5,), n_cells=MAX_CELLS)
+    # on four cells of (-1, 1) the step before landing on the horizon is
+    # dt0 whatever the horizon, so (k - 0.5) * dt0 takes k steps
+    dx = 0.5
+    dt0 = CFL_SAFETY / (2.0 * flux.lipschitz_norm / dx + 2.0 * 0.05 / (dx * dx))
+    steps = dict(window=(-1.0, 1.0), n_cells=4)
+    assert march_grid(step, flux, 0.05, (MAX_STEPS - 0.5) * dt0, **steps)[3] == MAX_STEPS
 
     def no_array(*args, **kwargs):
         raise AssertionError("an array was built")
@@ -504,6 +510,7 @@ def test_sizes_past_their_bound_raise_before_any_array_is_built(monkeypatch):
         (lambda: solve_viscous(step, flux, 0.05, 1.0, n_cells=MAX_CELLS + 1), MAX_CELLS),
         (lambda: ViscousTrajectoryForward(velocity, flux, 0.05, -0.5, 0.01, (0.5,),
                                           n_cells=MAX_CELLS + 1), MAX_CELLS),
+        (lambda: solve_viscous(step, flux, 0.05, (MAX_STEPS + 0.5) * dt0, **steps), MAX_STEPS),
         (lambda: PriorSpec(n=MAX_PRIOR_N + 1), MAX_PRIOR_N),
         (lambda: run_pcn(prior, obs, forward, MAX_CHAIN_LENGTH + 1, 0.1, 0), MAX_CHAIN_LENGTH),
         (lambda: hellinger_between(prior, obs, forward, forward, MAX_HELLINGER_SAMPLES + 1),
@@ -512,6 +519,32 @@ def test_sizes_past_their_bound_raise_before_any_array_is_built(monkeypatch):
     for call, bound in calls:
         with pytest.raises(ValueError, match=f"must be at most {bound}"):
             call()
+
+
+@pytest.mark.parametrize("window", [[-4.0, 4.0], None], ids=["given_window", "default_window"])
+def test_viscous_march_past_the_step_bound_exits_2_at_load(tmp_path, capsys, monkeypatch, window):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solve_viscous called on a config that should be rejected")
+
+    monkeypatch.setattr(cli, "solve_viscous", no_solve)
+    # 2**20 cells on a window about 8 wide take about 1.9e9 steps to horizon 1
+    blk = dict(VISCOUS_CFG["viscous"], n_cells=MAX_CELLS)
+    if window is not None:
+        blk["window"] = window
+    out = tmp_path / "o"
+    assert main(["viscous", "--config", write_cfg(tmp_path, dict(VISCOUS_CFG, viscous=blk)),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: bad viscous block: time steps must be at most {MAX_STEPS}" in err
+    assert not out.exists()
+
+
+def test_viscous_block_passes_only_the_settings_it_names(tmp_path):
+    # a size the block leaves out takes solve_viscous's own default
+    times, settings = load_scenario(write_cfg(tmp_path, VISCOUS_CFG), "viscous").viscous
+    assert times == (0.5, 1.0)
+    assert settings == {"epsilon": 0.05, "horizon": 1.0, "n_cells": 400,
+                        "keep_times": (0.5, 1.0, 0.0, 1.0)}
 
 
 FLUX_ONLY_INVERT_CFG = dict(
