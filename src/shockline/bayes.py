@@ -11,7 +11,7 @@ estimated with a common-sample Hellinger estimator.
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from math import inf, isfinite, log, sqrt
 from typing import Optional, Sequence
@@ -19,18 +19,14 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .filippov import track
-from .flux import (
-    TableVelocity,
-    VelocityFunction,
-    traffic_flux_from_velocity,
-)
+from .flux import TableVelocity, VelocityFunction, check_at_most, traffic_flux_from_velocity
 from .front_tracking import (
     FrontTrackingSolution,
     StepFunction,
     evolve,
     quantize_step,
 )
-from .viscous import CFL_SAFETY, check_viscous_settings, solve_viscous, track_smooth
+from .viscous import march_grid, solve_viscous, track_smooth
 
 LOG_UNDERFLOW = log(1e-300)
 # batches of the batch-means error bar of a Hellinger estimate
@@ -82,8 +78,7 @@ class PriorSpec:
             raise ValueError(f"unknown prior kind {self.kind!r}")
         if self.n < 2:
             raise ValueError("need n >= 2 latent points")
-        if self.n > MAX_PRIOR_N:
-            raise ValueError(f"n must be at most {MAX_PRIOR_N} latent points, got {self.n}")
+        check_at_most("n", self.n, MAX_PRIOR_N)
         floats = (self.length_scale, self.amplitude, *self.window, self.mean, self.w_max)
         if not all(map(isfinite, floats)):
             raise ValueError("prior parameters must be finite")
@@ -92,8 +87,8 @@ class PriorSpec:
         lo, hi = self.window
         if hi <= lo:
             raise ValueError("window must have positive length")
-        if self.kind == "velocity" and (lo, hi) != (0.0, 1.0):
-            raise ValueError("velocity priors use the latent window (0, 1)")
+        if self.kind == "velocity" and ((lo, hi) != (0.0, 1.0) or self.w_max <= 0):
+            raise ValueError("velocity priors use the latent window (0, 1) and w_max > 0")
 
     @property
     def grid(self) -> np.ndarray:
@@ -320,6 +315,11 @@ class VelocityTrajectoryForward(_TrackedForward):
         return traj.observe(self.times)
 
 
+# Data without a jump: no sample has a narrower default viscous window, so
+# none has a march with more steps or more stored levels.
+_NO_JUMPS = StepFunction.constant(0.5)
+
+
 @dataclass
 class ViscousTrajectoryForward(_TrackedForward):
     """Particle positions through the viscous regularization."""
@@ -335,9 +335,8 @@ class ViscousTrajectoryForward(_TrackedForward):
 
     def __post_init__(self):
         super().__post_init__()
-        check_viscous_settings(
-            self.epsilon, self.horizon, None, self.n_cells, CFL_SAFETY, self.store_every
-        )
+        march_grid(_NO_JUMPS, self.flux, self.epsilon, self.horizon,
+                   n_cells=self.n_cells, store_every=self.store_every)
 
     def __call__(self, sample: StepFunction) -> np.ndarray:
         fld = solve_viscous(
@@ -428,19 +427,20 @@ class PosteriorRun:
         return np.quantile(vals, 0.05, axis=0), np.quantile(vals, 0.95, axis=0)
 
 
-# Longest pCN chain: it keeps every state, chain_length x n floats, which is
-# 8 MB per latent point at 10**6 states.
+# Longest pCN chain, and most floats in it: the chain keeps every state,
+# chain_length x n floats, 8 MB per latent point at 10**6 states, 1 GB in all.
 MAX_CHAIN_LENGTH = 10 ** 6
+MAX_CHAIN_VALUES = 2 ** 27
 
 
-def check_pcn_settings(chain_length: int, beta: float, burn_in: int) -> None:
-    """Raise ValueError unless the pCN chain settings are usable."""
+def check_pcn_settings(chain_length: int, beta: float, burn_in: int, n: int) -> None:
+    """Raise ValueError unless the pCN settings are usable with ``n`` latent points."""
     if not 0.0 <= beta <= 1.0:
         raise ValueError("beta must lie in [0, 1]")
     if chain_length < 1:
         raise ValueError("chain_length must be positive")
-    if chain_length > MAX_CHAIN_LENGTH:
-        raise ValueError(f"chain_length must be at most {MAX_CHAIN_LENGTH}, got {chain_length}")
+    check_at_most("chain_length", chain_length, MAX_CHAIN_LENGTH)
+    check_at_most("chain_length x n", chain_length * n, MAX_CHAIN_VALUES)
     if not 0 <= burn_in < chain_length:
         raise ValueError("burn_in must be in [0, chain_length)")
 
@@ -460,7 +460,7 @@ def run_pcn(
     fresh prior fluctuation; acceptance probability min(1, exp(Phi - Phi')).
     beta = 0 reproduces the starting point forever.
     """
-    check_pcn_settings(chain_length, beta, burn_in)
+    check_pcn_settings(chain_length, beta, burn_in, prior.n)
     rng = np.random.default_rng(seed)
     factor = prior.factor
     contraction = sqrt(1.0 - beta * beta)
@@ -509,13 +509,7 @@ class HellingerEstimate:
     log_evidence_b: float
 
     def to_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "stderr": self.stderr,
-            "n_samples": self.n_samples,
-            "log_evidence_a": self.log_evidence_a,
-            "log_evidence_b": self.log_evidence_b,
-        }
+        return asdict(self)
 
 
 def _logsumexp(x: np.ndarray) -> float:
@@ -557,22 +551,24 @@ def _hellinger_from_potentials(phi_a: np.ndarray, phi_b: np.ndarray) -> Hellinge
     return HellingerEstimate(value, stderr, m, log_za, log_zb)
 
 
-# Most prior samples of a Hellinger comparison: their latents are
-# n_samples x n floats, 8 MB per latent point at 10**6 samples.
+# Most prior samples of a Hellinger comparison, and most floats in their
+# latents: n_samples x n floats, 8 MB per point at 10**6 samples, 1 GB in all.
 MAX_HELLINGER_SAMPLES = 10 ** 6
+MAX_HELLINGER_VALUES = 2 ** 27
 
 
-def check_hellinger_samples(n_samples: int) -> None:
-    """Raise ValueError unless ``n_samples`` fills every batch-means batch twice."""
+def check_hellinger_samples(n_samples: int, n: int) -> None:
+    """Raise ValueError unless ``n_samples`` latents of ``n`` points fill every
+    batch-means batch twice and fit in memory."""
     if n_samples < 2 * HELLINGER_BATCHES:
         raise ValueError("n_samples too small for batch-means error bars")
-    if n_samples > MAX_HELLINGER_SAMPLES:
-        raise ValueError(f"n_samples must be at most {MAX_HELLINGER_SAMPLES}, got {n_samples}")
+    check_at_most("n_samples", n_samples, MAX_HELLINGER_SAMPLES)
+    check_at_most("n_samples x n", n_samples * n, MAX_HELLINGER_VALUES)
 
 
 def _common_latents(prior: PriorSpec, n_samples: int, seed: int) -> np.ndarray:
     """The prior samples that every posterior in one comparison shares."""
-    check_hellinger_samples(n_samples)
+    check_hellinger_samples(n_samples, prior.n)
     return prior.sample_latent(np.random.default_rng(seed), size=n_samples)
 
 

@@ -23,6 +23,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from . import experiments
 from .bayes import (
     BallAverageForward,
     ObservationSet,
@@ -37,7 +38,6 @@ from .bayes import (
     check_observations_fit,
     check_pcn_settings,
 )
-from .experiments import check_stability_ladder
 from .filippov import Trajectory
 from .flux import (
     BurgersQuadraticFlux,
@@ -52,16 +52,12 @@ from .flux import (
     traffic_flux_from_velocity,
 )
 from .front_tracking import FrontTrackingSolution, StepFunction, check_in_domain, quantize_step
-from .viscous import march_grid
+from .viscous import march_grid, viscous_flux
 
 
 class ConfigError(ValueError):
     """A scenario file is malformed or inconsistent."""
 
-
-# The perturbation families each stability target knows, its default first.
-STABILITY_FAMILIES = {"initial": ("shift", "dither", "steps"),
-                      "velocity": ("scale", "tilt", "curve")}
 
 # The flux and velocity kinds a scenario can name, and the class each builds
 # from the other keys of its block.
@@ -108,9 +104,7 @@ class ScenarioConfig:
         """The flux the viscous solver runs on; smooth where one is known."""
         if self.flux is not None and not isinstance(self.flux, PiecewiseLinearFlux):
             return self.flux
-        if isinstance(self.velocity, LinearTrafficVelocity):
-            return TrafficQuadraticFlux(self.velocity.w_max, self.velocity.rho_max)
-        return self.tracking_flux()
+        return self.flux if self.velocity is None else viscous_flux(self.velocity, self.level)
 
 
 @contextmanager
@@ -350,9 +344,10 @@ def _core(top: dict, command: str) -> ScenarioConfig:
     )
 
 
-def _stability(blk: dict, cfg: ScenarioConfig) -> tuple:
+def _stability(blk: dict, cfg: ScenarioConfig, seed: Optional[int]) -> tuple:
+    """(target, family, epsilons, window); ``seed`` overrides the scenario's."""
     target = blk.get("target", "initial")
-    families = STABILITY_FAMILIES.get(target)
+    families = experiments.STABILITY_FAMILIES.get(target)
     if families is None:
         raise ConfigError(f"unknown stability target {target!r}")
     family = blk.get("family", families[0])
@@ -360,7 +355,9 @@ def _stability(blk: dict, cfg: ScenarioConfig) -> tuple:
         raise ConfigError(f"unknown {target} perturbation family {family!r}; one of {families}")
     epsilons, window = blk.get("epsilons", ()), blk.get("window")
     with _naming("stability block"):
-        check_stability_ladder(cfg.initial, cfg.velocity, cfg.level, epsilons, family, window)
+        experiments.check_stability_ladder(cfg.initial, cfg.velocity, cfg.level, cfg.horizon,
+                                           epsilons, family, window,
+                                           cfg.seed if seed is None else seed)
     return target, family, epsilons, window
 
 
@@ -450,7 +447,7 @@ def _inversion(inv: dict, cfg: ScenarioConfig, command: str, seed: Optional[int]
     chain_length, beta = sampler.get("chain_length", 1000), sampler.get("beta", 0.1)
     burn_in, thin = sampler.get("burn_in", 0), sampler.get("thin", 1)
     with _naming("sampler block"):
-        check_pcn_settings(chain_length, beta, burn_in)
+        check_pcn_settings(chain_length, beta, burn_in, cfg.prior.n)
     if thin < 1:
         raise ConfigError("bad sampler block: thin must be positive")
     cfg = replace(cfg, sampler=(chain_length, beta, burn_in, thin))
@@ -477,7 +474,7 @@ def _inversion(inv: dict, cfg: ScenarioConfig, command: str, seed: Optional[int]
             raise ConfigError("a ladder needs a forward with a level; viscous-trajectory has none")
         n_samples, reference = blk.get("n_samples", 500), blk.get("reference", 12)
         with _naming("ladder block"):
-            check_hellinger_samples(n_samples)
+            check_hellinger_samples(n_samples, cfg.prior.n)
             rungs = [(n, make(**dict(args, level=n))) for n in levels]
             cfg = replace(cfg, ladder=(rungs, make(**dict(args, level=reference)), n_samples))
     return cfg
@@ -501,7 +498,7 @@ def load_scenario(path: str, command: str, seed: Optional[int] = None) -> Scenar
     if command in ("track", "stability") and cfg.particle is None:
         raise ConfigError(f"{command} needs a particle block with x0 and t0")
     if command == "stability":
-        cfg = replace(cfg, stability=_stability(_need(top, "stability", "scenario"), cfg))
+        cfg = replace(cfg, stability=_stability(_need(top, "stability", "scenario"), cfg, seed))
     if command == "viscous":
         cfg = replace(cfg, viscous=_viscous(_need(top, "viscous", "scenario"), cfg))
     if command in ("synth", "invert"):

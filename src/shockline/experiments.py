@@ -17,7 +17,6 @@ import numpy as np
 from .filippov import Trajectory, track
 from .flux import (
     BurgersQuadraticFlux,
-    LinearTrafficVelocity,
     TableVelocity,
     TrafficQuadraticFlux,
     VelocityFunction,
@@ -32,7 +31,7 @@ from .front_tracking import (
     l1_distance,
     quantize_step,
 )
-from .viscous import solve_viscous, track_smooth
+from .viscous import solve_viscous, track_smooth, viscous_flux
 
 
 def fit_rate(eps_values: Sequence[float], errors: Sequence[float]) -> tuple[float, float]:
@@ -85,13 +84,8 @@ class RateReport:
         }
 
     def rows(self):
-        for i in range(self.epsilons.size):
-            yield (
-                float(self.epsilons[i]),
-                float(self.errors[i]),
-                float(self.bound_values[i]),
-                bool(self.bound_satisfied[i]),
-            )
+        """(epsilon, error, bound, bound holds) per rung."""
+        return zip(self.epsilons, self.errors, self.bound_values, self.bound_satisfied)
 
 
 def _rate_ladder(label: str, traj: Trajectory, rungs, epsilons, meta: dict) -> RateReport:
@@ -131,32 +125,6 @@ def _snap(value: float, level: int) -> float:
     """Round to the dyadic grid, at least one grid cell."""
     scale = 2.0 ** level
     return max(round(value * scale), 1) / scale
-
-
-def check_stability_ladder(
-    base: StepFunction,
-    velocity: VelocityFunction,
-    level: int,
-    epsilons: Sequence[float],
-    family: str,
-    window: Optional[tuple[float, float]] = None,
-) -> None:
-    """Raise ValueError unless a perturbation ladder on ``base`` can run:
-    positive finite sizes, a positive density floor after quantization to
-    ``level``, a window (when given) of positive length, and data and a
-    velocity that ``family`` can perturb by every size."""
-    if not epsilons or not all(0 < e < inf for e in epsilons):
-        raise ValueError("epsilons must be a nonempty list of positive finite numbers")
-    if quantize_step(base, level).min_value() <= 0:
-        raise ValueError("density floor must stay positive after quantization")
-    if window is not None and not (len(window) == 2 and window[0] < window[1]):
-        raise ValueError("window must be an interval (lo, hi) with lo < hi")
-    if family == "shift" and base.total_variation() == 0:
-        raise ValueError("shift family needs at least one jump")
-    if family == "dither" and base.values.size < 3:
-        raise ValueError("dither family needs at least two jumps")
-    if family == "scale" and max(epsilons) / velocity.lipschitz_norm >= 1.0:
-        raise ValueError("scale perturbation would destroy monotonicity")
 
 
 def stability_window(velocity: VelocityFunction, horizon: float) -> tuple[float, float]:
@@ -221,6 +189,49 @@ def perturb_initial_field(
     raise ValueError(f"unknown perturbation family {family!r}")
 
 
+# The perturbation families of each stability target, its default first.
+STABILITY_FAMILIES = {"initial": ("shift", "dither", "steps"),
+                      "velocity": ("scale", "tilt", "curve")}
+
+
+def check_stability_ladder(
+    base: StepFunction,
+    velocity: VelocityFunction,
+    level: int,
+    horizon: float,
+    epsilons: Sequence[float],
+    family: str,
+    window: Optional[tuple[float, float]] = None,
+    seed: int = 0,
+) -> list[tuple[float, object]]:
+    """The rungs (measured size, perturbed field or velocity) of a ladder on
+    ``base``, sized in L1 over ``window`` (default ``stability_window``) for
+    an initial family.  ValueError unless the ladder can run: an admissible
+    velocity, positive finite sizes, positive density floors after
+    quantization to ``level``, and a window (when given) of positive length."""
+    if not velocity.is_admissible():
+        raise ValueError("velocity must be strictly decreasing with w(rho_max) = 0")
+    if not epsilons or not all(0 < e < inf for e in epsilons):
+        raise ValueError("epsilons must be a nonempty list of positive finite numbers")
+    base_q = quantize_step(base, level)
+    if base_q.min_value() <= 0:
+        raise ValueError("density floor must stay positive after quantization")
+    if window is not None and not (len(window) == 2 and window[0] < window[1]):
+        raise ValueError("window must be an interval (lo, hi) with lo < hi")
+    if family in STABILITY_FAMILIES["velocity"]:
+        rungs = [perturb_velocity(velocity, eps, family, level) for eps in epsilons]
+        if not all(w_p.is_admissible() for w_p in rungs):
+            raise ValueError("perturbed velocity left the admissible class")
+        return [(velocity_lip_distance(velocity, w_p, level), w_p) for w_p in rungs]
+    if window is None:
+        window = stability_window(velocity, horizon)
+    rungs = [quantize_step(perturb_initial_field(base, eps, family, level, window, seed), level)
+             for eps in epsilons]
+    if min(pert_q.min_value() for pert_q in rungs) <= 0:
+        raise ValueError("perturbed density floor must stay positive")
+    return [(l1_distance(base_q, pert_q, window), pert_q) for pert_q in rungs]
+
+
 def initial_field_stability(
     base: StepFunction,
     velocity: VelocityFunction,
@@ -241,23 +252,18 @@ def initial_field_stability(
     constant C = 1 + (T - t0)(1 + 2/m) L_w + (TV + TV_pert)/m computed from
     measured quantities, and fits the log-log rate.
     """
-    if not velocity.is_admissible():
-        raise ValueError("velocity must be strictly decreasing with w(rho_max) = 0")
-    check_stability_ladder(base, velocity, level, epsilons, family, window)
+    if family not in STABILITY_FAMILIES["initial"]:
+        raise ValueError(f"{family!r} is not an initial-field family")
     if window is None:
         window = stability_window(velocity, horizon)
+    rungs = check_stability_ladder(base, velocity, level, horizon, epsilons, family, window, seed)
     flux = traffic_flux_from_velocity(velocity, level)
     base_q = quantize_step(base, level)
     traj = track(evolve(base_q, flux, horizon), velocity, x0, t0, horizon)
     lw = velocity.lipschitz_norm
 
-    def rungs():
-        for eps in epsilons:
-            pert = perturb_initial_field(base, eps, family, level, window, seed)
-            pert_q = quantize_step(pert, level)
-            if pert_q.min_value() <= 0:
-                raise ValueError("perturbed density floor must stay positive")
-            e_meas = l1_distance(base_q, pert_q, window)
+    def runs():
+        for e_meas, pert_q in rungs:
             traj_p = track(evolve(pert_q, flux, horizon), velocity, x0, t0, horizon)
             m_rho = min(base_q.min_value(), pert_q.min_value())
             tv = base_q.total_variation() + pert_q.total_variation()
@@ -265,7 +271,7 @@ def initial_field_stability(
             yield e_meas, c, traj_p
 
     meta = {"family": family, "level": level, "window": [float(window[0]), float(window[1])]}
-    return _rate_ladder(f"initial-field/{family}", traj, rungs(), epsilons, meta)
+    return _rate_ladder(f"initial-field/{family}", traj, runs(), epsilons, meta)
 
 
 def perturb_velocity(
@@ -318,9 +324,9 @@ def flux_stability(
     rho * w(rho) for its own velocity.  Checks error <= C * sqrt(eps) with
     C = 1 + 2 (T - t0)(1 + 2/m) L_w + 2 TV / m.
     """
-    if not velocity.is_admissible():
-        raise ValueError("velocity must be strictly decreasing with w(rho_max) = 0")
-    check_stability_ladder(initial, velocity, level, epsilons, family)
+    if family not in STABILITY_FAMILIES["velocity"]:
+        raise ValueError(f"{family!r} is not a velocity family")
+    rungs = check_stability_ladder(initial, velocity, level, horizon, epsilons, family)
     rho_q = quantize_step(initial, level)
     m_rho = rho_q.min_value()
     flux = traffic_flux_from_velocity(velocity, level)
@@ -329,17 +335,13 @@ def flux_stability(
     tv = rho_q.total_variation()
     c = 1.0 + 2.0 * (horizon - t0) * (1.0 + 2.0 / m_rho) * lw + 2.0 * tv / m_rho
 
-    def rungs():
-        for eps in epsilons:
-            w_p = perturb_velocity(velocity, eps, family, level)
-            if not w_p.is_admissible():
-                raise ValueError("perturbed velocity left the admissible class")
-            e_meas = velocity_lip_distance(velocity, w_p, level)
+    def runs():
+        for e_meas, w_p in rungs:
             sol_p = evolve(rho_q, traffic_flux_from_velocity(w_p, level), horizon)
             yield e_meas, c, track(sol_p, w_p, x0, t0, horizon)
 
     meta = {"family": family, "level": level}
-    return _rate_ladder(f"flux/{family}", traj, rungs(), epsilons, meta)
+    return _rate_ladder(f"flux/{family}", traj, runs(), epsilons, meta)
 
 
 @dataclass
@@ -452,13 +454,7 @@ def viscous_convergence_study(
     traj_ref = track(sol_ref, velocity, x0, t0, horizon)
     margin = traffic_speed_margin(sol_ref, velocity)
 
-    # the viscous solver gets the exact quadratic flux when the velocity is
-    # linear traffic; otherwise the reference chord flux
-    if isinstance(velocity, LinearTrafficVelocity):
-        flux_smooth: object = TrafficQuadraticFlux(velocity.w_max, velocity.rho_max)
-    else:
-        flux_smooth = flux_ref
-
+    flux_smooth = viscous_flux(velocity, ref_level)
     errors = []
     for eps in epsilons:
         fld = solve_viscous(

@@ -37,6 +37,12 @@ def check_level(level: int) -> None:
         raise ValueError(f"level must be in [0, {MAX_LEVEL}], got {level}")
 
 
+def check_at_most(name: str, value: int, bound: int) -> None:
+    """Raise ValueError when the size ``name`` exceeds its ``bound``."""
+    if value > bound:
+        raise ValueError(f"{name} must be at most {bound}, got {value}")
+
+
 def dyadic_points(level: int, lo: float = 0.0, hi: float = 1.0) -> np.ndarray:
     """Grid j/2**level intersected with [lo, hi], endpoints included."""
     check_level(level)

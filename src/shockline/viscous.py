@@ -17,9 +17,12 @@ from .filippov import Trajectory
 from .flux import (
     BurgersQuadraticFlux,
     FluxFunction,
+    LinearTrafficVelocity,
     PiecewiseLinearFlux,
     TrafficQuadraticFlux,
     VelocityFunction,
+    check_at_most,
+    traffic_flux_from_velocity,
 )
 from .front_tracking import StepFunction
 
@@ -36,6 +39,9 @@ MAX_CELLS = 2 ** 20
 # about 8 us even on four cells (20 us on 2,000; 2-core x86_64 VM), so a
 # march at the bound takes over half a minute on any grid.
 MAX_STEPS = 2 ** 22
+# Most floats in the stored levels of one march (stored levels x cells):
+# solve_viscous allocates them all at once, 1 GB here.
+MAX_LEVEL_VALUES = 2 ** 27
 
 
 def _eo_interface(flux: FluxFunction, v: np.ndarray, interface: np.ndarray) -> Callable[[], None]:
@@ -166,6 +172,13 @@ class GridField:
         return float(np.sum(self.snapshot(t)[1:-1]) * self.dx)
 
 
+def viscous_flux(velocity: VelocityFunction, level: int) -> FluxFunction:
+    """Viscous traffic flux: exact for linear traffic, else the chord flux at ``level``."""
+    if isinstance(velocity, LinearTrafficVelocity):
+        return TrafficQuadraticFlux(velocity.w_max, velocity.rho_max)
+    return traffic_flux_from_velocity(velocity, level)
+
+
 def default_window(
     initial: StepFunction, flux: FluxFunction, epsilon: float, horizon: float
 ) -> tuple[float, float]:
@@ -185,35 +198,6 @@ def default_window(
     return lo - margin, hi + margin
 
 
-def check_viscous_settings(
-    epsilon: float,
-    horizon: float,
-    window: Optional[tuple[float, float]],
-    n_cells: int,
-    cfl_safety: float,
-    store_every: int,
-    keep_times: Optional[Sequence[float]] = None,
-) -> None:
-    """Raise ValueError unless the viscous solver settings are usable."""
-    if not 0 < epsilon < inf:
-        raise ValueError("epsilon must be positive and finite")
-    if not 0 < horizon < inf:
-        raise ValueError("horizon must be positive and finite")
-    if window is not None and not (len(window) == 2 and -inf < window[0] < window[1] < inf):
-        raise ValueError("window must be a finite interval (lo, hi) with lo < hi")
-    if n_cells < 4:
-        raise ValueError("need at least 4 cells")
-    if n_cells > MAX_CELLS:
-        raise ValueError(f"n_cells must be at most {MAX_CELLS}, got {n_cells}")
-    if not 0 < cfl_safety <= 1:
-        raise ValueError("cfl_safety must be in (0, 1]")
-    if store_every < 1:
-        raise ValueError("store_every must be positive")
-    for t in () if keep_times is None else keep_times:
-        if not -1e-12 <= t <= horizon + 1e-12:
-            raise ValueError(f"time {t} outside [0, {horizon}]")
-
-
 def march_grid(
     initial: StepFunction,
     flux: FluxFunction,
@@ -226,24 +210,44 @@ def march_grid(
     keep_times: Optional[Sequence[float]] = None,
 ) -> tuple[float, float, float, int]:
     """(x_lo, dx, dt, n_steps) of the march ``solve_viscous`` makes with
-    these arguments, which it checks first; ValueError also when the march
-    would take more than MAX_STEPS steps.  Builds no array.
+    these arguments.  Builds no array.
+
+    Raises ValueError unless the settings are usable and the march takes
+    at most MAX_STEPS steps and stores at most MAX_LEVEL_VALUES values.
 
     The step is dt = cfl_safety / (2L/dx + 2 eps/dx^2), shrunk to land on
     the horizon, which satisfies both dt <= cfl_safety * min(dx/(2L),
     dx^2/(2 eps)) and the monotonicity bound dt * (L/dx + 2 eps/dx^2) <= 1.
     """
-    check_viscous_settings(
-        epsilon, horizon, window, n_cells, cfl_safety, store_every, keep_times
-    )
+    if not 0 < epsilon < inf:
+        raise ValueError("epsilon must be positive and finite")
+    if not 0 < horizon < inf:
+        raise ValueError("horizon must be positive and finite")
+    if window is not None and not (len(window) == 2 and -inf < window[0] < window[1] < inf):
+        raise ValueError("window must be a finite interval (lo, hi) with lo < hi")
+    if n_cells < 4:
+        raise ValueError("need at least 4 cells")
+    check_at_most("n_cells", n_cells, MAX_CELLS)
+    if not 0 < cfl_safety <= 1:
+        raise ValueError("cfl_safety must be in (0, 1]")
+    if store_every < 1:
+        raise ValueError("store_every must be positive")
+    for t in () if keep_times is None else keep_times:
+        if not -1e-12 <= t <= horizon + 1e-12:
+            raise ValueError(f"time {t} outside [0, {horizon}]")
     if window is None:
         window = default_window(initial, flux, epsilon, horizon)
     x_lo, x_hi = window
     dx = (x_hi - x_lo) / n_cells
     dt = cfl_safety / (2.0 * flux.lipschitz_norm / dx + 2.0 * epsilon / (dx * dx))
     n_steps = max(1, ceil(horizon / dt))
-    if n_steps > MAX_STEPS:
-        raise ValueError(f"time steps must be at most {MAX_STEPS}, got {n_steps}")
+    check_at_most("time steps", n_steps, MAX_STEPS)
+    # the levels solve_viscous stores: every store_every-th step, the first
+    # and the last, or at most two per kept time besides the first and last
+    rows = -(-n_steps // store_every) + 1
+    if keep_times is not None:
+        rows = min(rows, 2 + 2 * len(keep_times))
+    check_at_most("stored levels x cells", rows * n_cells, MAX_LEVEL_VALUES)
     return x_lo, dx, horizon / n_steps, n_steps  # dt lands on the horizon; it only shrinks
 
 

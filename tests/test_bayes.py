@@ -393,9 +393,9 @@ def test_hellinger_underflow_raises():
 
 
 def test_hellinger_needs_enough_samples():
-    check_hellinger_samples(20)
+    check_hellinger_samples(20, 8)
     with pytest.raises(ValueError):
-        check_hellinger_samples(19)
+        check_hellinger_samples(19, 8)
     prior = small_prior()
     obs = ObservationSet(kind="pointwise", values=[0.6], noise_std=0.1, times=(0.5,))
     with pytest.raises(ValueError):

@@ -11,7 +11,9 @@ from hypothesis import strategies as st
 from shockline import bayes
 from shockline.bayes import (
     MAX_CHAIN_LENGTH,
+    MAX_CHAIN_VALUES,
     MAX_HELLINGER_SAMPLES,
+    MAX_HELLINGER_VALUES,
     MAX_PRIOR_N,
     PriorSpec,
     TrajectoryForward,
@@ -32,7 +34,14 @@ from shockline.flux import (
     TrafficQuadraticFlux,
 )
 from shockline.front_tracking import StepFunction, l1_distance
-from shockline.viscous import CFL_SAFETY, MAX_CELLS, MAX_STEPS, march_grid, solve_viscous
+from shockline.viscous import (
+    CFL_SAFETY,
+    MAX_CELLS,
+    MAX_LEVEL_VALUES,
+    MAX_STEPS,
+    march_grid,
+    solve_viscous,
+)
 
 VELOCITY = {"kind": "linear-traffic", "w_max": 1.0, "rho_max": 1.0}
 
@@ -51,6 +60,12 @@ STABILITY_CFG = dict(
     TRACK_CFG,
     stability={"target": "initial", "family": "shift",
                "epsilons": [0.125, 0.0625, 0.03125]},
+)
+
+TABLE_VELOCITY = {"kind": "table", "breakpoints": [0.0, 0.5, 1.0], "values": [1.0, 0.5, 0.0]}
+TABLE_STABILITY_CFG = dict(
+    STABILITY_CFG, velocity=TABLE_VELOCITY,
+    stability={"target": "velocity", "family": "tilt", "epsilons": [0.125, 0.0625, 0.03125]},
 )
 
 VISCOUS_CFG = {
@@ -287,8 +302,13 @@ def test_bad_stability_block_exits_2_before_any_solve(tmp_path, capsys, monkeypa
     dict(STABILITY_CFG, stability=dict(STABILITY_CFG["stability"], epsilons=[-0.125, 0.0625])),
     dict(STABILITY_CFG, initial={"breakpoints": [], "values": [0.5]}),
     dict(STABILITY_CFG, stability={"target": "velocity", "epsilons": [2.0, 1.0, 0.5]}),
+    *(dict(cfg, velocity=dict(TABLE_VELOCITY, values=values))
+      for cfg in (STABILITY_CFG, TABLE_STABILITY_CFG)
+      for values in ([1.0, 1.0, 0.0], [1.0, 0.5, 0.1])),
 ], ids=["density_floor_quantized_to_zero", "zero_epsilon", "negative_epsilon",
-        "shift_without_a_jump", "scale_past_the_lipschitz_norm"])
+        "shift_without_a_jump", "scale_past_the_lipschitz_norm",
+        *(f"{target}_target_table_{fault}" for target in ("initial", "velocity")
+          for fault in ("not_strictly_decreasing", "not_zero_at_rho_max"))])
 def test_stability_ladders_no_study_can_run_exit_2_before_any_solve(tmp_path, capsys,
                                                                    monkeypatch, cfg):
     def no_solve(*args, **kwargs):
@@ -434,6 +454,11 @@ MALFORMED_SYNTHETIC = {
     dict(INVERT_CFG, seed=-1),
     dict(INVERT_CFG, velocity=dict(VELOCITY, rho_max=0.8)),
     with_inversion(prior={"kind": "velocity", "n": 16, "window": [0.0, 1.0]}),
+    *(with_inversion(prior={"kind": "velocity", "n": 12, "window": [0, 1], "w_max": w_max},
+                     forward={"kind": "velocity-trajectory", "times": [0.5, 1.0]},
+                     synthetic={"truth_latent": [0.0] * 12}) for w_max in (0, -1)),
+    with_inversion(forward={"kind": "viscous-trajectory", "times": [0.5, 1.0, 1.5],
+                            "epsilon": 0.05, "n_cells": MAX_CELLS}),
     with_inversion(forward={"kind": "viscous-trajectory", "times": [0.5, 1.0, 1.5],
                             "epsilon": 0.05, "n_cells": 100},
                    sampler={"chain_length": 5, "beta": 0.2},
@@ -445,6 +470,8 @@ MALFORMED_SYNTHETIC = {
         "negative_viscous_epsilon", "viscous_n_cells_too_few", "viscous_store_every_zero",
         "forward_x0_without_t0", "negative_thin", "zero_thin", "negative_scenario_seed",
         "prior_range_outside_the_flux_domain", "velocity_prior_on_a_field_forward",
+        "velocity_prior_with_zero_w_max", "velocity_prior_with_negative_w_max",
+        "viscous_forward_with_more_steps_than_the_bound",
         "ladder_of_a_forward_without_a_level",
         *MALFORMED_SYNTHETIC])
 def test_malformed_inversion_blocks_exit_2(tmp_path, capsys, cfg):
@@ -485,19 +512,27 @@ def test_sizes_past_their_bound_raise_before_any_array_is_built(monkeypatch):
     step = StepFunction([0.0], [0.25, 0.5])
     flux, velocity = TrafficQuadraticFlux(), LinearTrafficVelocity()
     prior = PriorSpec(kind="initial-field", n=16, window=(-1.0, 1.5))
+    wide = PriorSpec(kind="initial-field", n=MAX_PRIOR_N, window=(-1.0, 1.5))
     forward = TrajectoryForward(velocity=velocity, level=4, x0=-0.5, t0=0.01, times=(0.5, 1.0))
     obs = synth_observations(forward, prior.transform(np.zeros(16)), 0.05, seed=1)
     # the bounds themselves pass the checks
-    bayes.check_pcn_settings(MAX_CHAIN_LENGTH, 0.1, 0)
-    bayes.check_hellinger_samples(MAX_HELLINGER_SAMPLES)
+    bayes.check_pcn_settings(MAX_CHAIN_LENGTH, 0.1, 0, 16)
+    bayes.check_pcn_settings(MAX_CHAIN_VALUES // MAX_PRIOR_N, 0.1, 0, MAX_PRIOR_N)
+    bayes.check_hellinger_samples(MAX_HELLINGER_SAMPLES, 16)
+    bayes.check_hellinger_samples(MAX_HELLINGER_VALUES // MAX_PRIOR_N, MAX_PRIOR_N)
     PriorSpec(n=MAX_PRIOR_N)
-    ViscousTrajectoryForward(velocity, flux, 0.05, -0.5, 0.01, (0.5,), n_cells=MAX_CELLS)
-    # on four cells of (-1, 1) the step before landing on the horizon is
-    # dt0 whatever the horizon, so (k - 0.5) * dt0 takes k steps
-    dx = 0.5
-    dt0 = CFL_SAFETY / (2.0 * flux.lipschitz_norm / dx + 2.0 * 0.05 / (dx * dx))
+
+    def dt0(n_cells):
+        """The step on ``n_cells`` cells of (-1, 1) before it lands on the
+        horizon, the same whatever the horizon, so (k - 0.5) * dt0 takes k steps."""
+        dx = 2.0 / n_cells
+        return CFL_SAFETY / (2.0 * flux.lipschitz_norm / dx + 2.0 * 0.05 / (dx * dx))
+
     steps = dict(window=(-1.0, 1.0), n_cells=4)
-    assert march_grid(step, flux, 0.05, (MAX_STEPS - 0.5) * dt0, **steps)[3] == MAX_STEPS
+    assert march_grid(step, flux, 0.05, (MAX_STEPS - 0.5) * dt0(4), **steps)[3] == MAX_STEPS
+    # k steps store k + 1 levels of 64 cells
+    levels, k = dict(window=(-1.0, 1.0), n_cells=64), MAX_LEVEL_VALUES // 64 - 1
+    assert march_grid(step, flux, 0.05, (k - 0.5) * dt0(64), **levels)[3] == k
 
     def no_array(*args, **kwargs):
         raise AssertionError("an array was built")
@@ -510,15 +545,75 @@ def test_sizes_past_their_bound_raise_before_any_array_is_built(monkeypatch):
         (lambda: solve_viscous(step, flux, 0.05, 1.0, n_cells=MAX_CELLS + 1), MAX_CELLS),
         (lambda: ViscousTrajectoryForward(velocity, flux, 0.05, -0.5, 0.01, (0.5,),
                                           n_cells=MAX_CELLS + 1), MAX_CELLS),
-        (lambda: solve_viscous(step, flux, 0.05, (MAX_STEPS + 0.5) * dt0, **steps), MAX_STEPS),
+        (lambda: solve_viscous(step, flux, 0.05, (MAX_STEPS + 0.5) * dt0(4), **steps), MAX_STEPS),
+        (lambda: ViscousTrajectoryForward(velocity, flux, 0.05, -0.5, 0.01, (0.5,),
+                                          n_cells=MAX_CELLS), MAX_STEPS),
+        (lambda: solve_viscous(step, flux, 0.05, (k + 0.5) * dt0(64), **levels),
+         MAX_LEVEL_VALUES),
         (lambda: PriorSpec(n=MAX_PRIOR_N + 1), MAX_PRIOR_N),
         (lambda: run_pcn(prior, obs, forward, MAX_CHAIN_LENGTH + 1, 0.1, 0), MAX_CHAIN_LENGTH),
+        (lambda: run_pcn(wide, obs, forward, MAX_CHAIN_VALUES // MAX_PRIOR_N + 1, 0.1, 0),
+         MAX_CHAIN_VALUES),
         (lambda: hellinger_between(prior, obs, forward, forward, MAX_HELLINGER_SAMPLES + 1),
          MAX_HELLINGER_SAMPLES),
+        (lambda: hellinger_between(wide, obs, forward, forward,
+                                   MAX_HELLINGER_VALUES // MAX_PRIOR_N + 1),
+         MAX_HELLINGER_VALUES),
     ]
     for call, bound in calls:
         with pytest.raises(ValueError, match=f"must be at most {bound}"):
             call()
+
+
+def with_latents(n, **blocks):
+    """INVERT_CFG with a prior of ``n`` latent points, and ``blocks``."""
+    inv = INVERT_CFG["inversion"]
+    return with_inversion(prior=dict(inv["prior"], n=n),
+                          synthetic=dict(inv["synthetic"], truth_latent=[0.0] * n), **blocks)
+
+
+def forward_levels_first_past_the_bound():
+    """The fewest cells whose viscous-trajectory forward, storing every
+    step, stores more than MAX_LEVEL_VALUES values (bisection)."""
+    fits, past = 4, MAX_CELLS
+    while past - fits > 1:
+        mid = (fits + past) // 2
+        try:
+            ViscousTrajectoryForward(LinearTrafficVelocity(), TrafficQuadraticFlux(), 0.05,
+                                     -0.5, 0.01, (0.5, 1.0, 1.5), n_cells=mid, store_every=1)
+            fits = mid
+        except ValueError:
+            past = mid
+    return past
+
+
+PRODUCTS = {  # (config by the value that sets the product, that value at the bound, bound)
+    "chain_length_x_n": (lambda m: with_latents(256, sampler={"chain_length": m, "beta": 0.2}),
+                         MAX_CHAIN_VALUES // 256, MAX_CHAIN_VALUES),
+    "n_samples_x_n": (lambda m: with_latents(256, sampler={"chain_length": 20, "beta": 0.2},
+                                             ladder={"levels": [3], "n_samples": m}),
+                      MAX_HELLINGER_VALUES // 256, MAX_HELLINGER_VALUES),
+    "stored_levels_x_cells": (lambda m: with_inversion(forward=dict(VISCOUS_FORWARD, n_cells=m,
+                                                                    store_every=1)),
+                              None, MAX_LEVEL_VALUES),
+}
+
+
+@pytest.mark.parametrize("product", PRODUCTS)
+def test_size_products_just_past_their_bound_exit_2(tmp_path, capsys, monkeypatch, product):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a solver ran on a config that should be rejected")
+
+    for name in ("run_pcn", "synth_observations"):
+        monkeypatch.setattr(cli, name, no_solve)
+    make, at_bound, bound = PRODUCTS[product]
+    if at_bound is None:
+        at_bound = forward_levels_first_past_the_bound() - 1
+    load_scenario(write_cfg(tmp_path, make(at_bound)), "invert")
+    path = write_cfg(tmp_path, make(at_bound + 1))
+    assert main(["invert", "--config", path, "--out", str(tmp_path / "o")]) == 2
+    assert f"must be at most {bound}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("window", [[-4.0, 4.0], None], ids=["given_window", "default_window"])
@@ -777,7 +872,8 @@ def test_solve_restart_matches_direct_run(tmp_path):
 # reason only the run can find (exit 3): none; every run exits 0, 2 or 4.
 RUNTIME_FAILURES = set()
 MUTATED_CONFIGS = [("solve", SOLVE_CFG), ("track", TRACK_CFG), ("stability", STABILITY_CFG),
-                   ("viscous", VISCOUS_CFG), ("invert", INVERT_CFG), ("invert", LADDER_CFG)]
+                   ("stability", TABLE_STABILITY_CFG), ("viscous", VISCOUS_CFG),
+                   ("invert", INVERT_CFG), ("invert", LADDER_CFG)]
 MUTATIONS = [-1, 0, 0.5, "x", None, [], {}, float("nan"), float("inf"), True]
 
 
@@ -813,7 +909,7 @@ def test_single_field_mutations_exit_3_only_for_runtime_failures(tmp_path, capsy
                     exit_3.add((command, ".".join(map(str, at)), json.dumps(value)))
                 runs += 1
     capsys.readouterr()
-    assert runs == 1110
+    assert runs == 1310
     assert exit_3 == RUNTIME_FAILURES
 
 

@@ -191,7 +191,10 @@ def test_stability_studies_need_positive_finite_sizes(study, family, epsilons):
     (initial_field_stability, StepFunction([0.0], [0.5, 0.75]), "dither", LADDER,
      "at least two jumps"),
     (flux_stability, TWO_JUMPS, "scale", [2.0, 1.0, 0.5], "destroy monotonicity"),
-], ids=["shift_without_a_jump", "dither_with_one_jump", "scale_past_the_lipschitz_norm"])
+    (initial_field_stability, TWO_JUMPS, "tilt", LADDER, "not an initial-field family"),
+    (flux_stability, TWO_JUMPS, "shift", LADDER, "not a velocity family"),
+], ids=["shift_without_a_jump", "dither_with_one_jump", "scale_past_the_lipschitz_norm",
+        "velocity_family_on_the_initial_field", "initial_family_on_the_velocity"])
 def test_stability_studies_reject_a_family_before_any_solve(monkeypatch, study, base, family,
                                                             epsilons, message):
     def no_solve(*args):

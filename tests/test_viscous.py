@@ -18,7 +18,6 @@ from shockline.front_tracking import StepFunction, evolve
 from shockline.viscous import (
     CFL_SAFETY,
     _eo_interface,
-    check_viscous_settings,
     default_window,
     march_grid,
     solve_viscous,
@@ -126,10 +125,11 @@ def test_bad_parameters_raise():
 def test_unusable_settings_raise_before_any_step(change):
     settings = dict(epsilon=0.05, horizon=1.0, window=None, n_cells=4, cfl_safety=1.0,
                     store_every=1)
-    check_viscous_settings(**dict(settings, window=(-1.0, 1.0)))
-    check_viscous_settings(**settings)
+    grid = (StepFunction.constant(0.5), TRAFFIC)
+    march_grid(*grid, **dict(settings, window=(-1.0, 1.0)))
+    march_grid(*grid, **settings)
     with pytest.raises(ValueError):
-        check_viscous_settings(**dict(settings, **change))
+        march_grid(*grid, **dict(settings, **change))
     with pytest.raises(ValueError):
         solve_viscous(StepFunction.constant(0.5), TRAFFIC, **dict(settings, **change))
 
