@@ -138,11 +138,21 @@ class PriorSpec:
         tail = np.concatenate((np.cumsum(seg[::-1])[::-1], [0.0]))
         return self.w_max * tail / tail[0]
 
+    @cached_property
+    def _cell_edges(self) -> np.ndarray:
+        """Grid midpoints, the cell edges of every field sample; read-only."""
+        edges = 0.5 * (self.grid[:-1] + self.grid[1:])
+        edges.setflags(write=False)
+        return edges
+
+    def __getstate__(self) -> dict:
+        # an unpickled array is writable, so the copy rebuilds its read-only edges
+        return {k: v for k, v in self.__dict__.items() if k != "_cell_edges"}
+
     def field_from_values(self, values: np.ndarray):
         """Rebuild a sample object from grid values (e.g. a posterior mean)."""
         if self.kind == "initial-field":
-            x = self.grid
-            return StepFunction(0.5 * (x[:-1] + x[1:]), values)
+            return StepFunction(self._cell_edges, values)
         return TableVelocity(self.grid, values)
 
 

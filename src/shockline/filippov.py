@@ -47,6 +47,15 @@ class Trajectory:
             raise ValueError("node times must be strictly increasing")
         self.times, self.positions, self.speeds = t, z, s
 
+    @classmethod
+    def _of_nodes(cls, times: list, positions: list, speeds: list, sticking: list) -> "Trajectory":
+        """A path of node lists that are consistent by construction, built without checks."""
+        traj = cls.__new__(cls)
+        arrays = (np.array(a, dtype=float) for a in (times, positions, speeds))
+        traj.times, traj.positions, traj.speeds = arrays
+        traj.sticking = sticking
+        return traj
+
     @property
     def start_time(self) -> float:
         return float(self.times[0])
@@ -58,12 +67,13 @@ class Trajectory:
     def position_at(self, t):
         """Evaluate the path; accepts scalars or arrays inside [t0, T]."""
         ts = np.asarray(t, dtype=float)
-        if not np.all((ts >= self.times[0] - 1e-12) & (ts <= self.times[-1] + 1e-12)):
+        if not ((ts >= self.times[0] - 1e-12) & (ts <= self.times[-1] + 1e-12)).all():
             raise ValueError("query time is NaN or outside the tracked interval")
         if self.times.size == 1:
             out = np.full(ts.shape, self.positions[0])
         else:
-            k = np.clip(np.searchsorted(self.times, ts, side="right") - 1, 0, self.times.size - 2)
+            # searching the inner nodes clamps each segment to 0..n-2
+            k = self.times[1:-1].searchsorted(ts, side="right")
             out = self.positions[k] + self.speeds[k] * (ts - self.times[k])
         if np.isscalar(t) or (isinstance(t, np.ndarray) and t.ndim == 0):
             return float(out)
@@ -112,11 +122,16 @@ def track(
     bt, bx, spd, lv, rv, _ = solution.front_lists
     far_left = solution.initial.far_left
 
-    live = _LiveFronts()
-    nxt, prv = live.nxt, live.prv
+    # the t = 0 fans lead the event log and number their fronts 0..n-1 left
+    # to right, so they link as one run; later events replay one at a time
     events = solution.events
+    n_events = len(events)
     ei = 0
-    while ei < len(events) and events[ei].time <= t0:
+    while ei < n_events and not events[ei].incoming:
+        ei += 1
+    live = _LiveFronts.of_fans(events[:ei])
+    nxt, prv = live.nxt, live.prv
+    while ei < n_events and events[ei].time <= t0:
         live.apply(events[ei])
         ei += 1
 
@@ -167,7 +182,6 @@ def track(
         left_id, right_id = e.outgoing[-1], nxt[e.outgoing[-1]]
 
     # advance to each event time up to T, then replay the event; last, to T
-    n_events = len(events)
     while True:
         if ei < n_events and events[ei].time <= T:
             e = events[ei]
@@ -225,9 +239,7 @@ def track(
             right_id = nxt[left_id] if left_id != -1 else live.head
 
     end_stick(T)
-    return Trajectory(
-        np.asarray(nodes_t), np.asarray(nodes_z), np.asarray(seg_speed), sticking
-    )
+    return Trajectory._of_nodes(nodes_t, nodes_z, seg_speed, sticking)
 
 
 def check_speed_inclusion(

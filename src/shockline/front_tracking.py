@@ -51,11 +51,11 @@ class StepFunction:
                 f"need len(values) == len(breakpoints) + 1, got {vals.size} and {bp.size}"
             )
         # increasing between finite ends means finite throughout
-        if bp.size and not ((np.diff(bp) > 0).all() and isfinite(bp[0]) and isfinite(bp[-1])):
+        if bp.size and not ((bp[1:] > bp[:-1]).all() and isfinite(bp[0]) and isfinite(bp[-1])):
             raise ValueError("breakpoints must be finite and strictly increasing")
         if not np.isfinite(vals).all():
             raise ValueError("values must be finite")
-        keep = np.flatnonzero(vals[:-1] != vals[1:])
+        keep = (vals[:-1] != vals[1:]).nonzero()[0]
         if keep.size != bp.size:
             bp = bp[keep]
             vals = vals[np.concatenate((keep, [vals.size - 1]))] if keep.size else vals[-1:]
@@ -74,11 +74,6 @@ class StepFunction:
     def far_right(self) -> float:
         return float(self.values[-1])
 
-    def jumps(self):
-        """Yield (position, left value, right value) for each stored jump."""
-        for i, x in enumerate(self.breakpoints):
-            yield float(x), float(self.values[i]), float(self.values[i + 1])
-
     def value_at(self, x: float) -> tuple[float, float]:
         """One-sided limits (left, right) at x."""
         i = int(np.searchsorted(self.breakpoints, x, side="left"))
@@ -94,10 +89,10 @@ class StepFunction:
         return float(np.sum(np.abs(np.diff(self.values)))) if self.values.size > 1 else 0.0
 
     def min_value(self) -> float:
-        return float(np.min(self.values))
+        return float(self.values.min())
 
     def max_value(self) -> float:
-        return float(np.max(self.values))
+        return float(self.values.max())
 
     def integral(self, lo: float, hi: float) -> float:
         """Exact integral over [lo, hi]."""
@@ -348,8 +343,9 @@ class _LiveFronts:
     ``nxt``/``prv`` hold each front's neighbours (-1 past either end) and
     ``head``/``tail`` the ends; the links of a front that has left the list
     are stale.  ``apply`` grows ``nxt``/``prv`` in place, so callers may
-    hold on to the two lists.  ``evolve`` keeps it while it builds a
-    solution; ``track`` rebuilds it by replaying the event log, since the
+    hold on to the two lists.  Both ``evolve`` and ``track`` start from
+    ``of_fans``; ``evolve`` keeps the list while it builds a solution, and
+    ``track`` rebuilds it by replaying the rest of the event log, since the
     links change from event to event.
     """
 
@@ -358,6 +354,19 @@ class _LiveFronts:
         self.prv: list[int] = []
         self.head = -1
         self.tail = -1
+
+    @classmethod
+    def of_fans(cls, fans: list) -> "_LiveFronts":
+        """The list after the t = 0 fan events ``fans``, whose fronts 0..n-1 lie left to
+        right: one run, linked as ``apply`` would link them fan by fan."""
+        live = cls()
+        prv = [-1]
+        for e in fans:
+            prv += e.outgoing
+        if len(prv) > 1:
+            live.prv, live.nxt = prv[:-1], prv[2:] + [-1]
+            live.head, live.tail = 0, len(prv) - 2
+        return live
 
     def apply(self, event: FrontEvent) -> None:
         """Link the event's outgoing fronts in place of its incoming ones.
@@ -437,7 +446,8 @@ def evolve(
     # the t = 0 fans, jump by jump, left to right, keep every wave; each
     # fan's columns extend the front lists, and its first front is a
     # candidate with the last front of the fan before
-    for x0, a, b in initial.jumps():
+    values = initial.values.tolist()
+    for x0, a, b in zip(initial.breakpoints.tolist(), values, values[1:]):
         speeds, lefts, rights = _riemann_waves(flux, a, b)
         k = len(spd)
         spd.extend(speeds)
@@ -449,9 +459,7 @@ def evolve(
         if k:
             push_pair(k - 1, k, 0.0)
     death = [inf] * len(spd)
-    # the fans lie left to right in id order, so one run of ids links them all
-    live = _LiveFronts()
-    live.apply(FrontEvent(0.0, 0.0, (), tuple(range(len(spd)))))
+    live = _LiveFronts.of_fans(events)
     nxt, prv = live.nxt, live.prv
 
     while heap:

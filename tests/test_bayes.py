@@ -118,6 +118,32 @@ def test_zero_latent_gives_the_half_density_field():
     assert generic.breakpoints.size == prior.n - 1
 
 
+def test_field_samples_share_read_only_cell_edges_at_the_grid_midpoints():
+    for n, window in ((2, (-1.0, 2.0)), (8, (-1.0, 2.0)), (64, (-1.0, 2.0)), (37, (-0.3, 0.7))):
+        prior = PriorSpec(kind="initial-field", n=n, window=window)
+        x = np.linspace(window[0], window[1], n)
+        want = [e.hex() for e in (0.5 * (x[:-1] + x[1:])).tolist()]
+        ramp = prior.field_from_values(np.arange(n) / n)  # no equal neighbours
+        assert [e.hex() for e in ramp.breakpoints.tolist()] == want
+        with pytest.raises(ValueError, match="read-only"):
+            ramp.breakpoints[0] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            prior.field_from_values(np.arange(n) / n).breakpoints[-1] = 0.0
+        again = prior.field_from_values(np.arange(n)[::-1] / n)
+        assert [e.hex() for e in again.breakpoints.tolist()] == want
+        # equal neighbours still merge, without touching the shared edges
+        merged = prior.field_from_values(np.repeat([0.25, 0.75], [1, n - 1]))
+        assert merged.breakpoints.tolist() == [float.fromhex(want[0])]
+        assert [e.hex() for e in prior.transform(np.arange(n) / n).breakpoints.tolist()] == want
+        # a pickled prior, as a worker of a forward batch gets it, shares read-only edges too
+        clone = pickle.loads(pickle.dumps(prior))
+        assert clone == prior and np.array_equal(clone.covariance, prior.covariance)
+        sample = clone.field_from_values(np.arange(n) / n)
+        assert [e.hex() for e in sample.breakpoints.tolist()] == want
+        with pytest.raises(ValueError, match="read-only"):
+            sample.breakpoints[0] = 0.0
+
+
 def test_zero_latent_velocity_prior_is_exactly_linear():
     prior = PriorSpec(kind="velocity", n=33, window=(0.0, 1.0), w_max=1.0)
     w = prior.transform(np.zeros(prior.n))

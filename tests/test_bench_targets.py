@@ -142,5 +142,61 @@ def test_every_note_survives_a_traced_run_of_each_command(tmp_path):
     result = json.loads(run.stdout.splitlines()[-1])
     assert result["codes"] == dict.fromkeys(CLI_CONFIGS, 0), run.stderr
     for note in ("viscous.cell_steps", "pcn.steps", "hellinger.samples",
-                 "hellinger.forward_evals", "config.bytes_written"):
+                 "hellinger.forward_evals", "config.bytes_written", "track.nodes",
+                 "evolve.events"):
         assert result["notes"].get(note, 0) > 0, note
+
+
+# Runs a short pCN chain on a level-6 trajectory forward with the wrappers
+# installed, as the traced pcn_posterior run does, and prints the names of
+# each forward span's direct children, the transform and track span
+# counts, and the number of track spans that took a node-count note.
+TRACED_FORWARD_RUN = """
+import importlib.util, json, sys
+import numpy as np
+spec = importlib.util.spec_from_file_location("bench_tracing", sys.argv[1])
+tracing = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracing)
+tracer = tracing.Tracer()
+tracing.install(tracer)
+from shockline import bayes, flux
+
+prior = bayes.PriorSpec(kind="initial-field", n=64, length_scale=0.5, window=(-1.0, 2.0))
+forward = bayes.TrajectoryForward(velocity=flux.LinearTrafficVelocity(1.0, 1.0), level=6,
+                                  x0=-0.5, t0=0.01, times=(0.3, 0.6, 0.9, 1.2, 1.5))
+truth = prior.transform(prior.sample_latent(np.random.default_rng(1)))
+obs = bayes.synth_observations(forward, truth, 0.01, seed=2)
+tracer.reset()
+bayes.run_pcn(prior, obs, forward, 6, 0.1, 3)
+sp = tracer.arrays()
+names = [tracer.names[i] for i in sp["name"].tolist()]
+parents = sp["parent"].tolist()
+forwards = [i for i, name in enumerate(names) if name == "bayes.forward"]
+key = tracer.note_names.index("track.nodes") if "track.nodes" in tracer.note_names else -1
+noted = np.frombuffer(tracer.note_span, dtype=np.int32)[
+    np.frombuffer(tracer.note_key, dtype=np.int32) == key]
+print(json.dumps({
+    "children": [sorted(names[j] for j, p in enumerate(parents) if p == i) for i in forwards],
+    "transforms": names.count("bayes.transform"),
+    "tracks": names.count("filippov.track"),
+    "noted_tracks": sorted(set(names[j] for j in noted.tolist())) + [int(noted.size)],
+}))
+"""
+
+
+def test_a_traced_forward_keeps_its_layer_split():
+    src = os.path.dirname(os.path.dirname(shockline.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run(
+        [sys.executable, "-c", TRACED_FORWARD_RUN, TRACING],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
+    result = json.loads(run.stdout.splitlines()[-1])
+    # the first state and six proposals: one forward each
+    assert len(result["children"]) == 7
+    for children in result["children"]:
+        assert children == ["filippov.track", "front_tracking.evolve",
+                            "front_tracking.quantize_step"]
+    assert result["transforms"] == result["tracks"] == 7
+    assert result["noted_tracks"] == ["filippov.track", 7]

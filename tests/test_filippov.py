@@ -9,7 +9,9 @@ one-sided speed inclusion sampled along every path.
 import numpy as np
 import pytest
 
+from shockline import filippov
 from shockline.filippov import (
+    Trajectory,
     check_speed_inclusion,
     initial_position_spread,
     riemann_comparison,
@@ -24,7 +26,7 @@ from shockline.flux import (
     piecewise_linearize,
     traffic_flux_from_velocity,
 )
-from shockline.front_tracking import StepFunction, evolve
+from shockline.front_tracking import StepFunction, _LiveFronts, evolve
 
 W = LinearTrafficVelocity(1.0, 1.0)
 
@@ -368,3 +370,189 @@ def test_spread_grows_through_rarefaction_fan():
     assert np.all(diffs >= -1e-12)
     assert rep.envelope_ok
     assert rep.fitted_exponent >= 0.0
+
+
+# ---------------------------------------------------------------------------
+# track's fast paths against references: the t = 0 fans linked as one run,
+# the path built without re-checks, and position_at's segment lookup
+
+
+def path_hex(traj):
+    return [[x.hex() for x in a.tolist()] for a in (traj.times, traj.positions, traj.speeds)]
+
+
+def reference_positions(traj, t):
+    """position_at's expression before its segment lookup lost the np.clip."""
+    ts = np.asarray(t, dtype=float)
+    if traj.times.size == 1:
+        return np.full(ts.shape, traj.positions[0])
+    k = np.clip(np.searchsorted(traj.times, ts, side="right") - 1, 0, traj.times.size - 2)
+    return traj.positions[k] + traj.speeds[k] * (ts - traj.times[k])
+
+
+def random_paths(rng):
+    """Paths of 1 to 40 nodes whose positions need not follow their speeds,
+    so a query read off the wrong segment moves."""
+    for n in (1, 1, 2, 2, 3, 5, 17, 40):
+        times = np.cumsum(rng.uniform(1e-3, 1.0, n)) + rng.uniform(-1.0, 1.0)
+        yield Trajectory(times, rng.uniform(-2.0, 2.0, n), rng.uniform(-1.0, 1.0, n - 1))
+
+
+def queries(rng, traj):
+    lo, hi = traj.start_time, traj.end_time
+    return np.concatenate(([lo - 1e-12, lo, hi, hi + 1e-12], traj.times, rng.uniform(lo, hi, 7)))
+
+
+def test_position_at_and_observe_match_the_reference_expression():
+    rng = np.random.default_rng(27)
+    paths = list(random_paths(rng))
+    sol = evolve(random_traffic_data(rng, 12, 6), traffic_flux_from_velocity(W, 6), 2.0)
+    paths += [track(sol, W, x0, 0.01) for x0 in rng.uniform(-2.0, 1.0, 4)]
+    paths.append(track(sol, W, -0.5, 2.0))  # a one-node path
+    for traj in paths:
+        ts = queries(rng, traj)
+        want = [x.hex() for x in reference_positions(traj, ts).tolist()]
+        got = traj.position_at(ts)
+        assert isinstance(got, np.ndarray) and got.shape == ts.shape
+        assert [x.hex() for x in got.tolist()] == want
+        assert [x.hex() for x in traj.observe(ts).tolist()] == want
+        assert [x.hex() for x in traj.observe(ts.tolist()).tolist()] == want
+        grid = ts[:6].reshape(2, 3)
+        assert [x.hex() for x in traj.position_at(grid).ravel().tolist()] == want[:6]
+        for t in ts[:6].tolist():  # Python float, 0-d array, numpy scalar
+            for query in (t, np.asarray(t), np.float64(t)):
+                z = traj.position_at(query)
+                assert type(z) is float and z.hex() == reference_positions(traj, t).item().hex()
+            assert traj.observe(np.asarray(t)).shape == (1,)
+        empty = traj.position_at(np.empty(0))
+        assert isinstance(empty, np.ndarray) and empty.shape == (0,)
+        assert traj.observe([]).shape == (0,)
+
+
+def test_position_at_rejects_nan_and_out_of_range_queries():
+    rng = np.random.default_rng(28)
+    for traj in random_paths(rng):
+        lo, hi = traj.start_time, traj.end_time
+        for bad in (np.nan, lo - 2e-12, hi + 2e-12, -np.inf, np.inf):
+            for query in (bad, np.asarray(bad), np.array([lo, bad]), [[hi], [bad]]):
+                with pytest.raises(ValueError, match="NaN or outside"):
+                    traj.position_at(query)
+            with pytest.raises(ValueError, match="NaN or outside"):
+                traj.observe([bad])
+
+
+def test_track_returns_what_the_public_constructor_builds_on_its_nodes():
+    rng = np.random.default_rng(29)
+    flux = traffic_flux_from_velocity(W, 6)
+    for _ in range(6):
+        sol = evolve(random_traffic_data(rng, 12, 6), flux, 2.0)
+        for x0, t0 in zip(rng.uniform(-2.0, 1.0, 3), (0.01, 0.7, 2.0)):
+            traj = track(sol, W, x0, t0)
+            public = Trajectory(traj.times.tolist(), traj.positions.tolist(), traj.speeds.tolist(),
+                                traj.sticking)
+            assert path_hex(traj) == path_hex(public) and traj.sticking == public.sticking
+            for a in (traj.times, traj.positions, traj.speeds):
+                assert type(a) is np.ndarray and a.dtype == float and a.ndim == 1
+            assert traj.speeds.size == traj.times.size - 1 == traj.positions.size - 1
+            # the nodes run from the start to the horizon, each the last one moved
+            # along its segment, as track computes them
+            assert (traj.start_time, traj.end_time, traj.positions[0]) == (t0, 2.0, x0)
+            moved = traj.positions[:-1] + traj.speeds * np.diff(traj.times)
+            assert [x.hex() for x in moved.tolist()] == path_hex(traj)[1][1:]
+    # integer starts, also a one-node path of them, give float nodes as the public one does
+    sol = evolve(StepFunction([0.0], [0.25, 0.75]), flux, 2.0)
+    for x0, t0 in ((0, 2), (-1, 1), (np.int64(1), np.int64(2))):
+        traj = track(sol, W, x0, t0)
+        public = Trajectory(*(np.asarray(a) for a in (traj.times, traj.positions, traj.speeds)))
+        assert path_hex(traj) == path_hex(public)
+        assert traj.times.dtype == traj.positions.dtype == traj.speeds.dtype == float
+
+
+def test_public_trajectory_constructor_still_checks_its_nodes():
+    with pytest.raises(ValueError, match="strictly increasing"):
+        Trajectory([0.0, 1.0, 1.0], [0.0, 1.0, 2.0], [1.0, 1.0])
+    with pytest.raises(ValueError, match="strictly increasing"):
+        Trajectory([0.0, 2.0, 1.0], [0.0, 1.0, 2.0], [1.0, 1.0])
+    with pytest.raises(ValueError, match="len"):
+        Trajectory([0.0, 1.0], [0.0, 1.0, 2.0], [1.0])
+    with pytest.raises(ValueError, match="len"):
+        Trajectory([0.0, 1.0, 2.0], [0.0, 1.0, 2.0], [1.0])
+    with pytest.raises(ValueError, match="len"):
+        Trajectory([0.0], [0.0], [1.0])
+
+
+def random_traffic_data(rng, max_jumps, level):
+    """Step data on [-2, 2] with dyadic values, mostly rarefaction fans of many waves."""
+    while True:
+        k = int(rng.integers(1, max_jumps + 1))
+        bps = np.sort(rng.uniform(-2.0, 2.0, k))
+        vals = rng.integers(0, 2 ** level + 1, k + 1) / 2 ** level
+        try:
+            return StepFunction(bps, vals)
+        except ValueError:
+            continue
+
+
+def track_replaying_each_fan(monkeypatch, sol, *args):
+    """``track`` with the reference replay: each t = 0 fan event goes
+    through ``apply`` on its own, as every later event does."""
+
+    class ApplyEachFan(_LiveFronts):
+        @classmethod
+        def of_fans(cls, fans):
+            live = cls()
+            for e in sol.events:
+                if e.incoming:
+                    break
+                live.apply(e)
+            assert len(live.nxt) == sum(len(e.outgoing) for e in fans)
+            return live
+
+    with monkeypatch.context() as patch:
+        patch.setattr(filippov, "_LiveFronts", ApplyEachFan)
+        return track(sol, *args)
+
+
+def fan_cases():
+    """(solution, velocity): constant data, one many-wave fan, a still
+    shock, and random data full of fans at levels 3 to 8."""
+    rng = np.random.default_rng(30)
+    yield evolve(StepFunction.constant(0.5), traffic_flux_from_velocity(W, 6), 2.0), W
+    yield evolve(StepFunction([0.0], [0.875, 0.125]), traffic_flux_from_velocity(W, 6), 2.0), W
+    yield evolve(StepFunction([0.0], [0.2, 0.8]), STILL_FLUX, 2.0), W
+    for level in (3, 4, 6, 8):
+        for _ in range(4):
+            yield evolve(random_traffic_data(rng, 12, level), traffic_flux_from_velocity(W, level), 2.0), W
+    yield evolve(StepFunction([0.0, 4.0, 8.0, 10.0, 13.0], [1.0, 0.0, -1.0, 1.0, 0.0, -1.0]),
+                 BURGERS0, 6.0), STICKY
+
+
+def test_fans_linked_as_one_run_give_the_links_of_one_apply_per_fan():
+    for sol, _ in fan_cases():
+        fans = [e for e in sol.events if not e.incoming]
+        assert all(e.time == 0.0 for e in fans) and sol.events[:len(fans)] == fans
+        n = sum(len(e.outgoing) for e in fans)
+        assert [f for e in fans for f in e.outgoing] == list(range(n))
+        ref = _LiveFronts()
+        for e in fans:
+            ref.apply(e)
+        live = _LiveFronts.of_fans(fans)
+        assert (live.nxt, live.prv, live.head, live.tail) == (ref.nxt, ref.prv, ref.head, ref.tail)
+
+
+def test_track_matches_a_replay_that_applies_one_event_at_a_time(monkeypatch):
+    rng = np.random.default_rng(31)
+    cases = checked = 0
+    for sol, w in fan_cases():
+        collisions = [e.time for e in sol.events if e.incoming]
+        first = collisions[0] if collisions else sol.horizon / 2
+        # cars started before, at and after the first collision, and at the horizon
+        starts = [0.01, first / 2, first, (first + sol.horizon) / 2, sol.horizon]
+        for t0 in starts:
+            for x0 in rng.uniform(-2.5, 2.0, 3).tolist():
+                want = track_replaying_each_fan(monkeypatch, sol, w, x0, t0)
+                got = track(sol, w, x0, t0)
+                assert path_hex(got) == path_hex(want) and got.sticking == want.sticking
+                checked += got.times.size
+        cases += bool(collisions)
+    assert cases >= 12 and checked > 10000, (cases, checked)

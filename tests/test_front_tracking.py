@@ -76,6 +76,49 @@ def test_step_function_drops_equal_adjacent_values():
     assert np.array_equal(s.values, [0.2, 0.5, 0.7])
 
 
+def increasing_by_differences(bp):
+    """The breakpoint check as written before it compared neighbours directly."""
+    bp = np.atleast_1d(np.asarray(bp, dtype=float))
+    with np.errstate(over="ignore"):  # 1e308 - (-1e308) is inf, still > 0
+        rising = (np.diff(bp) > 0).all()
+    return not bp.size or bool(rising and math.isfinite(bp[0]) and math.isfinite(bp[-1]))
+
+
+def test_step_function_accepts_exactly_the_finite_strictly_increasing_breakpoints():
+    cases = [
+        [], [3.0], [np.nan], [np.inf], [-0.0, 0.0], [0.0, -0.0], [5e-324, 1e-323],
+        [1e-323, 5e-324], [1.0, np.nextafter(1.0, 2.0)], [1.0, 1.0], [2.0, 1.0],
+        [0.0, np.nan, 1.0], [0.0, np.inf, 1.0], [-np.inf, 0.0], [0.0, np.inf],
+        [-1e308, 1e308], [0.0, 1.0, 0.5, 2.0], [-2.0, -0.0, 1e-300, 7.5],
+    ]
+    kept = 0
+    for bp in cases:
+        values = np.arange(len(bp) + 1, dtype=float)
+        if increasing_by_differences(bp):
+            s = StepFunction(bp, values)
+            assert [x.hex() for x in s.breakpoints.tolist()] == [float(x).hex() for x in bp]
+            kept += 1
+        else:
+            with pytest.raises(ValueError, match="finite and strictly increasing"):
+                StepFunction(bp, values)
+    assert kept == 6
+
+
+def test_evolve_reads_signed_zero_states_and_extremes_as_given():
+    burgers = piecewise_linearize(BurgersQuadraticFlux(), 2)
+    data = StepFunction([-1.0, 0.0, 1.0], [-0.0, 0.5, 0.0, -0.5])
+    assert (data.min_value(), data.max_value()) == (-0.5, 0.5)
+    assert math.copysign(1.0, StepFunction.constant(-0.0).min_value()) == -1.0
+    sol = evolve(data, burgers, 1.0)
+    fans = [e for e in sol.events if not e.incoming]
+    assert [e.position for e in fans] == [-1.0, 0.0, 1.0]
+    firsts = [sol.front_lists.left_values[e.outgoing[0]] for e in fans]
+    lasts = [sol.front_lists.right_values[e.outgoing[-1]] for e in fans]
+    assert [x.hex() for x in firsts] == [(-0.0).hex(), (0.5).hex(), (0.0).hex()]
+    assert [x.hex() for x in lasts] == [(0.5).hex(), (0.0).hex(), (-0.5).hex()]
+    assert all(type(x) is float for c in sol.front_lists for x in c)
+
+
 def test_step_function_one_sided_limits():
     s = StepFunction([0.0], [0.2, 0.8])
     assert s.value_at(-1.0) == (0.2, 0.2)
