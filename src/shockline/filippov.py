@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .flux import VelocityFunction
-from .front_tracking import FrontTrackingSolution, _LiveFronts
+from .front_tracking import FrontEvent, FrontTrackingSolution, _LiveFronts
 
 
 @dataclass
@@ -122,14 +122,17 @@ def track(
     bt, bx, spd, lv, rv, _ = solution.front_lists
     far_left = solution.initial.far_left
 
-    # the t = 0 fans lead the event log and number their fronts 0..n-1 left
-    # to right, so they link as one run; later events replay one at a time
+    # the t = 0 fans lead the event log and number their fronts 0..n0-1 left
+    # to right, so one run of ids links them all, as in evolve; later events
+    # replay one at a time
     events = solution.events
     n_events = len(events)
     ei = 0
     while ei < n_events and not events[ei].incoming:
         ei += 1
-    live = _LiveFronts.of_fans(events[:ei])
+    n0 = events[ei - 1].outgoing[-1] + 1 if ei else 0
+    live = _LiveFronts()
+    live.apply(FrontEvent(0.0, 0.0, (), tuple(range(n0))))
     nxt, prv = live.nxt, live.prv
     while ei < n_events and events[ei].time <= t0:
         live.apply(events[ei])

@@ -343,9 +343,8 @@ class _LiveFronts:
     ``nxt``/``prv`` hold each front's neighbours (-1 past either end) and
     ``head``/``tail`` the ends; the links of a front that has left the list
     are stale.  ``apply`` grows ``nxt``/``prv`` in place, so callers may
-    hold on to the two lists.  Both ``evolve`` and ``track`` start from
-    ``of_fans``; ``evolve`` keeps the list while it builds a solution, and
-    ``track`` rebuilds it by replaying the rest of the event log, since the
+    hold on to the two lists.  ``evolve`` keeps it while it builds a
+    solution; ``track`` rebuilds it by replaying the event log, since the
     links change from event to event.
     """
 
@@ -354,19 +353,6 @@ class _LiveFronts:
         self.prv: list[int] = []
         self.head = -1
         self.tail = -1
-
-    @classmethod
-    def of_fans(cls, fans: list) -> "_LiveFronts":
-        """The list after the t = 0 fan events ``fans``, whose fronts 0..n-1 lie left to
-        right: one run, linked as ``apply`` would link them fan by fan."""
-        live = cls()
-        prv = [-1]
-        for e in fans:
-            prv += e.outgoing
-        if len(prv) > 1:
-            live.prv, live.nxt = prv[:-1], prv[2:] + [-1]
-            live.head, live.tail = 0, len(prv) - 2
-        return live
 
     def apply(self, event: FrontEvent) -> None:
         """Link the event's outgoing fronts in place of its incoming ones.
@@ -459,7 +445,9 @@ def evolve(
         if k:
             push_pair(k - 1, k, 0.0)
     death = [inf] * len(spd)
-    live = _LiveFronts.of_fans(events)
+    # the fans lie left to right in id order, so one run of ids links them all
+    live = _LiveFronts()
+    live.apply(FrontEvent(0.0, 0.0, (), tuple(range(len(spd)))))
     nxt, prv = live.nxt, live.prv
 
     while heap:

@@ -26,7 +26,7 @@ from shockline.flux import (
     piecewise_linearize,
     traffic_flux_from_velocity,
 )
-from shockline.front_tracking import StepFunction, _LiveFronts, evolve
+from shockline.front_tracking import FrontEvent, StepFunction, _LiveFronts, evolve
 
 W = LinearTrafficVelocity(1.0, 1.0)
 
@@ -496,17 +496,15 @@ def random_traffic_data(rng, max_jumps, level):
 def track_replaying_each_fan(monkeypatch, sol, *args):
     """``track`` with the reference replay: each t = 0 fan event goes
     through ``apply`` on its own, as every later event does."""
+    fans = [e for e in sol.events if not e.incoming]
 
     class ApplyEachFan(_LiveFronts):
-        @classmethod
-        def of_fans(cls, fans):
-            live = cls()
-            for e in sol.events:
-                if e.incoming:
-                    break
-                live.apply(e)
-            assert len(live.nxt) == sum(len(e.outgoing) for e in fans)
-            return live
+        def apply(self, event):
+            if event.incoming:
+                return super().apply(event)
+            assert event.outgoing == tuple(f for e in fans for f in e.outgoing)
+            for e in fans:
+                super().apply(e)
 
     with monkeypatch.context() as patch:
         patch.setattr(filippov, "_LiveFronts", ApplyEachFan)
@@ -536,7 +534,8 @@ def test_fans_linked_as_one_run_give_the_links_of_one_apply_per_fan():
         ref = _LiveFronts()
         for e in fans:
             ref.apply(e)
-        live = _LiveFronts.of_fans(fans)
+        live = _LiveFronts()
+        live.apply(FrontEvent(0.0, 0.0, (), tuple(range(n))))
         assert (live.nxt, live.prv, live.head, live.tail) == (ref.nxt, ref.prv, ref.head, ref.tail)
 
 
