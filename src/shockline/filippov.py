@@ -112,6 +112,8 @@ def track(
     T = solution.horizon if horizon is None else float(horizon)
     if not (isfinite(x0) and isfinite(t0)):
         raise ValueError(f"x0 and t0 must be finite, got x0={x0}, t0={t0}")
+    # a numpy float32 start would round every node of the path to float32
+    x0, t0 = float(x0), float(t0)
     if t0 <= 0.0:
         raise ValueError("t0 must be positive: paths started at t0 = 0 need not be unique")
     if not t0 <= T <= solution.horizon + 1e-12:
@@ -253,7 +255,9 @@ def check_speed_inclusion(
     For each sampled segment (all of them, or 1000 drawn with seed 0) the
     speed must lie within [min, max] of the velocities of the one-sided
     field limits at the midpoint; the return value is max(0, violation)
-    over samples and is 0 for an admissible path.
+    over samples and is 0 for an admissible path.  The limits at all
+    midpoints come from one batched lookup, which equals ``evaluate_field``
+    at each of them bit for bit.
     """
     nseg = traj.speeds.size
     if nseg == 0:
@@ -262,15 +266,16 @@ def check_speed_inclusion(
     if nseg > 1000:
         idx = np.random.default_rng(0).choice(nseg, size=1000, replace=False)
         idx.sort()
-    worst = 0.0
-    for k in idx:
-        tm = 0.5 * (traj.times[k] + traj.times[k + 1])
-        zm = traj.positions[k] + traj.speeds[k] * (tm - traj.times[k])
-        vl, vr = solution.evaluate_field(zm, tm)
-        wl, wr = velocity.at(vl), velocity.at(vr)
-        lo, hi = min(wl, wr), max(wl, wr)
-        worst = max(worst, lo - traj.speeds[k], traj.speeds[k] - hi)
-    return max(worst, 0.0)
+    t_start, speed = traj.times[idx], traj.speeds[idx]
+    tm = 0.5 * (t_start + traj.times[idx + 1])
+    zm = traj.positions[idx] + speed * (tm - t_start)
+    limits = np.concatenate(solution._field_limits(zm, tm))
+    w = np.array([velocity.at(v) for v in limits.tolist()])
+    wl, wr = w[: idx.size], w[idx.size:]
+    excess = np.concatenate((np.minimum(wl, wr) - speed, speed - np.maximum(wl, wr)))
+    # the largest positive excess; NaN never counts, as in a running max from 0
+    excess = excess[excess > 0.0]
+    return float(excess.max()) if excess.size else 0.0
 
 
 def riemann_comparison(

@@ -26,6 +26,8 @@ from .flux import PiecewiseLinearFlux, _riemann_waves, check_level
 EVENT_SPACE_TOL = 1e-12
 # Outgoing fronts with a smaller jump than this are dropped.
 ZERO_STRENGTH_TOL = 1e-14
+# Elements per temporary array (points x fronts) in a batched field lookup.
+FIELD_BLOCK_ELEMENTS = 2 ** 14
 
 
 class EventCapError(RuntimeError):
@@ -306,6 +308,94 @@ class FrontTrackingSolution:
     def evaluate_field(self, x: float, t: float) -> tuple[float, float]:
         """One-sided limits (left, right) of the field at (x, t): ``slice(t).value_at(x)``."""
         return self._jumps(t).value_at(x)
+
+    def _field_limits(self, xs: np.ndarray, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``evaluate_field(xs[k], ts[k])`` for every k, as arrays of left and right limits.
+
+        Raises ``evaluate_field``'s ValueError for the first time outside
+        [0, horizon] before any point is looked up.  The points go in blocks
+        of at most FIELD_BLOCK_ELEMENTS points x fronts, each against the
+        fronts alive at some time of the block; the rest is ``_block_limits``.
+        Every point it cannot answer exactly is answered by ``evaluate_field``.
+        """
+        xs = np.asarray(xs, dtype=float)
+        ts = np.asarray(ts, dtype=float)
+        bad = ~((0.0 <= ts) & (ts <= self.horizon + 1e-12))
+        if bad.any():
+            self._check_time(ts[bad.argmax()])
+        at = np.minimum(ts, self.horizon)
+        n = xs.size
+        value = np.empty(n)
+        exact = np.empty(n, dtype=bool)
+        start, rows = 0, FIELD_BLOCK_ELEMENTS // max(self.front_count, 1)
+        while start < n:
+            stop = min(n, start + max(rows, 1))
+            fronts = self._alive_during(at[start:stop])
+            if (stop - start) * fronts.size > FIELD_BLOCK_ELEMENTS and stop - start > 1:
+                # a shorter time range keeps no more fronts, so this block fits
+                stop = start + max(FIELD_BLOCK_ELEMENTS // fronts.size, 1)
+                fronts = self._alive_during(at[start:stop])
+            value[start:stop], exact[start:stop] = self._block_limits(
+                xs[start:stop], at[start:stop], fronts
+            )
+            rows = FIELD_BLOCK_ELEMENTS // max(fronts.size, 1)
+            start = stop
+        left, right = value, value.copy()
+        for k in np.flatnonzero(~exact).tolist():
+            left[k], right[k] = self.evaluate_field(xs[k], ts[k])
+        return left, right
+
+    def _alive_during(self, ts: np.ndarray) -> np.ndarray:
+        """Ids of the fronts that may be alive at some time in [min(ts), max(ts)]."""
+        return np.flatnonzero((self.birth_times <= ts.max()) & (ts.min() < self.death_times))
+
+    def _block_limits(
+        self, xs: np.ndarray, ts: np.ndarray, fronts: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The field at each point (xs[k], ts[k]) on both sides, and where it is exact.
+
+        ``fronts`` must hold every front alive at the points' times, which
+        must lie in [0, horizon].  The value is ``far_left`` where no front
+        is alive.  Otherwise it is the right state of the nearest alive front
+        below the point, or, with none below, the left state of the slice's
+        first front (lowest position, then lowest id).  It is exact, that is
+        ``slice(t).value_at(x)`` on both sides, where no alive front sits on
+        the point, the front below has no twin at its position and lies more
+        than EVENT_SPACE_TOL below the next front, so no grouping joins the
+        two (the difference of their positions is at most the difference to
+        the first of its group), and the value is not zero: the slice keeps
+        the last of a run of equal values, which may be the other zero.
+        """
+        far_left = self.initial.far_left
+        n = xs.size
+        if not fronts.size:
+            return np.full(n, far_left), np.ones(n, dtype=bool)
+        t, x = ts[:, None], xs[:, None]
+        birth = self.birth_times[fronts]
+        alive = (birth <= t) & (t < self.death_times[fronts])
+        pos = self.birth_positions[fronts] + self.speeds[fronts] * (t - birth)
+        vacant = ~alive.any(axis=1)
+        if not isfinite(pos.sum()):
+            # the slice of a non-finite position raises, so evaluate_field answers
+            return np.full(n, far_left), vacant
+        rows = np.arange(n)
+        upper = np.where(alive, pos, inf)
+        below = upper < x
+        has_below = below.any(axis=1)
+        lower = np.where(below, upper, -inf)
+        lo = lower.argmax(axis=1)
+        p_lo = lower[rows, lo]
+        lower[rows, lo] = -inf
+        unique = lower.max(axis=1) < p_lo
+        # with none below, the nearest alive front at or above is the first one
+        np.copyto(upper, inf, where=below)
+        hi = upper.argmin(axis=1)
+        p_hi = upper[rows, hi]
+        value = np.where(has_below, self.right_values[fronts[lo]], self.left_values[fronts[hi]])
+        separated = ~has_below | (unique & (p_hi - p_lo > EVENT_SPACE_TOL))
+        exact = (p_hi > xs) & separated & (value != 0.0)
+        value[vacant] = far_left
+        return value, exact | vacant
 
     def _jumps(self, t: float) -> StepFunction:
         """``slice(t)``: sorted fronts within EVENT_SPACE_TOL of the last jump merge into it."""

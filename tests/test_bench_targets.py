@@ -200,3 +200,45 @@ def test_a_traced_forward_keeps_its_layer_split():
                             "front_tracking.quantize_step"]
     assert result["transforms"] == result["tracks"] == 7
     assert result["noted_tracks"] == ["filippov.track", 7]
+
+
+# Checks one level-8 track with the wrappers installed, as the traced
+# cli_roundtrip run does, and prints the span count by name.  The check's
+# batched lookup is private, so only its fallbacks reach evaluate_field.
+TRACED_CHECK_RUN = """
+import importlib.util, json, sys
+import numpy as np
+spec = importlib.util.spec_from_file_location("bench_tracing", sys.argv[1])
+tracing = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracing)
+tracer = tracing.Tracer()
+tracing.install(tracer)
+from shockline import filippov, flux, front_tracking
+
+w = flux.LinearTrafficVelocity()
+data = front_tracking.StepFunction([-0.5, 0.0, 0.5, 1.0], [0.25, 0.75, 0.0, 0.875, 0.375])
+sol = front_tracking.evolve(data, flux.traffic_flux_from_velocity(w, 8), 2.0)
+traj = filippov.track(sol, w, -1.0, 0.1)
+tracer.reset()
+worst = filippov.check_speed_inclusion(traj, sol, w)
+calls = np.bincount(tracer.arrays()["name"], minlength=len(tracer.names))
+print(json.dumps({"worst": worst, "segments": int(traj.speeds.size),
+                  "calls": dict(zip(tracer.names, calls.tolist()))}))
+"""
+
+
+def test_a_traced_speed_inclusion_check_opens_one_span():
+    src = os.path.dirname(os.path.dirname(shockline.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run(
+        [sys.executable, "-c", TRACED_CHECK_RUN, TRACING],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
+    result = json.loads(run.stdout.splitlines()[-1])
+    assert result["segments"] > 10
+    assert result["calls"]["filippov.speed_inclusion"] == 1
+    assert result["calls"].get("front_tracking.evaluate_field", 0) < result["segments"]
+    # the tracer wraps evaluate_field by name; its signature stays (x, t)
+    params = inspect.signature(shockline.FrontTrackingSolution.evaluate_field).parameters
+    assert list(params) == ["self", "x", "t"]

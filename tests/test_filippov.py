@@ -6,6 +6,8 @@ comparison formula checked against differenced track() runs, and the
 one-sided speed inclusion sampled along every path.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -26,7 +28,14 @@ from shockline.flux import (
     piecewise_linearize,
     traffic_flux_from_velocity,
 )
-from shockline.front_tracking import FrontEvent, StepFunction, _LiveFronts, evolve
+from shockline.front_tracking import (
+    EVENT_SPACE_TOL,
+    FrontEvent,
+    FrontTrackingSolution,
+    StepFunction,
+    _LiveFronts,
+    evolve,
+)
 
 W = LinearTrafficVelocity(1.0, 1.0)
 
@@ -555,3 +564,132 @@ def test_track_matches_a_replay_that_applies_one_event_at_a_time(monkeypatch):
                 checked += got.times.size
         cases += bool(collisions)
     assert cases >= 12 and checked > 10000, (cases, checked)
+
+
+# ---------------------------------------------------------------------------
+# the speed-inclusion check reads the field through one batched lookup
+
+
+def speed_inclusion_by_segment(traj, solution, velocity):
+    """check_speed_inclusion as one evaluate_field call per sampled segment."""
+    nseg = traj.speeds.size
+    if nseg == 0:
+        return 0.0
+    idx = np.arange(nseg)
+    if nseg > 1000:
+        idx = np.random.default_rng(0).choice(nseg, size=1000, replace=False)
+        idx.sort()
+    worst = 0.0
+    for k in idx:
+        tm = 0.5 * (traj.times[k] + traj.times[k + 1])
+        zm = traj.positions[k] + traj.speeds[k] * (tm - traj.times[k])
+        vl, vr = solution.evaluate_field(zm, tm)
+        wl, wr = velocity.at(vl), velocity.at(vr)
+        lo, hi = min(wl, wr), max(wl, wr)
+        worst = max(worst, lo - traj.speeds[k], traj.speeds[k] - hi)
+    return max(worst, 0.0)
+
+
+class SignedVelocity:
+    """w(v) = 4 + 2v + copysign(1, v), or 10 minus that when mirrored.
+
+    Positive and one to one on the states below, 0.0 and -0.0 apart, so
+    the violation of a still segment, min(w(left), w(right)), names the
+    one-sided limits the check read: the smaller state, or mirrored the
+    larger one.
+    """
+
+    def __init__(self, mirrored: bool):
+        self.mirrored = mirrored
+
+    def at(self, v: float) -> float:
+        w = 4.0 + 2.0 * v + math.copysign(1.0, v)
+        return 10.0 - w if self.mirrored else w
+
+
+# still fronts, id order as listed: one plain jump; twins whose slice keeps
+# the right state of the higher id; two fronts exactly EVENT_SPACE_TOL apart,
+# which the slice merges; and a 0.0 -> -0.0 front, whose run of zeros the
+# slice reads as -0.0 on both sides
+PROBE_FRONTS = [(-0.5, 0.25, 0.5), (-0.25, 0.5, 0.25), (-0.25, 0.25, 0.75),
+                (0.0, 0.75, 0.5), (EVENT_SPACE_TOL, 0.5, 0.25),
+                (0.25, 0.25, 0.0), (0.5, 0.0, -0.0), (0.75, -0.0, 0.5)]
+PROBE_POINTS = [-1.0, -0.5, -0.375, -0.25, -0.2, 0.0, 0.5 * EVENT_SPACE_TOL, EVENT_SPACE_TOL,
+                0.125, 0.25, 0.375, 0.5, 0.625, 0.75, 1.0]
+
+
+def test_speed_inclusion_reads_the_limits_evaluate_field_reads():
+    pos, left, right = (np.array(c) for c in zip(*PROBE_FRONTS))
+    n = pos.size
+    sol = FrontTrackingSolution(
+        StepFunction.constant(0.25), None, 1.0, [], birth_times=np.zeros(n),
+        birth_positions=pos, speeds=np.zeros(n), left_values=left, right_values=right,
+        death_times=np.full(n, np.inf),
+    )
+    h = 2.0 ** -10
+    for x in PROBE_POINTS:
+        for t in (0.25, 0.5, 1.0):
+            still = Trajectory([t - h, t + h], [x, x], [0.0])  # its midpoint is (x, t)
+            for velocity in (SignedVelocity(False), SignedVelocity(True)):
+                want = speed_inclusion_by_segment(still, sol, velocity)
+                got = check_speed_inclusion(still, sol, velocity)
+                assert got.hex() == want.hex(), (x, t, velocity.mirrored)
+
+
+def test_speed_inclusion_equals_the_per_segment_loop_on_tracks():
+    # Burgers with w(u) = u: the car sticks to every shock it meets, so many
+    # midpoints lie on a live front or one rounding beside it; the whole
+    # track takes the 1000-segment sample, and each segment is checked alone
+    # too, since one segment's reading hides under the track's maximum
+    rng = np.random.default_rng(5)
+    flux = piecewise_linearize(BurgersQuadraticFlux(), 6)
+    w = TableVelocity(np.array([-1.0, 1.0]), np.array([-1.0, 1.0]))
+    values = rng.choice(np.arange(-64, 65) / 64.0, 65)
+    values[1:][values[1:] == values[:-1]] += 1.0 / 64.0
+    sol = evolve(StepFunction(np.arange(-32, 32) / 8.0, np.clip(values, -1.0, 1.0)), flux, 6.0)
+    traj = track(sol, w, -2.0, 0.01)
+    assert traj.speeds.size > 1000 and len(traj.sticking) > 20
+    assert check_speed_inclusion(traj, sol, w) == speed_inclusion_by_segment(traj, sol, w)
+    for k in range(traj.speeds.size):
+        one = Trajectory(traj.times[k:k + 2], traj.positions[k:k + 2], traj.speeds[k:k + 1])
+        assert check_speed_inclusion(one, sol, w) == speed_inclusion_by_segment(one, sol, w), k
+    # a car crosses the 0 -> 0.875 shock and rides it at w(0.875), its speed,
+    # one rounding upstream of the front, so both read 0.875 (ROADMAP item 1
+    # is to judge such a segment by both sides)
+    sol = evolve(StepFunction([0.0], [0.0, 0.875]), traffic_flux_from_velocity(W, 3), 2.0)
+    traj = track(sol, W, -1.0, 0.1)
+    assert check_speed_inclusion(traj, sol, W) == speed_inclusion_by_segment(traj, sol, W) == 0.875
+
+
+def test_speed_inclusion_raises_evaluate_fields_error_before_any_lookup(monkeypatch):
+    flux = traffic_flux_from_velocity(W, 4)
+    data = StepFunction([0.0, 0.5], [0.25, 0.75, 0.375])
+    traj = track(evolve(data, flux, 2.0), W, -0.5, 0.1)
+    short = evolve(data, flux, 1.0)
+    with pytest.raises(ValueError) as want:
+        speed_inclusion_by_segment(traj, short, W)
+
+    def no_block(*args):
+        raise AssertionError("a block was computed")
+
+    monkeypatch.setattr(FrontTrackingSolution, "_block_limits", no_block)
+    with pytest.raises(ValueError) as got:
+        check_speed_inclusion(traj, short, W)
+    assert str(got.value) == str(want.value) and "outside [0, 1.0]" in str(got.value)
+
+
+def test_speed_inclusion_of_a_public_path_with_a_nan_position():
+    sol = evolve(StepFunction([0.0], [0.25, 0.75]), traffic_flux_from_velocity(W, 4), 2.0)
+    traj = Trajectory([0.1, 0.5, 1.0, 1.5], [-0.5, np.nan, 0.25, 0.5], [0.75, 0.5, 0.5])
+    want = speed_inclusion_by_segment(traj, sol, W)
+    assert check_speed_inclusion(traj, sol, W) == want > 0.0
+
+
+@pytest.mark.parametrize("kind", [np.float32, np.float64, int])
+def test_track_starts_from_python_floats(kind):
+    # a float32 start used to round every node of the path to float32
+    sol = evolve(StepFunction([0.0, 0.5], [0.2, 0.7, 0.3]), traffic_flux_from_velocity(W, 6), 2.0)
+    start = (kind(-0.5), kind(0.01)) if kind is not int else (-1, 1)
+    traj = track(sol, W, *start)
+    want = track(sol, W, *(float(v) for v in start))
+    assert path_hex(traj) == path_hex(want) and traj.sticking == want.sticking

@@ -34,6 +34,7 @@ from shockline import flux as flux_module
 from shockline.filippov import track
 from shockline.front_tracking import (
     EVENT_SPACE_TOL,
+    FIELD_BLOCK_ELEMENTS,
     EventCapError,
     FrontEvent,
     FrontLists,
@@ -1006,6 +1007,169 @@ def test_point_query_replays_slice_grouping():
     assert sol.slice(0.5).breakpoints.tolist() == [-0.5, 0.0, 2 * EVENT_SPACE_TOL, 0.5]
     assert_point_queries_match_slices(sol, [0.5], pos)
 
+
+
+# ---------------------------------------------------------------------------
+# batched field lookup: _field_limits must be evaluate_field, bit for bit
+
+
+def float_hex(values):
+    return [float(v).hex() for v in values]
+
+
+def assert_batch_matches_evaluate_field(sol, xs, ts):
+    """_field_limits equals evaluate_field at every point, as float hex."""
+    left, right = sol._field_limits(np.asarray(xs, dtype=float), np.asarray(ts, dtype=float))
+    want = [sol.evaluate_field(x, t) for x, t in zip(xs, ts)]
+    assert float_hex(left) == float_hex(w[0] for w in want)
+    assert float_hex(right) == float_hex(w[1] for w in want)
+
+
+def probe_points(sol, rng, fronts_per_time=40):
+    """Points on live fronts, 1 ulp to 2e-12 beside them, at collision points
+    and at random places, at 0, T, just past T (clamped) and random times,
+    and at collision times."""
+    T = sol.horizon
+    collisions = [e for e in sol.events if e.incoming]
+    hits = [collisions[k] for k in rng.permutation(len(collisions))[:8]]
+    times = [0.0, T, T + 5e-13, *rng.uniform(0.0, T, 4), *(e.time for e in hits)]
+    xs, ts = [], []
+    for t in times:
+        at = min(t, T)
+        alive = (sol.birth_times <= at) & (at < sol.death_times)
+        pos = (sol.birth_positions + sol.speeds * (at - sol.birth_times))[alive]
+        pos = pos[rng.permutation(pos.size)[:fronts_per_time]]
+        near = [pos, np.nextafter(pos, -np.inf), np.nextafter(pos, np.inf)]
+        near += [pos + d for d in (-2e-12, -1e-12, -5e-13, 5e-13, 1e-12, 2e-12)]
+        pts = [*np.concatenate(near).tolist(), *rng.uniform(-3.0, 4.0, 6).tolist()]
+        xs += pts
+        ts += [t] * len(pts)
+    for e in hits:
+        pts = [e.position, *np.nextafter(e.position, [-np.inf, np.inf]).tolist(),
+               e.position - 1e-12, e.position + 1e-12]
+        xs += pts
+        ts += [e.time] * len(pts)
+    xs += [np.nan, -np.inf, np.inf]
+    ts += [0.5 * T] * 3
+    return xs, ts
+
+
+@pytest.mark.parametrize("level", range(2, 13))
+def test_field_limits_match_evaluate_field_on_traffic(level):
+    rng = np.random.default_rng(700 + level)
+    flux = traffic_flux_from_velocity(LinearTrafficVelocity(1.0, 1.0), level)
+    sol = evolve(random_step(rng, 8, level, 0.0, 1.0), flux, 2.0)
+    assert_batch_matches_evaluate_field(sol, *probe_points(sol, rng))
+
+
+def test_field_limits_match_evaluate_field_on_dyadic_and_ulp_close_breakpoints():
+    rng = np.random.default_rng(711)
+    flux = traffic_flux_from_velocity(LinearTrafficVelocity(1.0, 1.0), 5)
+    grid = np.arange(33) / 32
+    for k in range(12):
+        bps = np.unique(rng.integers(-8, 16, int(rng.integers(2, 7)))) / 8.0
+        if k % 2:
+            # a pair of breakpoints 1 ulp to 2e-12 apart
+            a = float(rng.choice(bps))
+            gap = [np.nextafter(a, np.inf) - a, 5e-13, 1e-12, 2e-12][k // 2 % 4]
+            bps = np.unique(np.concatenate((bps, [a + gap])))
+        vals = rng.choice(grid, bps.size + 1)
+        sol = evolve(StepFunction(bps, vals), flux, 2.0)
+        assert_batch_matches_evaluate_field(sol, *probe_points(sol, rng))
+
+
+def test_field_limits_match_evaluate_field_on_signed_zero_burgers():
+    rng = np.random.default_rng(712)
+    burgers = piecewise_linearize(BurgersQuadraticFlux(), 3)
+    for _ in range(12):
+        n = int(rng.integers(2, 7))
+        bps = np.sort(rng.choice(np.arange(-16, 17) / 8.0, n, replace=False))
+        vals = rng.choice([-0.5, -0.25, -0.0, 0.0, 0.25, 0.5], n + 1)
+        sol = evolve(StepFunction(bps, vals), burgers, 2.0)
+        assert_batch_matches_evaluate_field(sol, *probe_points(sol, rng))
+
+
+def test_field_limits_replay_slice_grouping_ties_and_signed_zeros():
+    # twin fronts, chains within EVENT_SPACE_TOL, gaps of exactly the
+    # tolerance, zero net jumps and signed zeros, as in the grouping test
+    rng = np.random.default_rng(713)
+    for _ in range(40):
+        n = int(rng.integers(1, 16))
+        pos = np.sort(rng.uniform(-1.0, 1.0, n))
+        for k in range(1, n):
+            if rng.random() < 0.5:
+                pos[k] = pos[k - 1] + rng.choice([0.0, 6e-13, 1e-12, 1.2e-12])
+        states = rng.choice([0.0, -0.0, 0.25, 0.5], n + 1)
+        sol = stationary_fronts(rng.permutation(pos), states)
+        xs = [*pos, *np.nextafter(pos, np.inf), *(pos + 5e-13), *rng.uniform(-1.5, 1.5, 4)]
+        assert_batch_matches_evaluate_field(sol, xs, [0.5] * len(xs))
+    pos = [-0.5, 0.0, EVENT_SPACE_TOL, 2 * EVENT_SPACE_TOL, 0.5]
+    sol = stationary_fronts(np.array(pos), np.array([0.0, 0.25, 0.5, -0.0, 0.25, 0.5]))
+    xs = [*pos, 5e-13, 1.5e-12, 0.25, -1.0, 1.0]
+    assert_batch_matches_evaluate_field(sol, xs, [0.5] * len(xs))
+
+
+@pytest.mark.parametrize("value", [0.5, 0.0, -0.0])
+def test_field_limits_on_constant_data_read_the_far_field(value):
+    sol = evolve(StepFunction.constant(value), TRAFFIC3, 1.0)
+    assert sol.front_count == 0
+    xs = [-1.0, 0.0, 2.0, np.nan]
+    left, right = sol._field_limits(np.array(xs), np.array([0.0, 0.5, 1.0, 0.25]))
+    assert float_hex(left) == float_hex(right) == [value.hex()] * 4
+    assert_batch_matches_evaluate_field(sol, xs, [0.0, 0.5, 1.0, 0.25])
+
+
+def test_field_limits_leave_a_non_finite_front_position_to_evaluate_field():
+    # the slice of an infinite breakpoint raises, so the batch must too
+    sol = stationary_fronts(np.array([0.0, np.inf]), np.array([0.25, 0.5, 0.75]))
+    for lookup in (lambda: sol.evaluate_field(0.5, 0.5),
+                   lambda: sol._field_limits(np.array([0.5]), np.array([0.5]))):
+        with pytest.raises(ValueError, match="breakpoints must be finite"):
+            lookup()
+
+def test_field_limits_go_in_blocks_within_the_element_budget(monkeypatch):
+    rng = np.random.default_rng(714)
+    sol = evolve(random_step(rng, 10, 8, 0.0, 1.0), FLUX8, 2.0)
+    n = 3 * FIELD_BLOCK_ELEMENTS // 100
+    assert n * sol.front_count > 2 * FIELD_BLOCK_ELEMENTS
+    xs, ts = rng.uniform(-3.0, 4.0, n), rng.uniform(0.0, 2.0, n)
+    blocks = []
+    block_limits = FrontTrackingSolution._block_limits
+
+    def spy(self, bxs, bts, fronts):
+        blocks.append((bxs.size, fronts.size))
+        return block_limits(self, bxs, bts, fronts)
+
+    monkeypatch.setattr(FrontTrackingSolution, "_block_limits", spy)
+    assert_batch_matches_evaluate_field(sol, xs.tolist(), ts.tolist())
+    assert len(blocks) > 1 and sum(rows for rows, _ in blocks) == n
+    assert all(rows * fronts <= FIELD_BLOCK_ELEMENTS for rows, fronts in blocks)
+    # unsorted times: each block still sees every front alive in it, and a
+    # shuffled query gives the same pairs, shuffled
+    order = rng.permutation(n)
+    left, right = sol._field_limits(xs, ts)
+    left_p, right_p = sol._field_limits(xs[order], ts[order])
+    assert float_hex(left_p) == float_hex(left[order])
+    assert float_hex(right_p) == float_hex(right[order])
+    empty = sol._field_limits(np.empty(0), np.empty(0))
+    assert [a.size for a in empty] == [0, 0]
+
+
+def test_field_limits_raise_evaluate_fields_error_before_any_block(monkeypatch):
+    sol = evolve(StepFunction([0.0], [0.25, 0.75]), TRAFFIC3, 1.0)
+    with pytest.raises(ValueError) as want:
+        sol.evaluate_field(0.0, 1.5)
+
+    def no_block(*args):
+        raise AssertionError("a block was computed")
+
+    monkeypatch.setattr(FrontTrackingSolution, "_block_limits", no_block)
+    for ts in ([0.5, 1.5, -1.0], [np.nan, 1.5]):
+        with pytest.raises(ValueError, match=r"time \S+ outside") as got:
+            sol._field_limits(np.zeros(len(ts)), np.array(ts))
+        first = ts[0] if np.isnan(ts[0]) else 1.5
+        assert str(got.value) == f"time {first} outside [0, 1.0]"
+    assert str(want.value) == "time 1.5 outside [0, 1.0]"
 
 def test_evolution_is_deterministic():
     rng = np.random.default_rng(9)
