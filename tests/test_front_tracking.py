@@ -1008,7 +1008,6 @@ def test_point_query_replays_slice_grouping():
     assert_point_queries_match_slices(sol, [0.5], pos)
 
 
-
 # ---------------------------------------------------------------------------
 # batched field lookup: _field_limits must be evaluate_field, bit for bit
 
@@ -1025,7 +1024,7 @@ def assert_batch_matches_evaluate_field(sol, xs, ts):
     assert float_hex(right) == float_hex(w[1] for w in want)
 
 
-def probe_points(sol, rng, fronts_per_time=40):
+def probe_points(sol, rng):
     """Points on live fronts, 1 ulp to 2e-12 beside them, at collision points
     and at random places, at 0, T, just past T (clamped) and random times,
     and at collision times."""
@@ -1038,7 +1037,7 @@ def probe_points(sol, rng, fronts_per_time=40):
         at = min(t, T)
         alive = (sol.birth_times <= at) & (at < sol.death_times)
         pos = (sol.birth_positions + sol.speeds * (at - sol.birth_times))[alive]
-        pos = pos[rng.permutation(pos.size)[:fronts_per_time]]
+        pos = pos[rng.permutation(pos.size)[:40]]
         near = [pos, np.nextafter(pos, -np.inf), np.nextafter(pos, np.inf)]
         near += [pos + d for d in (-2e-12, -1e-12, -5e-13, 5e-13, 1e-12, 2e-12)]
         pts = [*np.concatenate(near).tolist(), *rng.uniform(-3.0, 4.0, 6).tolist()]
